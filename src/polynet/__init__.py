@@ -33,11 +33,8 @@ from .funcapprox import (
     unipoly_to_text,
 )
 from .multipoly import (
-    AffineForm,
     MultiPoly,
-    affine_power,
     apply_univariate,
-    apply_univariate_to_affine,
     coefficient,
     poly_add,
     poly_eval,

@@ -164,11 +164,14 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _report_solution(report) -> None:
+def _save_and_report(args, net, report) -> int:
+    if args.out:
+        save_network(net, args.out)
     sys.stdout.write(f"converged={report.converged}\n")
     sys.stdout.write(f"residual_norm={report.final_residual_norm:.17g}\n")
     sys.stdout.write(f"iterations={report.iterations}\n")
     sys.stdout.write(f"restarts={report.restarts_used}\n")
+    return 0 if report.converged else 1
 
 
 def _cmd_synth(args) -> int:
@@ -176,10 +179,7 @@ def _cmd_synth(args) -> int:
     targets = [poly_from_text(Path(p).read_text()) for p in args.targets]
     system = build_coefficient_system(arch, targets)
     w, report = solve_system(system, _solver_config(args), _trace(args))
-    if args.out:
-        save_network(system.layout.instantiate(arch, w), args.out)
-    _report_solution(report)
-    return 0 if report.converged else 1
+    return _save_and_report(args, system.layout.instantiate(arch, w), report)
 
 
 def _cmd_fit_data(args) -> int:
@@ -187,24 +187,18 @@ def _cmd_fit_data(args) -> int:
     ds = load_dataset(args.data)
     system = build_data_system(arch, ds)
     w, report = solve_system(system, _solver_config(args), _trace(args))
-    if args.out:
-        save_network(system.layout.instantiate(arch, w), args.out)
-    _report_solution(report)
-    return 0 if report.converged else 1
+    return _save_and_report(args, system.layout.instantiate(arch, w), report)
 
 
 def _cmd_compress(args) -> int:
     teacher = load_network(args.teacher)
     student_arch = load_network(args.student_arch)
     student, report = compress_network(teacher, student_arch, args.degree, _solver_config(args), _trace(args))
-    if args.out:
-        save_network(student, args.out)
-    _report_solution(report)
-    return 0 if report.converged else 1
+    return _save_and_report(args, student, report)
 
 
 def _cmd_verify(args) -> int:
-    doc = run_experiment(args.exp_id, seed=args.seed, max_iters=args.max_iters, tol=args.tol, trace=_trace(args))
+    doc = run_experiment(args.exp_id, _solver_config(args), _trace(args))
     return emit_report(doc, "machine" if args.machine else "text")
 
 

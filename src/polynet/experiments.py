@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import UsageError
-from .multipoly import AffineForm, MultiPoly, affine_power, coefficient, poly_eval
+from .multipoly import MultiPoly, coefficient, poly_eval, poly_pow
 from .network import (
     Dataset,
     Identity,
@@ -36,7 +36,6 @@ from .network import (
 )
 from .report import ReportDocument
 from .synthesis import (
-    RandomRestarts,
     SolverConfig,
     build_coefficient_system,
     build_data_system,
@@ -63,8 +62,8 @@ def load_table1() -> Dataset:
 
 def two_class_targets() -> tuple[MultiPoly, MultiPoly]:
     """Experiment 1 class scores: -(x1 - x2)^2 and -((x1 + x2) - 1)^2."""
-    c0 = -affine_power(AffineForm(0.0, (1.0, -1.0)), 2)
-    c1 = -affine_power(AffineForm(-1.0, (1.0, 1.0)), 2)
+    c0 = -poly_pow(MultiPoly(2, {(1, 0): 1.0, (0, 1): -1.0}), 2)
+    c1 = -poly_pow(MultiPoly(2, {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}), 2)
     return c0, c1
 
 
@@ -91,31 +90,30 @@ def two_class_points() -> tuple[np.ndarray, np.ndarray]:
     return pts, labels
 
 
-def _solver_config(seed: int, max_iters: int | None, tol: float | None) -> SolverConfig:
-    kwargs = {"fallback": RandomRestarts(seed=seed)}
-    if max_iters is not None:
-        kwargs["max_iters"] = max_iters
-    if tol is not None:
-        kwargs["tol_residual"] = tol
-    return SolverConfig(**kwargs)
+def _match_coefficients(
+    doc: ReportDocument, exp_id: int, arch: NetworkSpec, targets, residuals: int, unknowns: int,
+    cfg: SolverConfig, trace,
+) -> NetworkSpec:
+    """Shared body of experiments 1 and 2: size the coefficient system, check
+    the frozen reference weights against it, solve, and return the solved net."""
+    key = f"exp{exp_id}"
+    system = build_coefficient_system(arch, targets)
+    doc.check(f"{key}.residuals", "residual count", system.arity, residuals, 0)
+    doc.check(f"{key}.unknowns", "unknown count", system.layout.total_unknowns, unknowns, 0)
+    ref = load_reference_network(exp_id)
+    ref_norm = float(np.max(np.abs(system.residuals(system.layout.flatten(ref)))))
+    doc.check(f"{key}.reference_residual", "residual norm at reference weights", ref_norm, 0.0, 5e-3)
+    w, rep = solve_system(system, cfg, trace)
+    doc.check(f"{key}.converged", "solver converged", float(rep.converged), 1.0, 0.0)
+    doc.check(f"{key}.solved_residual", "residual norm at solved weights", rep.final_residual_norm, 0.0, 1e-8)
+    doc.info(f"{key}.iterations", "iterations", rep.iterations)
+    doc.info(f"{key}.restarts", "restarts used", rep.restarts_used)
+    return system.layout.instantiate(arch, w)
 
 
 def _run_exp1(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     doc.note("classes generated from the lines x1 - x2 = 0 and x1 + x2 = 1")
-    targets = two_class_targets()
-    arch = _square_arch(4, 2)
-    system = build_coefficient_system(arch, targets)
-    doc.check("exp1.residuals", "residual count", system.arity, 12, 0)
-    doc.check("exp1.unknowns", "unknown count", system.layout.total_unknowns, 22, 0)
-    ref = load_reference_network(1)
-    ref_norm = float(np.max(np.abs(system.residuals(system.layout.flatten(ref)))))
-    doc.check("exp1.reference_residual", "residual norm at reference weights", ref_norm, 0.0, 5e-3)
-    w, rep = solve_system(system, cfg, trace)
-    doc.check("exp1.converged", "solver converged", float(rep.converged), 1.0, 0.0)
-    doc.check("exp1.solved_residual", "residual norm at solved weights", rep.final_residual_norm, 0.0, 1e-8)
-    doc.info("exp1.iterations", "iterations", rep.iterations)
-    doc.info("exp1.restarts", "restarts used", rep.restarts_used)
-    net = system.layout.instantiate(arch, w)
+    net = _match_coefficients(doc, 1, _square_arch(4, 2), two_class_targets(), 12, 22, cfg, trace)
     pts, labels = two_class_points()
     hits = sum(classify(net, x) == c for x, c in zip(pts, labels))
     doc.check("exp1.accuracy", "classification accuracy on 40 points", hits / len(labels), 1.0, 0.0)
@@ -123,19 +121,7 @@ def _run_exp1(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
 
 def _run_exp2(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     doc.note("target r = 2*x1 + 2*x1*x2 + x2^2")
-    arch = _square_arch(4, 1)
-    system = build_coefficient_system(arch, [regression_target()])
-    doc.check("exp2.residuals", "residual count", system.arity, 6, 0)
-    doc.check("exp2.unknowns", "unknown count", system.layout.total_unknowns, 17, 0)
-    ref = load_reference_network(2)
-    ref_norm = float(np.max(np.abs(system.residuals(system.layout.flatten(ref)))))
-    doc.check("exp2.reference_residual", "residual norm at reference weights", ref_norm, 0.0, 5e-3)
-    w, rep = solve_system(system, cfg, trace)
-    doc.check("exp2.converged", "solver converged", float(rep.converged), 1.0, 0.0)
-    doc.check("exp2.solved_residual", "residual norm at solved weights", rep.final_residual_norm, 0.0, 1e-8)
-    doc.info("exp2.iterations", "iterations", rep.iterations)
-    doc.info("exp2.restarts", "restarts used", rep.restarts_used)
-    net = system.layout.instantiate(arch, w)
+    net = _match_coefficients(doc, 2, _square_arch(4, 1), [regression_target()], 6, 17, cfg, trace)
     doc.check("exp2.forward.1_1", "forward(1,1)", forward(net, (1.0, 1.0))[0], 5.0, 1e-6)
     doc.check("exp2.forward.2_1", "forward(2,1)", forward(net, (2.0, 1.0))[0], 9.0, 1e-6)
 
@@ -245,16 +231,10 @@ _TITLES = {
 }
 
 
-def run_experiment(
-    exp_id: int,
-    seed: int = 0,
-    max_iters: int | None = None,
-    tol: float | None = None,
-    trace=None,
-) -> ReportDocument:
+def run_experiment(exp_id: int, cfg: SolverConfig = SolverConfig(), trace=None) -> ReportDocument:
     """Run one reference experiment and return its report."""
     if exp_id not in _RUNNERS:
         raise UsageError(f"unknown experiment {exp_id}; choose 1, 2, 3 or 4")
     doc = ReportDocument(_TITLES[exp_id])
-    _RUNNERS[exp_id](doc, _solver_config(seed, max_iters, tol), trace)
+    _RUNNERS[exp_id](doc, cfg, trace)
     return doc

@@ -9,7 +9,6 @@ serialization and the ordering of downstream equation systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionError, ParseError, UsageError
@@ -167,55 +166,6 @@ def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
         if k:
             base = poly_mul(base, base)
     return result
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """constant + sum_j linear[j] * x_j."""
-
-    constant: float
-    linear: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.linear) < 1:
-            raise DimensionError("an affine form needs at least one variable")
-        object.__setattr__(self, "constant", float(self.constant))
-        object.__setattr__(self, "linear", tuple(float(v) for v in self.linear))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.linear)
-
-    def as_poly(self) -> MultiPoly:
-        d = self.nvars
-        terms: dict[Exponents, float] = {(0,) * d: self.constant}
-        for j, w in enumerate(self.linear):
-            terms[tuple(1 if i == j else 0 for i in range(d))] = w
-        return MultiPoly(d, terms)
-
-    def value(self, x: Iterable[float]) -> float:
-        xs = [float(v) for v in x]
-        if len(xs) != self.nvars:
-            raise DimensionError(f"point has length {len(xs)}, expected {self.nvars}")
-        return self.constant + sum(w * v for w, v in zip(self.linear, xs))
-
-
-def affine_power(a: AffineForm, k: int) -> MultiPoly:
-    """(constant + sum w_j x_j)**k expanded into monomials."""
-    return poly_pow(a.as_poly(), k)
-
-
-def apply_univariate_to_affine(phi: UniPoly, a: AffineForm) -> MultiPoly:
-    """sum_i phi.coeffs[i] * affine_power(a, i)."""
-    base = a.as_poly()
-    power = MultiPoly.constant(a.nvars, 1.0)
-    total = MultiPoly.zero(a.nvars)
-    for i, c in enumerate(phi.coeffs):
-        if i:
-            power = poly_mul(power, base)
-        if c:
-            total = poly_add(total, power * c)
-    return total
 
 
 def apply_univariate(phi: UniPoly, p: MultiPoly) -> MultiPoly:

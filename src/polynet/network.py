@@ -21,9 +21,26 @@ from .funcapprox import UniPoly
 from .multipoly import MultiPoly, apply_univariate, poly_add, poly_pow
 
 
+def _f17(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+# Each activation maps a layer's pre-activations to its outputs three ways:
+# on numbers (__call__), on polynomials (expand) and as JSON text (to_json).
+
+
 @dataclass(frozen=True)
 class Identity:
-    pass
+    degree = 1
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def expand(self, p: MultiPoly) -> MultiPoly:
+        return p
+
+    def to_json(self) -> str:
+        return '{"kind": "identity"}'
 
 
 @dataclass(frozen=True)
@@ -31,47 +48,43 @@ class MonomialPower:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise StructuralError(f"power activation needs a positive integer exponent, got {self.k!r}")
+
+    @property
+    def degree(self) -> int:
+        return self.k
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return values**self.k
+
+    def expand(self, p: MultiPoly) -> MultiPoly:
+        return poly_pow(p, self.k)
+
+    def to_json(self) -> str:
+        return f'{{"kind": "power", "k": {self.k}}}'
 
 
 @dataclass(frozen=True)
 class PolyActivation:
     poly: UniPoly
 
+    @property
+    def degree(self) -> int:
+        return self.poly.degree
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return self.poly(values)
+
+    def expand(self, p: MultiPoly) -> MultiPoly:
+        return apply_univariate(self.poly, p)
+
+    def to_json(self) -> str:
+        coeffs = ", ".join(_f17(c) for c in self.poly.coeffs)
+        return f'{{"kind": "poly", "coeffs": [{coeffs}]}}'
+
 
 Activation = Identity | MonomialPower | PolyActivation
-
-
-def activation_unipoly(act: Activation) -> UniPoly:
-    """The activation as an explicit univariate polynomial."""
-    if isinstance(act, Identity):
-        return UniPoly((0.0, 1.0))
-    if isinstance(act, MonomialPower):
-        return UniPoly((0.0,) * act.k + (1.0,))
-    if isinstance(act, PolyActivation):
-        return act.poly
-    raise UsageError(f"not an activation: {act!r}")
-
-
-def activation_degree(act: Activation) -> int:
-    if isinstance(act, Identity):
-        return 1
-    if isinstance(act, MonomialPower):
-        return act.k
-    if isinstance(act, PolyActivation):
-        return act.poly.degree
-    raise UsageError(f"not an activation: {act!r}")
-
-
-def apply_activation(act: Activation, values: np.ndarray) -> np.ndarray:
-    if isinstance(act, Identity):
-        return values
-    if isinstance(act, MonomialPower):
-        return values**act.k
-    if isinstance(act, PolyActivation):
-        return act.poly(values)
-    raise UsageError(f"not an activation: {act!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +100,8 @@ class LayerSpec:
             raise StructuralError(f"weights must be 2-D with a bias column, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise StructuralError("weights must be finite")
+        if not isinstance(self.activation, Activation):
+            raise StructuralError(f"not an activation: {self.activation!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -128,7 +143,7 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
     if h.shape != (net.input_dim,):
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},)")
     for layer in net.layers:
-        h = apply_activation(layer.activation, layer.weights @ np.concatenate(([1.0], h)))
+        h = layer.activation(layer.weights @ np.concatenate(([1.0], h)))
     return h
 
 
@@ -142,13 +157,7 @@ def expand_network(net: NetworkSpec) -> list[MultiPoly]:
             pre = MultiPoly.constant(d, row[0])
             for w, pj in zip(row[1:], polys):
                 pre = poly_add(pre, pj * float(w))
-            act = layer.activation
-            if isinstance(act, Identity):
-                nxt.append(pre)
-            elif isinstance(act, MonomialPower):
-                nxt.append(poly_pow(pre, act.k))
-            else:
-                nxt.append(apply_univariate(act.poly, pre))
+            nxt.append(layer.activation.expand(pre))
         polys = nxt
     return polys
 
@@ -157,7 +166,7 @@ def expansion_degree(net: NetworkSpec) -> int:
     """Total degree the expansion attains: product of activation degrees."""
     deg = 1
     for layer in net.layers:
-        deg *= activation_degree(layer.activation)
+        deg *= layer.activation.degree
     return deg
 
 
@@ -168,21 +177,6 @@ def classify(net: NetworkSpec, x) -> int:
     return int(np.argmax(forward(net, x)))
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _activation_to_json(act: Activation) -> str:
-    if isinstance(act, Identity):
-        return '{"kind": "identity"}'
-    if isinstance(act, MonomialPower):
-        return f'{{"kind": "power", "k": {act.k}}}'
-    if isinstance(act, PolyActivation):
-        coeffs = ", ".join(_f17(c) for c in act.poly.coeffs)
-        return f'{{"kind": "poly", "coeffs": [{coeffs}]}}'
-    raise UsageError(f"not an activation: {act!r}")
-
-
 def network_to_json(net: NetworkSpec) -> str:
     """JSON text with reals at 17 significant digits."""
     lines = ["{", f'  "input_dim": {net.input_dim},', '  "layers": [']
@@ -190,7 +184,7 @@ def network_to_json(net: NetworkSpec) -> str:
         rows = ", ".join("[" + ", ".join(_f17(v) for v in row) + "]" for row in layer.weights)
         sep = "," if i + 1 < len(net.layers) else ""
         lines.append(
-            '    {"weights": [' + rows + '], "activation": ' + _activation_to_json(layer.activation) + "}" + sep
+            '    {"weights": [' + rows + '], "activation": ' + layer.activation.to_json() + "}" + sep
         )
     lines.append("  ]")
     lines.append("}")

@@ -103,22 +103,15 @@ class SolveReport:
 class UnknownLayout:
     """Flat order of the weight slots: layer-major, then row-major, then column."""
 
-    entries: tuple[tuple[int, int, int], ...]  # (layer, row, col)
     shapes: tuple[tuple[int, int], ...]
 
     @classmethod
     def for_network(cls, net: NetworkSpec) -> "UnknownLayout":
-        entries = []
-        shapes = []
-        for li, layer in enumerate(net.layers):
-            r, c = layer.weights.shape
-            shapes.append((r, c))
-            entries.extend((li, i, j) for i in range(r) for j in range(c))
-        return cls(tuple(entries), tuple(shapes))
+        return cls(tuple(layer.weights.shape for layer in net.layers))
 
     @property
     def total_unknowns(self) -> int:
-        return len(self.entries)
+        return sum(r * c for r, c in self.shapes)
 
     def instantiate(self, template: NetworkSpec, w) -> NetworkSpec:
         """Rebuild the template with weights taken from the flat vector."""

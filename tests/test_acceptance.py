@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from polynet import (
-    AffineForm,
     Dataset,
     Identity,
     LayerSpec,
     MonomialPower,
+    MultiPoly,
     NetworkSpec,
     PolyActivation,
     UniPoly,
     UnknownLayout,
-    affine_power,
     approx_error,
     build_coefficient_system,
     build_data_system,
@@ -36,6 +35,7 @@ from polynet import (
     fourier_fit,
     lsq_poly_fit,
     poly_eval,
+    poly_pow,
     residual_jacobian,
     solve_system,
 )
@@ -85,9 +85,9 @@ def verdict(label):
 
 def test_acceptance_two_class_target_expansions():
     """Negated squared affine forms expand to the expected coefficients."""
-    c0 = -1.0 * affine_power(AffineForm(0.0, (1.0, -1.0)), 2)
+    c0 = -1.0 * poly_pow(MultiPoly(2, {(1, 0): 1.0, (0, 1): -1.0}), 2)
     want0 = {(2, 0): -1.0, (0, 2): -1.0, (1, 1): 2.0}
-    c1 = -1.0 * affine_power(AffineForm(-1.0, (1.0, 1.0)), 2)
+    c1 = -1.0 * poly_pow(MultiPoly(2, {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}), 2)
     want1 = {(2, 0): -1.0, (0, 2): -1.0, (0, 0): -1.0,
              (1, 1): -2.0, (1, 0): 2.0, (0, 1): 2.0}
     for poly, want in ((c0, want0), (c1, want1)):

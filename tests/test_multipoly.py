@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from polynet import (
-    AffineForm,
     DimensionError,
     MultiPoly,
     ParseError,
     UniPoly,
     UsageError,
-    affine_power,
     apply_univariate,
-    apply_univariate_to_affine,
     coefficient,
     poly_add,
     poly_eval,
@@ -124,24 +121,6 @@ def test_pow_matches_repeated_multiplication():
         poly_pow(p, -1)
 
 
-def test_affine_form_basics():
-    a = AffineForm(1.0, (2.0, 3.0))
-    assert a.nvars == 2
-    assert a.value((1.0, 1.0)) == 6.0
-    assert dict(a.as_poly().terms) == {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 3.0}
-
-
-def test_affine_power_matches_direct_power():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        nvars = int(rng.integers(1, 4))
-        a = AffineForm(float(rng.uniform(-2, 2)), tuple(rng.uniform(-2, 2, nvars)))
-        k = int(rng.integers(0, 5))
-        assert coeff_gap(affine_power(a, k), poly_pow(a.as_poly(), k)) <= 1e-10
-    with pytest.raises(UsageError, match="non-negative"):
-        affine_power(a, -2)
-
-
 def test_hand_expansions():
     one = MultiPoly.constant(2, 1.0)
     x1 = MultiPoly.variable(2, 0)
@@ -151,11 +130,11 @@ def test_hand_expansions():
     assert dict(((one + x1) * (one - x1)).terms) == {(0, 0): 1.0, (2, 0): -1.0}
 
     # (x1 - x2)^2 = x1^2 - 2 x1 x2 + x2^2
-    sq = affine_power(AffineForm(0.0, (1.0, -1.0)), 2)
+    sq = poly_pow(MultiPoly(2, {(1, 0): 1.0, (0, 1): -1.0}), 2)
     assert dict(sq.terms) == {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}
 
     # (x1 + x2 - 1)^2 expanded
-    sq2 = affine_power(AffineForm(-1.0, (1.0, 1.0)), 2)
+    sq2 = poly_pow(MultiPoly(2, {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}), 2)
     assert dict(sq2.terms) == {
         (2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0,
         (1, 0): -2.0, (0, 1): -2.0, (0, 0): 1.0,
@@ -172,12 +151,6 @@ def test_apply_univariate_matches_horner_by_hand():
         for j, cj in enumerate(phi.coeffs):
             direct = direct + cj * poly_pow(p, j)
         assert coeff_gap(apply_univariate(phi, p), direct) <= 1e-10
-
-
-def test_apply_univariate_to_affine_consistency():
-    phi = UniPoly((0.5, 0.0, -0.25, 1.0))
-    a = AffineForm(0.3, (1.0, -2.0))
-    assert coeff_gap(apply_univariate_to_affine(phi, a), apply_univariate(phi, a.as_poly())) <= 1e-12
 
 
 def test_truncate_degree():

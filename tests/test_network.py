@@ -1,5 +1,7 @@
 """Network model: validation, forward pass, symbolic expansion, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def random_network(rng, max_degree_budget=24):
 
 def test_monomial_power_validation():
     assert MonomialPower(2).k == 2
-    for bad in (0, -2, 1.5):
+    for bad in (0, -2, 1.5, True):
         with pytest.raises(StructuralError, match="positive integer"):
             MonomialPower(bad)
 
@@ -74,6 +76,12 @@ def test_layer_validation():
         LayerSpec(np.zeros((2, 0)))
     with pytest.raises(StructuralError, match="finite"):
         LayerSpec(np.array([[np.nan, 1.0]]))
+
+
+def test_layer_rejects_non_activation():
+    for bad in ("relu", None, UniPoly((0.0, 1.0))):
+        with pytest.raises(StructuralError, match=re.escape(f"not an activation: {bad!r}")):
+            LayerSpec(np.array([[0.0, 1.0]]), bad)
 
 
 def test_layer_weights_are_read_only():
@@ -172,6 +180,32 @@ def test_network_json_round_trip():
                 assert a.activation.k == b.activation.k
             if isinstance(a.activation, PolyActivation):
                 assert a.activation.poly.coeffs == b.activation.poly.coeffs
+
+
+GOLDEN_NETWORK_JSON = """\
+{
+  "input_dim": 2,
+  "layers": [
+    {"weights": [[0, 1, -1], [0.5, 2, 0.25]], "activation": {"kind": "power", "k": 2}},
+    {"weights": [[1, 0.10000000000000001, -3]], "activation": {"kind": "poly", "coeffs": [0.5, 0, -0.125]}},
+    {"weights": [[0, 1]], "activation": {"kind": "identity"}}
+  ]
+}
+"""
+
+
+def test_network_json_golden_text():
+    net = NetworkSpec(2, (
+        LayerSpec(np.array([[0.0, 1.0, -1.0], [0.5, 2.0, 0.25]]), MonomialPower(2)),
+        LayerSpec(np.array([[1.0, 0.1, -3.0]]), PolyActivation(UniPoly((0.5, 0.0, -0.125)))),
+        LayerSpec(np.array([[0.0, 1.0]]), Identity()),
+    ))
+    assert network_to_json(net) == GOLDEN_NETWORK_JSON
+    back = network_from_json(GOLDEN_NETWORK_JSON)
+    assert back.input_dim == 2
+    assert [layer.activation for layer in back.layers] == [layer.activation for layer in net.layers]
+    for a, b in zip(net.layers, back.layers):
+        assert np.array_equal(a.weights, b.weights)
 
 
 def test_network_json_parse_errors():
