@@ -65,19 +65,17 @@ from .network import (
     save_network,
 )
 from .synthesis import (
-    GivenVector,
-    Ones,
-    RandomRestarts,
     ResidualSystem,
     SolveReport,
     SolverConfig,
-    UnknownLayout,
     build_coefficient_system,
     build_data_system,
     class_target_poly,
     compress_network,
+    network_weights,
     residual_jacobian,
     solve_system,
+    with_weights,
 )
 
 __version__ = "0.1.0"

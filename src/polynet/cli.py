@@ -10,14 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    NumericError,
-    ParseError,
-    StructuralError,
-    UsageError,
-)
+from .errors import ConfigurationError, Error, NumericError
 from .experiments import run_experiment
 from .funcapprox import (
     approx_error,
@@ -32,29 +25,24 @@ from .multipoly import poly_from_text, poly_to_text
 from .network import expand_network, load_network, load_dataset, save_network
 from .report import emit_report
 from .synthesis import (
-    RandomRestarts,
     SolverConfig,
     build_coefficient_system,
     build_data_system,
     compress_network,
     solve_system,
+    with_weights,
 )
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed for solver restarts")
-    sub.add_argument("--max-iters", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None)
+    sub.add_argument("--seed", type=int, default=SolverConfig.seed, help="seed for solver restarts")
+    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    sub.add_argument("--tol", type=float, default=SolverConfig.tol_residual)
     sub.add_argument("--trace", action="store_true", help="solver iterations to stderr")
 
 
 def _solver_config(args) -> SolverConfig:
-    kwargs = {"fallback": RandomRestarts(seed=args.seed)}
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    if args.tol is not None:
-        kwargs["tol_residual"] = args.tol
-    return SolverConfig(**kwargs)
+    return SolverConfig(max_iters=args.max_iters, tol_residual=args.tol, seed=args.seed)
 
 
 def _trace(args):
@@ -179,7 +167,7 @@ def _cmd_synth(args) -> int:
     targets = [poly_from_text(Path(p).read_text()) for p in args.targets]
     system = build_coefficient_system(arch, targets)
     w, report = solve_system(system, _solver_config(args), _trace(args))
-    return _save_and_report(args, system.layout.instantiate(arch, w), report)
+    return _save_and_report(args, with_weights(arch, w), report)
 
 
 def _cmd_fit_data(args) -> int:
@@ -187,7 +175,7 @@ def _cmd_fit_data(args) -> int:
     ds = load_dataset(args.data)
     system = build_data_system(arch, ds)
     w, report = solve_system(system, _solver_config(args), _trace(args))
-    return _save_and_report(args, system.layout.instantiate(arch, w), report)
+    return _save_and_report(args, with_weights(arch, w), report)
 
 
 def _cmd_compress(args) -> int:
@@ -206,13 +194,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, StructuralError, UsageError, DimensionError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

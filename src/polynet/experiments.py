@@ -40,7 +40,9 @@ from .synthesis import (
     build_coefficient_system,
     build_data_system,
     class_target_poly,
+    network_weights,
     solve_system,
+    with_weights,
 )
 
 
@@ -99,16 +101,16 @@ def _match_coefficients(
     key = f"exp{exp_id}"
     system = build_coefficient_system(arch, targets)
     doc.check(f"{key}.residuals", "residual count", system.arity, residuals, 0)
-    doc.check(f"{key}.unknowns", "unknown count", system.layout.total_unknowns, unknowns, 0)
+    doc.check(f"{key}.unknowns", "unknown count", system.unknowns, unknowns, 0)
     ref = load_reference_network(exp_id)
-    ref_norm = float(np.max(np.abs(system.residuals(system.layout.flatten(ref)))))
+    ref_norm = float(np.max(np.abs(system.residuals(network_weights(ref)))))
     doc.check(f"{key}.reference_residual", "residual norm at reference weights", ref_norm, 0.0, 5e-3)
     w, rep = solve_system(system, cfg, trace)
     doc.check(f"{key}.converged", "solver converged", float(rep.converged), 1.0, 0.0)
     doc.check(f"{key}.solved_residual", "residual norm at solved weights", rep.final_residual_norm, 0.0, 1e-8)
     doc.info(f"{key}.iterations", "iterations", rep.iterations)
     doc.info(f"{key}.restarts", "restarts used", rep.restarts_used)
-    return system.layout.instantiate(arch, w)
+    return with_weights(arch, w)
 
 
 def _run_exp1(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
@@ -216,7 +218,7 @@ def _run_exp4(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     doc.check("exp4.converged", "solver converged", float(rep.converged), 1.0, 0.0)
     doc.info("exp4.iterations", "iterations", rep.iterations)
     doc.info("exp4.restarts", "restarts used", rep.restarts_used)
-    net = system.layout.instantiate(arch, w)
+    net = with_weights(arch, w)
     worst = max(abs(forward(net, x)[0] - t) for x, t in zip(ds.X, ds.y))
     doc.check("exp4.max_prediction_error", "max prediction error on the grid", worst, 0.0, 1e-4)
 

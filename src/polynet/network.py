@@ -69,6 +69,10 @@ class MonomialPower:
 class PolyActivation:
     poly: UniPoly
 
+    def __post_init__(self):
+        if not isinstance(self.poly, UniPoly):
+            raise StructuralError(f"poly activation needs a UniPoly, got {self.poly!r}")
+
     @property
     def degree(self) -> int:
         return self.poly.degree

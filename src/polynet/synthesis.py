@@ -45,50 +45,23 @@ from .network import (
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
 STEP_EPS = 1e-14    # step-norm termination
-
-
-@dataclass(frozen=True)
-class Ones:
-    """Start from the all-ones weight vector."""
-
-
-@dataclass(frozen=True)
-class GivenVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
-@dataclass(frozen=True)
-class RandomRestarts:
-    """Seeded uniform(-scale, scale) starting points, tried in draw order."""
-
-    count: int = 16
-    scale: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigurationError("restart count must be at least 1")
-        if self.scale <= 0:
-            raise ConfigurationError("restart scale must be positive")
+DAMPING = 1e-3      # initial Levenberg-Marquardt lambda
+FD_STEP = 1e-7      # relative forward-difference step
+RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     tol_residual: float = 1e-10  # on the residual infinity norm
-    initial: Ones | GivenVector | RandomRestarts = Ones()
-    damping: float = 1e-3        # initial Levenberg-Marquardt lambda
-    fd_step: float = 1e-7        # relative forward-difference step
-    fallback: RandomRestarts = RandomRestarts()  # tried after `initial` fails
+    seed: int = 0                # of the restart draws
+    start: tuple[float, ...] | None = None  # first start; None is all ones
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
-        if self.tol_residual <= 0 or self.damping <= 0 or self.fd_step <= 0:
-            raise ConfigurationError("tolerances, damping and fd_step must be positive")
+        if self.tol_residual <= 0:
+            raise ConfigurationError("tol_residual must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,46 +72,31 @@ class SolveReport:
     restarts_used: int
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Flat order of the weight slots: layer-major, then row-major, then column."""
+def network_weights(net: NetworkSpec) -> np.ndarray:
+    """Flat weight vector: layer-major, then row-major, then column."""
+    return np.concatenate([layer.weights.ravel() for layer in net.layers])
 
-    shapes: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def for_network(cls, net: NetworkSpec) -> "UnknownLayout":
-        return cls(tuple(layer.weights.shape for layer in net.layers))
-
-    @property
-    def total_unknowns(self) -> int:
-        return sum(r * c for r, c in self.shapes)
-
-    def instantiate(self, template: NetworkSpec, w) -> NetworkSpec:
-        """Rebuild the template with weights taken from the flat vector."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.total_unknowns,):
-            raise DimensionError(f"weight vector has shape {w.shape}, expected ({self.total_unknowns},)")
-        if len(template.layers) != len(self.shapes):
-            raise UsageError("template does not match this layout")
-        layers = []
-        offset = 0
-        for layer, (r, c) in zip(template.layers, self.shapes):
-            if layer.weights.shape != (r, c):
-                raise UsageError("template does not match this layout")
-            block = w[offset : offset + r * c].reshape(r, c)
-            offset += r * c
-            layers.append(LayerSpec(block, layer.activation))
-        return NetworkSpec(template.input_dim, tuple(layers))
-
-    def flatten(self, net: NetworkSpec) -> np.ndarray:
-        return np.concatenate([layer.weights.ravel() for layer in net.layers])
+def with_weights(arch: NetworkSpec, w) -> NetworkSpec:
+    """Rebuild the architecture with weights taken from the flat vector."""
+    w = np.asarray(w, dtype=float)
+    p = sum(layer.weights.size for layer in arch.layers)
+    if w.shape != (p,):
+        raise DimensionError(f"weight vector has shape {w.shape}, expected ({p},)")
+    layers = []
+    offset = 0
+    for layer in arch.layers:
+        r, c = layer.weights.shape
+        layers.append(LayerSpec(w[offset : offset + r * c].reshape(r, c), layer.activation))
+        offset += r * c
+    return NetworkSpec(arch.input_dim, tuple(layers))
 
 
 @dataclass(frozen=True)
 class ResidualSystem:
     """Vector residual function of the flat weight vector."""
 
-    layout: UnknownLayout
+    unknowns: int
     residual_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     descriptions: tuple[str, ...]
 
@@ -148,8 +106,8 @@ class ResidualSystem:
 
     def residuals(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.layout.total_unknowns,):
-            raise DimensionError(f"weight vector has shape {w.shape}, expected ({self.layout.total_unknowns},)")
+        if w.shape != (self.unknowns,):
+            raise DimensionError(f"weight vector has shape {w.shape}, expected ({self.unknowns},)")
         return np.asarray(self.residual_fn(w), dtype=float)
 
 
@@ -214,13 +172,12 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
         for e in sorted(supports[k] | set(t.terms), key=grlex_key):
             index.append((k, e))
             descriptions.append(f"output {k}: {monomial_label(e)}")
-    layout = UnknownLayout.for_network(arch)
 
     def residual_fn(w: np.ndarray) -> np.ndarray:
-        polys = expand_network(layout.instantiate(arch, w))
+        polys = expand_network(with_weights(arch, w))
         return np.array([coefficient(polys[k], e) - coefficient(targets[k], e) for k, e in index])
 
-    return ResidualSystem(layout, residual_fn, tuple(descriptions))
+    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(descriptions))
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -229,53 +186,41 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         raise UsageError(f"data matching needs a single-output architecture, got {arch.output_dim} outputs")
     if ds.X.shape[1] != arch.input_dim:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
-    layout = UnknownLayout.for_network(arch)
     points = [np.array(row) for row in ds.X]
     observed = np.array(ds.y)
 
     def residual_fn(w: np.ndarray) -> np.ndarray:
-        net = layout.instantiate(arch, w)
+        net = with_weights(arch, w)
         return np.array([forward(net, x)[0] for x in points]) - observed
 
-    return ResidualSystem(layout, residual_fn, tuple(f"row {i}" for i in range(1, len(points) + 1)))
+    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(f"row {i}" for i in range(1, len(points) + 1)))
 
 
-def residual_jacobian(system: ResidualSystem, w, fd_step: float = 1e-7) -> np.ndarray:
-    """Forward-difference Jacobian, the same scheme solve_system iterates with.
+def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian at w, where r0 = system.residuals(w); the
+    same scheme solve_system iterates with.
 
-    Column j uses step fd_step * (1 + |w_j|).
+    Column j uses step FD_STEP * (1 + |w_j|).
     """
     w = np.asarray(w, dtype=float).copy()
-    r0 = system.residuals(w)
     J = np.empty((r0.size, w.size))
     for j in range(w.size):
         old = w[j]
-        h = fd_step * (1.0 + abs(old))
+        h = FD_STEP * (1.0 + abs(old))
         w[j] = old + h
         J[:, j] = (system.residuals(w) - r0) / h
         w[j] = old
     return J
 
 
-def _random_starts(rr: RandomRestarts, p: int) -> Iterator[np.ndarray]:
-    rng = np.random.default_rng(rr.seed)
-    for _ in range(rr.count):
-        yield rng.uniform(-rr.scale, rr.scale, p)
-
-
 def _starts(cfg: SolverConfig, p: int) -> Iterator[np.ndarray]:
-    init = cfg.initial
-    if isinstance(init, RandomRestarts):
-        yield from _random_starts(init, p)
-        return
-    if isinstance(init, GivenVector):
-        v = np.asarray(init.values, dtype=float)
-        if v.shape != (p,):
-            raise DimensionError(f"initial vector has shape {v.shape}, expected ({p},)")
-        yield v
-    else:
-        yield np.ones(p)
-    yield from _random_starts(cfg.fallback, p)
+    first = np.ones(p) if cfg.start is None else np.asarray(cfg.start, dtype=float)
+    if first.shape != (p,):
+        raise DimensionError(f"start vector has shape {first.shape}, expected ({p},)")
+    yield first
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(RESTARTS):
+        yield rng.uniform(-1.0, 1.0, p)
 
 
 def _lm(system: ResidualSystem, w0: np.ndarray, cfg: SolverConfig, trace) -> tuple[np.ndarray, bool, int, float]:
@@ -283,13 +228,13 @@ def _lm(system: ResidualSystem, w0: np.ndarray, cfg: SolverConfig, trace) -> tup
     r = system.residuals(w)
     if not np.all(np.isfinite(r)):
         raise NumericError("residuals are not finite at the initial point")
-    lam = cfg.damping
+    lam = DAMPING
     norm = float(np.max(np.abs(r)))
     cost = 0.5 * float(r @ r)
     eye = np.eye(w.size)
     iterations = 0
     while iterations < cfg.max_iters and norm > cfg.tol_residual:
-        J = residual_jacobian(system, w, cfg.fd_step)
+        J = residual_jacobian(system, w, r)
         A = J.T @ J
         g = J.T @ r
         step = None
@@ -333,8 +278,9 @@ def solve_system(
     the damped normal equations (J'J + lambda I) delta = -J'r; lambda is
     multiplied by 10 whenever a step is rejected and divided by 10 when
     one is accepted.  Iteration stops on residual infinity-norm at or
-    below tol_residual, a step shorter than 1e-14, or max_iters.  Starting
-    points come from config.initial, then config.fallback; the first
+    below tol_residual, a step shorter than 1e-14, or max_iters.  The first
+    attempt starts from config.start (all ones when None); the next 16
+    start from uniform(-1, 1) draws seeded by config.seed.  The first
     converged attempt wins, deterministically for a fixed seed.  When no
     attempt converges the best attempt (lowest residual norm) is returned
     with converged=False.
@@ -342,7 +288,7 @@ def solve_system(
     Returns (weights, SolveReport).
     """
     cfg = config if config is not None else SolverConfig()
-    p = system.layout.total_unknowns
+    p = system.unknowns
     best: tuple[np.ndarray, bool, int, float] | None = None
     attempts = 0
     for w0 in _starts(cfg, p):
@@ -382,4 +328,4 @@ def compress_network(
     targets = [truncate_degree(p, degree) for p in expand_network(teacher)]
     system = build_coefficient_system(student_arch, targets)
     w, report = solve_system(system, config, trace)
-    return system.layout.instantiate(student_arch, w), report
+    return with_weights(student_arch, w), report

@@ -20,7 +20,6 @@ from polynet import (
     NetworkSpec,
     PolyActivation,
     UniPoly,
-    UnknownLayout,
     approx_error,
     build_coefficient_system,
     build_data_system,
@@ -34,10 +33,12 @@ from polynet import (
     fourier_eval,
     fourier_fit,
     lsq_poly_fit,
+    network_weights,
     poly_eval,
     poly_pow,
     residual_jacobian,
     solve_system,
+    with_weights,
 )
 from polynet.experiments import (
     load_reference_network,
@@ -75,8 +76,7 @@ def square_arch(hidden, outputs):
 
 
 def reference_vector(exp_id):
-    net = load_reference_network(exp_id)
-    return UnknownLayout.for_network(net).flatten(net)
+    return network_weights(load_reference_network(exp_id))
 
 
 def verdict(label):
@@ -105,7 +105,7 @@ def test_acceptance_two_class_synthesis():
     started = time.monotonic()
     system = build_coefficient_system(square_arch(4, 2), list(two_class_targets()))
     assert system.arity == 12
-    assert system.layout.total_unknowns == 22
+    assert system.unknowns == 22
     assert np.max(np.abs(system.residuals(reference_vector(1)))) <= 5e-3
 
     w, report = solve_system(system)
@@ -113,7 +113,7 @@ def test_acceptance_two_class_synthesis():
     assert report.iterations <= 500
     assert np.max(np.abs(system.residuals(w))) <= 1e-8
 
-    net = system.layout.instantiate(square_arch(4, 2), w)
+    net = with_weights(square_arch(4, 2), w)
     points, labels = two_class_points()
     hits = sum(classify(net, x) == lab for x, lab in zip(points, labels))
     assert hits == 40
@@ -132,7 +132,7 @@ def test_acceptance_regression_synthesis():
     assert report.converged
     assert report.restarts_used == 0
 
-    net = system.layout.instantiate(square_arch(4, 1), w)
+    net = with_weights(square_arch(4, 1), w)
     assert forward(net, [1.0, 1.0])[0] == pytest.approx(5.0, abs=1e-6)
     assert forward(net, [2.0, 1.0])[0] == pytest.approx(9.0, abs=1e-6)
     assert time.monotonic() - started < 5.0
@@ -178,7 +178,7 @@ def test_acceptance_grid_regression():
     w, report = solve_system(system)
     assert report.converged
 
-    net = system.layout.instantiate(square_arch(4, 1), w)
+    net = with_weights(square_arch(4, 1), w)
     worst = max(abs(forward(net, p)[0] - v) for p, v in zip(points, values))
     assert worst <= 1e-4
     assert time.monotonic() - started < 10.0
@@ -252,7 +252,7 @@ def test_acceptance_jacobian_consistency():
     """Forward differences agree with central differences entrywise."""
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     w = np.ones(17)
-    fwd = residual_jacobian(system, w)
+    fwd = residual_jacobian(system, w, system.residuals(w))
     central = np.zeros_like(fwd)
     for j in range(w.size):
         step = 1e-7 * (1.0 + abs(w[j]))

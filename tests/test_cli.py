@@ -222,6 +222,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"]])
+def test_bad_solver_settings_exit_2(flag, capsys):
+    rc = main(["verify-exp2", *flag])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["approx"])  # missing required --fn/--interval

@@ -84,6 +84,12 @@ def test_layer_rejects_non_activation():
             LayerSpec(np.array([[0.0, 1.0]]), bad)
 
 
+def test_poly_activation_rejects_non_unipoly():
+    for bad in ((0.5, 1.0), [0.5, 1.0], None):
+        with pytest.raises(StructuralError, match=re.escape(f"needs a UniPoly, got {bad!r}")):
+            PolyActivation(bad)
+
+
 def test_layer_weights_are_read_only():
     layer = LayerSpec(np.array([[0.0, 1.0, 1.0]]))
     with pytest.raises(ValueError):

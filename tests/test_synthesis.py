@@ -9,14 +9,11 @@ import pytest
 from polynet import (
     Dataset,
     DimensionError,
-    GivenVector,
     LayerSpec,
     MonomialPower,
     MultiPoly,
     NetworkSpec,
-    RandomRestarts,
     SolverConfig,
-    UnknownLayout,
     UsageError,
     build_coefficient_system,
     build_data_system,
@@ -25,9 +22,11 @@ from polynet import (
     compress_network,
     expand_network,
     forward,
+    network_weights,
     poly_eval,
     residual_jacobian,
     solve_system,
+    with_weights,
 )
 from polynet.experiments import (
     load_reference_network,
@@ -66,8 +65,7 @@ def degree4_monomials():
 
 
 def reference_vector(exp_id):
-    net = load_reference_network(exp_id)
-    return UnknownLayout.for_network(net).flatten(net)
+    return network_weights(load_reference_network(exp_id))
 
 
 def test_class_target_polys_match_hand_derivation():
@@ -104,19 +102,20 @@ def test_unknown_layout_round_trip():
     rng = np.random.default_rng(31)
     for hidden, outputs, expected in ((4, 2, 22), (4, 1, 17)):
         arch = square_arch(hidden, outputs)
-        layout = UnknownLayout.for_network(arch)
-        assert layout.total_unknowns == expected
+        assert network_weights(arch).size == expected
         w = rng.uniform(-1.0, 1.0, expected)
-        net = layout.instantiate(arch, w)
-        assert np.array_equal(layout.flatten(net), w)
+        net = with_weights(arch, w)
+        assert np.array_equal(network_weights(net), w)
         for a, b in zip(net.layers, arch.layers):
             assert type(a.activation) is type(b.activation)
+        with pytest.raises(DimensionError, match=f"expected \\({expected},\\)"):
+            with_weights(arch, w[:-1])
 
 
 def test_coefficient_system_shapes_and_order():
     two_out = build_coefficient_system(square_arch(4, 2), list(two_class_targets()))
     assert two_out.arity == 12
-    assert two_out.layout.total_unknowns == 22
+    assert two_out.unknowns == 22
 
     one_out = build_coefficient_system(square_arch(4, 1), [regression_target()])
     assert one_out.arity == 6
@@ -163,16 +162,16 @@ def test_data_system_requires_single_output():
 def test_data_system_bias_only_fit():
     arch = NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),))
     system = build_data_system(arch, Dataset(np.array([[0.0]]), np.array([3.0])))
-    w, report = solve_system(system, SolverConfig(initial=GivenVector((0.0, 0.0))))
+    w, report = solve_system(system, SolverConfig(start=(0.0, 0.0)))
     assert report.converged
-    net = system.layout.instantiate(arch, w)
+    net = with_weights(arch, w)
     assert forward(net, [0.0])[0] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_forward_difference_jacobian_matches_central():
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     w = np.ones(17)
-    fwd = residual_jacobian(system, w)
+    fwd = residual_jacobian(system, w, system.residuals(w))
     assert fwd.shape == (6, 17)
     h = 1e-7
     central = np.zeros_like(fwd)
@@ -187,11 +186,10 @@ def test_forward_difference_jacobian_matches_central():
 
 def test_solver_stops_immediately_at_a_root():
     arch = square_arch(4, 1)
-    layout = UnknownLayout.for_network(arch)
     w_star = np.arange(1, 18, dtype=float) / 10.0
-    target = expand_network(layout.instantiate(arch, w_star))[0]
+    target = expand_network(with_weights(arch, w_star))[0]
     system = build_coefficient_system(arch, [target])
-    w, report = solve_system(system, SolverConfig(initial=GivenVector(tuple(w_star))))
+    w, report = solve_system(system, SolverConfig(start=tuple(w_star)))
     assert report.converged
     assert report.iterations == 0
     assert report.restarts_used == 0
@@ -209,7 +207,7 @@ def test_solver_converges_on_the_regression_system():
     assert np.max(np.abs(system.residuals(w))) <= 1e-9
     # and the synthesized network reproduces the target function
     arch = square_arch(4, 1)
-    net = system.layout.instantiate(arch, w)
+    net = with_weights(arch, w)
     target = regression_target()
     for x in np.array([[1, 1], [2, 1], [-0.5, 0.7], [0, 0]], dtype=float):
         want = poly_eval(target, x)
@@ -236,26 +234,17 @@ def test_solver_is_deterministic():
 
 def test_solver_reports_failure_honestly():
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
-    cfg = SolverConfig(max_iters=1, fallback=RandomRestarts(count=2, seed=0))
-    w, report = solve_system(system, cfg)
+    w, report = solve_system(system, SolverConfig(max_iters=1))
     assert not report.converged
-    assert report.restarts_used == 2
+    assert report.restarts_used == 16
     assert w.shape == (17,)
     assert np.isfinite(report.final_residual_norm)
-
-
-def test_random_initial_schedule():
-    system = build_coefficient_system(square_arch(4, 1), [regression_target()])
-    cfg = SolverConfig(initial=RandomRestarts(count=4, scale=0.5, seed=7))
-    w, report = solve_system(system, cfg)
-    assert report.converged
-    assert 0 <= report.restarts_used < 4
 
 
 def test_initial_vector_length_is_checked():
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     with pytest.raises(DimensionError, match="expected"):
-        solve_system(system, SolverConfig(initial=GivenVector((1.0, 2.0))))
+        solve_system(system, SolverConfig(start=(1.0, 2.0)))
 
 
 def test_trace_stream_format():
@@ -287,13 +276,11 @@ def test_duplicated_teacher_matches_its_base():
 
 def test_compress_identity_is_a_fixed_point():
     teacher = load_reference_network(2)
-    w = UnknownLayout.for_network(teacher).flatten(teacher)
-    student, report = compress_network(
-        teacher, teacher, 2, SolverConfig(initial=GivenVector(tuple(w)))
-    )
+    w = network_weights(teacher)
+    student, report = compress_network(teacher, teacher, 2, SolverConfig(start=tuple(w)))
     assert report.converged
     assert report.iterations == 0
-    assert np.array_equal(UnknownLayout.for_network(student).flatten(student), w)
+    assert np.array_equal(network_weights(student), w)
 
 
 def test_compress_eight_nodes_to_four():
