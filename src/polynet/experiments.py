@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import UsageError
-from .multipoly import MultiPoly, coefficient, poly_eval, poly_pow
+from .multipoly import MultiPoly, coefficient, grlex_monomials, poly_eval, poly_pow
 from .network import (
     Dataset,
     Identity,
@@ -170,17 +170,13 @@ EXP3_OUTPUTS = (
 )
 
 
-def _degree4_monomials() -> list[tuple[int, int]]:
-    return [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
-
-
 def _run_exp3(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     doc.note("4-example dataset, labels 3 and 8, quartic 8-node reference network")
     ds = load_table1()
     labels = sorted(set(ds.y))
     polys = [class_target_poly(ds, lab) for lab in labels]
     for name, poly, table in (("sp0", polys[0], SP0_COEFFS), ("sp1", polys[1], SP1_COEFFS)):
-        worst = max(abs(coefficient(poly, e) - table.get(e, 0.0)) for e in _degree4_monomials())
+        worst = max(abs(coefficient(poly, e) - table.get(e, 0.0)) for e in grlex_monomials(2, 4))
         doc.check(f"exp3.{name}.coeff_error", f"{name} worst coefficient error", worst, 0.0, 1e-12)
     doc.check(
         "exp3.sp1.value_at_row1",

@@ -1,14 +1,16 @@
 """Sparse multivariate polynomial arithmetic.
 
 A polynomial in d variables maps exponent vectors (length-d tuples of
-non-negative ints) to float coefficients; zero coefficients are never
-stored.  Term order everywhere is graded lexicographic (total degree
-ascending, then tuple order on the exponents), which pins down
-serialization and the ordering of downstream equation systems.
+non-negative ints) to float coefficients.  The constructor drops exact
+zeros and nothing else, so every nonzero term an operation produces is
+kept, however small.  Term order everywhere is graded lexicographic
+(total degree ascending, then tuple order on the exponents), which pins
+down serialization and the ordering of downstream equation systems.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DimensionError, ParseError, UsageError
@@ -16,13 +18,19 @@ from .funcapprox import UniPoly
 
 Exponents = tuple[int, ...]
 
-# Coefficients this small after add/mul are cancellation dust; dropping
-# them keeps results canonical.
-DROP_TOLERANCE = 1e-15
-
 
 def grlex_key(e: Exponents) -> tuple[int, Exponents]:
     return (sum(e), e)
+
+
+def grlex_monomials(nvars: int, degree: int) -> list[Exponents]:
+    """Every exponent vector of total degree <= degree, in graded-lex order."""
+    out = []
+    for t in range(degree + 1):
+        # index multisets come in lex order, which is descending tuple order
+        for idx in reversed(list(combinations_with_replacement(range(nvars), t))):
+            out.append(tuple(idx.count(j) for j in range(nvars)))
+    return out
 
 
 def monomial_label(e: Exponents) -> str:
@@ -106,8 +114,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return poly_mul(self, other)
         s = float(other)
-        scaled = {e: c * s for e, c in self.terms.items()}
-        return MultiPoly(self.nvars, {e: c for e, c in scaled.items() if abs(c) >= DROP_TOLERANCE})
+        return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -134,11 +141,7 @@ def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     _check_same_vars(p, q)
     out = dict(p.terms)
     for e, c in q.terms.items():
-        s = out.get(e, 0.0) + c
-        if abs(s) < DROP_TOLERANCE:
-            out.pop(e, None)
-        else:
-            out[e] = s
+        out[e] = out.get(e, 0.0) + c
     return MultiPoly(p.nvars, out)
 
 
@@ -150,7 +153,7 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for e2, c2 in q.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0.0) + c1 * c2
-    return MultiPoly(p.nvars, {e: c for e, c in out.items() if abs(c) >= DROP_TOLERANCE})
+    return MultiPoly(p.nvars, out)
 
 
 def poly_pow(p: MultiPoly, k: int) -> MultiPoly:

@@ -15,6 +15,7 @@ fine; the damped normal matrix stays positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -22,25 +23,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, UsageError
-from .funcapprox import UniPoly
-from .multipoly import (
-    Exponents,
-    MultiPoly,
-    coefficient,
-    grlex_key,
-    monomial_label,
-    poly_mul,
-    truncate_degree,
-)
-from .network import (
-    Dataset,
-    LayerSpec,
-    NetworkSpec,
-    PolyActivation,
-    expand_network,
-    expansion_degree,
-    forward,
-)
+from .multipoly import Exponents, MultiPoly, grlex_monomials, monomial_label, poly_mul, truncate_degree
+from .network import Dataset, LayerSpec, NetworkSpec, expand_network, expansion_degree, forward
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
@@ -60,8 +44,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be at least 1")
-        if self.tol_residual <= 0:
-            raise ConfigurationError("tol_residual must be positive")
+        if not 0 < self.tol_residual < math.inf:
+            raise ConfigurationError("tol_residual must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -135,24 +119,10 @@ def class_target_poly(ds: Dataset, label: float) -> MultiPoly:
     return -prod
 
 
-def _attainable_support(arch: NetworkSpec) -> list[set[Exponents]]:
-    # Expansion support with all-ones weights and absolute-valued activation
-    # coefficients: every product is then non-negative, so a monomial shows
-    # up here iff some weight assignment can produce it.
-    layers = []
-    for layer in arch.layers:
-        act = layer.activation
-        if isinstance(act, PolyActivation):
-            act = PolyActivation(UniPoly(tuple(abs(c) for c in act.poly.coeffs)))
-        layers.append(LayerSpec(np.ones_like(layer.weights), act))
-    probe = NetworkSpec(arch.input_dim, tuple(layers))
-    return [set(p.terms) for p in expand_network(probe)]
-
-
 def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) -> ResidualSystem:
-    """One residual per output monomial over the union of the expansion's
-    attainable support and the target's support, output-major then
-    graded-lex: expanded coefficient minus target coefficient."""
+    """One residual per monomial of total degree <= expansion_degree(arch),
+    output-major, then graded-lex: expanded coefficient minus target
+    coefficient."""
     targets = list(targets)
     if len(targets) != arch.output_dim:
         raise UsageError(f"{len(targets)} targets for {arch.output_dim} outputs")
@@ -165,19 +135,16 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
             raise UsageError(
                 f"target {k} has degree {t.degree()} but the architecture expands to degree {attainable}"
             )
-    supports = _attainable_support(arch)
-    index: list[tuple[int, Exponents]] = []
-    descriptions: list[str] = []
-    for k, t in enumerate(targets):
-        for e in sorted(supports[k] | set(t.terms), key=grlex_key):
-            index.append((k, e))
-            descriptions.append(f"output {k}: {monomial_label(e)}")
+    monomials = grlex_monomials(arch.input_dim, attainable)
+    index = [(k, e) for k in range(len(targets)) for e in monomials]
+    wanted = np.array([targets[k].terms.get(e, 0.0) for k, e in index])
 
     def residual_fn(w: np.ndarray) -> np.ndarray:
         polys = expand_network(with_weights(arch, w))
-        return np.array([coefficient(polys[k], e) - coefficient(targets[k], e) for k, e in index])
+        return np.array([polys[k].terms.get(e, 0.0) for k, e in index]) - wanted
 
-    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(descriptions))
+    descriptions = tuple(f"output {k}: {monomial_label(e)}" for k, e in index)
+    return ResidualSystem(network_weights(arch).size, residual_fn, descriptions)
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -288,18 +255,15 @@ def solve_system(
     Returns (weights, SolveReport).
     """
     cfg = config if config is not None else SolverConfig()
-    p = system.unknowns
-    best: tuple[np.ndarray, bool, int, float] | None = None
-    attempts = 0
-    for w0 in _starts(cfg, p):
-        attempts += 1
+    best: tuple[np.ndarray, int, float] | None = None
+    for attempt, w0 in enumerate(_starts(cfg, system.unknowns)):
         w, converged, iters, norm = _lm(system, w0, cfg, trace)
         if converged:
-            return w, SolveReport(True, iters, norm, attempts - 1)
-        if best is None or norm < best[3]:
-            best = (w, converged, iters, norm)
-    w, converged, iters, norm = best
-    return w, SolveReport(converged, iters, norm, attempts - 1)
+            return w, SolveReport(True, iters, norm, attempt)
+        if best is None or norm < best[2]:
+            best = (w, iters, norm)
+    w, iters, norm = best
+    return w, SolveReport(False, iters, norm, RESTARTS)
 
 
 def compress_network(

@@ -9,7 +9,10 @@ import polynet
 from polynet import (
     LayerSpec,
     MonomialPower,
+    MultiPoly,
     NetworkSpec,
+    PolyActivation,
+    UniPoly,
     load_network,
     poly_from_text,
     poly_to_text,
@@ -119,6 +122,19 @@ def test_synth_round_trip(tmp_path, capsys):
     assert polynet.forward(net, [2.0, 1.0])[0] == pytest.approx(9.0, abs=1e-6)
 
 
+def test_synth_zero_last_layer(tmp_path, capsys):
+    first = LayerSpec(np.zeros((2, 3)), MonomialPower(2))
+    last = LayerSpec(np.zeros((1, 3)), PolyActivation(UniPoly((0.0,))))
+    arch_path = tmp_path / "arch.json"
+    save_network(NetworkSpec(2, (first, last)), arch_path)
+    target_path = tmp_path / "zero.poly"
+    target_path.write_text(poly_to_text(MultiPoly.zero(2)))
+    rc = main(["synth", "--arch", str(arch_path), "--targets", str(target_path),
+               "--out", str(tmp_path / "solved.json")])
+    assert rc == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_synth_trace_goes_to_stderr(tmp_path, capsys):
     arch_path = tmp_path / "arch.json"
     save_network(square_arch(4, 1), arch_path)
@@ -222,7 +238,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--max-iters", "0"], ["--tol", "0"]])
+@pytest.mark.parametrize(
+    "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]]
+)
 def test_bad_solver_settings_exit_2(flag, capsys):
     rc = main(["verify-exp2", *flag])
     assert rc == 2

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomial ring: construction, arithmetic, text format."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from polynet import (
     poly_to_text,
     truncate_degree,
 )
+from polynet.multipoly import grlex_monomials
 
 
 def random_poly(rng, nvars, max_degree=3, max_terms=6):
@@ -65,6 +67,15 @@ def test_graded_lex_iteration_order():
     exps = [e for e, _ in p.items_grlex()]
     assert exps == sorted(exps, key=lambda e: (sum(e), e))
     assert exps[0] == (0, 0) and exps[-1] == (2, 0)
+
+
+def test_grlex_monomials_enumerates_the_full_basis():
+    for nvars in range(1, 5):
+        for degree in range(6):
+            got = grlex_monomials(nvars, degree)
+            box = itertools.product(range(degree + 1), repeat=nvars)
+            assert got == sorted((e for e in box if sum(e) <= degree), key=lambda e: (sum(e), e))
+            assert len(got) == math.comb(nvars + degree, nvars)
 
 
 def test_ring_identities_random():

@@ -162,6 +162,16 @@ def test_expansion_matches_forward_on_random_networks():
                 assert abs(poly_eval(p, x) - out[k]) <= 1e-8 * (1.0 + abs(out[k]))
 
 
+def test_expansion_keeps_tiny_terms():
+    # (1e-8 * (1 + x1 + x2))^2: every coefficient is about 1e-16
+    net = NetworkSpec(2, (LayerSpec(np.full((1, 3), 1e-8), MonomialPower(2)),))
+    (poly,) = expand_network(net)
+    want = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 2.0, (0, 2): 1.0, (1, 1): 2.0, (2, 0): 1.0}
+    assert dict(poly.terms) == pytest.approx({e: 1e-16 * c for e, c in want.items()}, rel=1e-12)
+    out = forward(net, [1.0, 1.0])[0]
+    assert poly_eval(poly, [1.0, 1.0]) == pytest.approx(out, rel=1e-12)
+
+
 def test_classify_rules():
     net = NetworkSpec(1, (LayerSpec(np.array([[0.0, 1.0], [1.0, -1.0]])),))
     assert classify(net, [3.0]) == 0   # outputs (3, -2)

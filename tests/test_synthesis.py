@@ -13,7 +13,9 @@ from polynet import (
     MonomialPower,
     MultiPoly,
     NetworkSpec,
+    PolyActivation,
     SolverConfig,
+    UniPoly,
     UsageError,
     build_coefficient_system,
     build_data_system,
@@ -194,6 +196,17 @@ def test_solver_stops_immediately_at_a_root():
     assert report.iterations == 0
     assert report.restarts_used == 0
     assert np.array_equal(w, w_star)
+
+
+def test_zero_last_layer_gives_one_equation_per_output():
+    first = LayerSpec(np.zeros((2, 3)), MonomialPower(2))
+    last = LayerSpec(np.zeros((1, 3)), PolyActivation(UniPoly((0.0,))))
+    system = build_coefficient_system(NetworkSpec(2, (first, last)), [MultiPoly.zero(2)])
+    assert system.arity == 1
+    assert system.descriptions == ("output 0: 1",)
+    _, report = solve_system(system)
+    assert report.converged
+    assert report.final_residual_norm == 0.0
 
 
 def test_solver_converges_on_the_regression_system():
