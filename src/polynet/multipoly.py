@@ -10,6 +10,7 @@ down serialization and the ordering of downstream equation systems.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
 
@@ -242,6 +243,8 @@ def poly_from_text(text: str) -> MultiPoly:
             e = tuple(int(v) for v in fields[1:])
         except ValueError:
             raise ParseError(f"line {ln_no}: non-numeric field") from None
+        if not math.isfinite(c):
+            raise ParseError(f"line {ln_no}: non-finite coefficient")
         if any(k < 0 for k in e):
             raise ParseError(f"line {ln_no}: negative exponent")
         if e in terms:

@@ -142,12 +142,14 @@ class NetworkSpec:
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
-    """Numeric evaluation; returns the final layer's outputs."""
+    """Outputs (out,) of one input (d,), or (n, out) of rows (n, d); no row's bits depend on the batch."""
     h = np.asarray(x, dtype=float)
-    if h.shape != (net.input_dim,):
-        raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},)")
+    if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
+        raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")
+    ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
+    ones.fill(1.0)
     for layer in net.layers:
-        h = layer.activation(layer.weights @ np.concatenate(([1.0], h)))
+        h = layer.activation(np.matvec(layer.weights, np.concatenate((ones, h), axis=-1)))
     return h
 
 
@@ -271,6 +273,8 @@ class Dataset:
             raise DimensionError(f"X must be a non-empty 2-D array, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise DimensionError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise UsageError("X and y must be finite")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -306,6 +310,8 @@ def dataset_from_csv(text: str) -> Dataset:
             vals = [float(v) for v in row]
         except ValueError:
             raise ParseError(f"line {ln_no}: non-numeric field") from None
+        if not np.all(np.isfinite(vals)):
+            raise ParseError(f"line {ln_no}: non-finite field")
         X.append(vals[:-1])
         y.append(vals[-1])
     if not X:

@@ -153,14 +153,11 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         raise UsageError(f"data matching needs a single-output architecture, got {arch.output_dim} outputs")
     if ds.X.shape[1] != arch.input_dim:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
-    points = [np.array(row) for row in ds.X]
-    observed = np.array(ds.y)
 
     def residual_fn(w: np.ndarray) -> np.ndarray:
-        net = with_weights(arch, w)
-        return np.array([forward(net, x)[0] for x in points]) - observed
+        return forward(with_weights(arch, w), ds.X)[:, 0] - ds.y
 
-    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(f"row {i}" for i in range(1, len(points) + 1)))
+    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(f"row {i}" for i in range(1, len(ds) + 1)))
 
 
 def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:

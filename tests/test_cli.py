@@ -238,6 +238,26 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_data_exits_2(tmp_path, capsys):
+    arch_path = tmp_path / "arch.json"
+    save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), arch_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("f1,y\n0,3\nnan,5\n")
+    rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: line 3: non-finite")
+
+
+def test_non_finite_target_coefficient_exits_2(tmp_path, capsys):
+    arch_path = tmp_path / "arch.json"
+    save_network(square_arch(4, 1), arch_path)
+    target_path = tmp_path / "target.poly"
+    target_path.write_text("poly nvars=2\n2 1 0\nnan 0 2\n")
+    rc = main(["synth", "--arch", str(arch_path), "--targets", str(target_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: line 3: non-finite")
+
+
 @pytest.mark.parametrize(
     "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]]
 )

@@ -224,3 +224,6 @@ def test_text_parse_errors():
         poly_from_text("poly nvars=2\nx 0 0\n")
     with pytest.raises(ParseError, match="line 2: negative exponent"):
         poly_from_text("poly nvars=2\n1 0 -1\n")
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ParseError, match="line 3: non-finite coefficient"):
+            poly_from_text(f"poly nvars=2\n1 0 0\n{bad} 1 0\n")

@@ -109,8 +109,30 @@ def test_forward_hand_check():
     net = single_square_net()
     assert forward(net, [1.0, 2.0])[0] == pytest.approx(9.0)
     assert forward(net, [0.5, -0.5])[0] == pytest.approx(0.0)
-    with pytest.raises(DimensionError, match="expected"):
-        forward(net, [1.0])
+    for bad in ([1.0], 1.0, np.zeros((2, 1, 2)), np.zeros(3), np.zeros((4, 3))):
+        with pytest.raises(DimensionError, match="expected"):
+            forward(net, bad)
+
+
+def test_batched_forward_matches_single_rows_bit_for_bit():
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(60):
+        net = random_network(rng)
+        kinds.update(type(layer.activation) for layer in net.layers)
+        for n in (1, 2, 17):
+            X = rng.uniform(-2.0, 2.0, (n, net.input_dim))
+            batch = forward(net, X)
+            rows = np.array([forward(net, x) for x in X])
+            assert batch.shape == (n, net.output_dim)
+            assert np.array_equal(batch.view(np.int64), rows.view(np.int64))
+            # one row at a time, as a dense matrix-vector product on [1, h]
+            for x, row in zip(X, rows):
+                h = x
+                for layer in net.layers:
+                    h = layer.activation(layer.weights @ np.concatenate(([1.0], h)))
+                assert np.array_equal(h.view(np.int64), row.view(np.int64))
+    assert kinds == {Identity, MonomialPower, PolyActivation}
 
 
 def test_forward_bundled_regression_network():
@@ -246,6 +268,10 @@ def test_dataset_validation():
         Dataset(np.array([[1.0], [2.0]]), np.array([1.0]))
     with pytest.raises(DimensionError, match="non-empty"):
         Dataset(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(UsageError, match="finite"):
+        Dataset(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
+    with pytest.raises(UsageError, match="finite"):
+        Dataset(np.array([[1.0], [2.0]]), np.array([1.0, -np.inf]))
 
 
 def test_dataset_csv_round_trip():
@@ -265,6 +291,9 @@ def test_dataset_csv_parse_errors():
         dataset_from_csv("f1,y\n1,x\n")
     with pytest.raises(ParseError, match="no example rows"):
         dataset_from_csv("f1,y\n")
+    for bad in ("nan,1", "1,inf", "-inf,1"):
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            dataset_from_csv(f"f1,y\n0,1\n{bad}\n")
 
 
 def test_bundled_table():

@@ -155,6 +155,19 @@ def test_data_system_shapes_and_reference_fit():
     assert np.max(np.abs(system.residuals(reference_vector(2)))) <= 5e-3
 
 
+def test_data_system_residuals_are_per_row_forward_bit_for_bit():
+    rng = np.random.default_rng(5)
+    first = LayerSpec(np.zeros((3, 3)), PolyActivation(UniPoly((0.1, -0.4, 0.7))))
+    arch = NetworkSpec(2, (first, LayerSpec(np.zeros((1, 4)), MonomialPower(2))))
+    ds = Dataset(rng.uniform(-1.0, 1.0, (25, 2)), rng.uniform(-1.0, 1.0, 25))
+    system = build_data_system(arch, ds)
+    for _ in range(5):
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        net = with_weights(arch, w)
+        want = np.array([forward(net, x)[0] for x in ds.X]) - ds.y
+        assert np.array_equal(system.residuals(w).view(np.int64), want.view(np.int64))
+
+
 def test_data_system_requires_single_output():
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.0, 5.0]))
     with pytest.raises(UsageError, match="single-output"):
