@@ -62,10 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", nargs=2, type=float, required=True, metavar=("LO", "HI"))
     p.add_argument("--method", choices=("fourier", "lsq"), default="fourier")
     p.add_argument("--fourier-n", type=int, default=8, help="harmonics for the fourier method")
-    p.add_argument("--panels", type=int, default=2048, help="quadrature panels")
     p.add_argument("--terms", type=int, default=None, help="series terms substituted per harmonic")
     p.add_argument("--degree", type=int, default=9, help="degree for the lsq method")
-    p.add_argument("--gridpoints", type=int, default=1001)
     p.add_argument("--out", default=None, help="write the polynomial here")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(handler=_cmd_approx)
@@ -112,12 +110,12 @@ def _cmd_approx(args) -> int:
     if args.method == "fourier":
         if lo != -hi:
             raise ConfigurationError("the fourier method needs a symmetric interval [-l, l]")
-        fs = fourier_fit(f, hi, args.fourier_n, args.panels)
+        fs = fourier_fit(f, hi, args.fourier_n)
         terms = args.terms if args.terms is not None else trig_term_budget(args.fourier_n)
         poly = fourier_to_poly(fs, terms)
     else:
-        poly = lsq_poly_fit(f, (lo, hi), args.degree, args.gridpoints)
-    err = approx_error(f, poly, (lo, hi), args.gridpoints)
+        poly = lsq_poly_fit(f, (lo, hi), args.degree)
+    err = approx_error(f, poly, (lo, hi))
     line = unipoly_to_text(poly)
     if args.out:
         Path(args.out).write_text(line)
@@ -187,7 +185,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_verify(args) -> int:
     doc = run_experiment(args.exp_id, _solver_config(args), _trace(args))
-    return emit_report(doc, "machine" if args.machine else "text")
+    return emit_report(doc, args.machine)
 
 
 def main(argv=None) -> int:

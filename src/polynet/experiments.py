@@ -117,7 +117,7 @@ def _run_exp1(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     doc.note("classes generated from the lines x1 - x2 = 0 and x1 + x2 = 1")
     net = _match_coefficients(doc, 1, _square_arch(4, 2), two_class_targets(), 12, 22, cfg, trace)
     pts, labels = two_class_points()
-    hits = sum(classify(net, x) == c for x, c in zip(pts, labels))
+    hits = np.count_nonzero(classify(net, pts) == labels)
     doc.check("exp1.accuracy", "classification accuracy on 40 points", hits / len(labels), 1.0, 0.0)
 
 

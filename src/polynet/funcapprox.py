@@ -29,6 +29,10 @@ from .errors import ConfigurationError, NumericError, ParseError, UsageError
 # exceed this; beyond it double precision has no correct digits left.
 COEFF_MAGNITUDE_LIMIT = 1e15
 
+SIMPSON_PANELS = 2048  # composite-Simpson panels of the Fourier quadrature
+GRID_POINTS = 1001     # uniform grid of the least-squares fit and of approx_error
+TERM_TOL = 1e-9        # Maclaurin remainder bound that trig_term_budget meets
+
 
 @dataclass(frozen=True)
 class UniPoly:
@@ -137,7 +141,7 @@ def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def fourier_fit(f: SampledFunction, l: float, n_terms: int, panels: int = 2048) -> FourierSeries:
+def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
     """Fit a trigonometric series to f on [-l, l] by composite-Simpson quadrature.
 
     a_n = (1/l) integral_{-l}^{l} f(x) cos(n pi x/l) dx,  n = 0..n_terms
@@ -147,11 +151,9 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int, panels: int = 2048) 
         raise ConfigurationError("half-period l must be positive")
     if n_terms < 1:
         raise ConfigurationError("n_terms must be at least 1")
-    if panels < 2 or panels % 2:
-        raise ConfigurationError(f"panel count must be even and positive, got {panels}")
     if f.lo > -l or f.hi < l:
         raise ConfigurationError(f"domain [{f.lo}, {f.hi}] does not contain [-{l}, {l}]")
-    xs = np.linspace(-l, l, panels + 1)
+    xs = np.linspace(-l, l, SIMPSON_PANELS + 1)
     ys = _samples(f, xs)
     a0 = float(simpson(ys, x=xs)) / l
     a, b = [], []
@@ -192,18 +194,16 @@ def maclaurin_trig(kind: str, terms: int) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
-def trig_term_budget(n_harmonics: int, tol: float = 1e-9) -> int:
-    """Smallest term count whose Maclaurin remainder bound beats tol.
+def trig_term_budget(n_harmonics: int) -> int:
+    """Smallest term count whose Maclaurin remainder bound beats TERM_TOL.
 
     The substituted series see arguments up to u = n_harmonics * pi, and
     with K terms the first omitted term is bounded by u^(2K+1)/(2K+1)!.
     """
     if n_harmonics < 1:
         raise ConfigurationError("n_harmonics must be at least 1")
-    if not 0 < tol < 1:
-        raise ConfigurationError("tol must be in (0, 1)")
     u = math.pi * n_harmonics
-    log_tol = math.log(tol)
+    log_tol = math.log(TERM_TOL)
     k = 1
     while True:
         m = 2 * k + 1
@@ -252,13 +252,8 @@ def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
     return UniPoly(tuple(acc))
 
 
-def lsq_poly_fit(
-    f: SampledFunction,
-    interval: tuple[float, float],
-    degree: int,
-    gridpoints: int = 1001,
-) -> UniPoly:
-    """Least-squares polynomial fit to f on a uniform grid over `interval`.
+def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int) -> UniPoly:
+    """Least-squares polynomial fit to f on GRID_POINTS uniform points over `interval`.
 
     Normal equations are formed in a Legendre basis on the grid mapped to
     [-1, 1], then the solution is expanded back to monomial coefficients
@@ -269,9 +264,9 @@ def lsq_poly_fit(
         raise ConfigurationError("interval must satisfy lo < hi")
     if degree < 0:
         raise ConfigurationError("degree must be non-negative")
-    if gridpoints <= degree:
+    if GRID_POINTS <= degree:
         raise ConfigurationError(f"need more than {degree} gridpoints for a degree-{degree} fit")
-    xs = np.linspace(lo, hi, gridpoints)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     ys = _samples(f, xs)
     ts = (2.0 * xs - (lo + hi)) / (hi - lo)
     V = np.polynomial.legendre.legvander(ts, degree)
@@ -296,19 +291,12 @@ class ApproxError:
     rmse: float
 
 
-def approx_error(
-    f: SampledFunction,
-    p: UniPoly,
-    interval: tuple[float, float],
-    gridpoints: int = 1001,
-) -> ApproxError:
-    """Max-absolute and root-mean-square deviation of p from f on a uniform grid."""
+def approx_error(f: SampledFunction, p: UniPoly, interval: tuple[float, float]) -> ApproxError:
+    """Max-absolute and root-mean-square deviation of p from f on GRID_POINTS uniform points."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ConfigurationError("interval must satisfy lo < hi")
-    if gridpoints < 2:
-        raise ConfigurationError("need at least 2 gridpoints")
-    xs = np.linspace(lo, hi, gridpoints)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     d = p(xs) - _samples(f, xs)
     return ApproxError(float(np.max(np.abs(d))), float(math.sqrt(np.mean(d * d))))
 

@@ -223,18 +223,20 @@ def poly_to_text(p: MultiPoly) -> str:
 
 def poly_from_text(text: str) -> MultiPoly:
     """Inverse of poly_to_text."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    # physical line numbers, blank lines included
+    lines = [(n, ln) for n, ln in enumerate((raw.strip() for raw in text.splitlines()), start=1) if ln]
     if not lines:
         raise ParseError("empty polynomial text")
-    head = lines[0].split()
+    head_no, head_line = lines[0]
+    head = head_line.split()
     if len(head) != 2 or head[0] != "poly" or not head[1].startswith("nvars="):
-        raise ParseError(f"line 1: expected 'poly nvars=<d>', got {lines[0]!r}")
+        raise ParseError(f"line {head_no}: expected 'poly nvars=<d>', got {head_line!r}")
     try:
         nvars = int(head[1][len("nvars="):])
     except ValueError:
-        raise ParseError(f"line 1: bad variable count in {lines[0]!r}") from None
+        raise ParseError(f"line {head_no}: bad variable count in {head_line!r}") from None
     terms: dict[Exponents, float] = {}
-    for ln_no, line in enumerate(lines[1:], start=2):
+    for ln_no, line in lines[1:]:
         fields = line.split()
         if len(fields) != nvars + 1:
             raise ParseError(f"line {ln_no}: expected {nvars + 1} fields, got {len(fields)}")

@@ -72,6 +72,8 @@ class PolyActivation:
     def __post_init__(self):
         if not isinstance(self.poly, UniPoly):
             raise StructuralError(f"poly activation needs a UniPoly, got {self.poly!r}")
+        if not np.all(np.isfinite(self.poly.coeffs)):
+            raise StructuralError("poly activation coefficients must be finite")
 
     @property
     def degree(self) -> int:
@@ -176,11 +178,13 @@ def expansion_degree(net: NetworkSpec) -> int:
     return deg
 
 
-def classify(net: NetworkSpec, x) -> int:
-    """Index of the largest output; ties go to the lowest index."""
+def classify(net: NetworkSpec, x) -> int | np.ndarray:
+    """Index of the largest output, an int for one input (d,) and an int array
+    for rows (n, d); ties go to the lowest index."""
     if net.output_dim < 2:
         raise UsageError("classification needs at least 2 outputs")
-    return int(np.argmax(forward(net, x)))
+    classes = np.argmax(forward(net, x), axis=-1)
+    return int(classes) if classes.ndim == 0 else classes
 
 
 def network_to_json(net: NetworkSpec) -> str:
@@ -295,15 +299,16 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, r) for r in reader if r]  # physical line numbers, blank lines included
     if not rows:
         raise ParseError("empty CSV")
-    header = rows[0]
+    _, header = rows[0]
     d = len(header) - 1
     if d < 1 or header != [f"f{j + 1}" for j in range(d)] + ["y"]:
         raise ParseError(f"expected header f1,...,fd,y, got {','.join(header)!r}")
     X, y = [], []
-    for ln_no, row in enumerate(rows[1:], start=2):
+    for ln_no, row in rows[1:]:
         if len(row) != d + 1:
             raise ParseError(f"line {ln_no}: expected {d + 1} fields, got {len(row)}")
         try:

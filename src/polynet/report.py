@@ -12,8 +12,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .errors import UsageError
-
 
 @dataclass(frozen=True)
 class Check:
@@ -69,10 +67,10 @@ def _measured_str(v: float) -> str:
     return f"{v:.6e}"
 
 
-def emit_report(doc: ReportDocument, fmt: str = "text", out=None) -> int:
-    """Render to `out` (stdout by default) and return the exit status."""
-    out = out if out is not None else sys.stdout
-    if fmt == "machine":
+def emit_report(doc: ReportDocument, machine: bool) -> int:
+    """Render the machine or the text form to stdout and return the exit status."""
+    out = sys.stdout
+    if machine:
         for e in doc.entries:
             if isinstance(e, Check):
                 out.write(f"{e.key}={e.measured:.17g}\n")
@@ -82,7 +80,7 @@ def emit_report(doc: ReportDocument, fmt: str = "text", out=None) -> int:
             else:
                 out.write(f"{e.key}={e.value}\n")
         out.write(f"result={'PASS' if doc.passed else 'FAIL'}\n")
-    elif fmt == "text":
+    else:
         out.write(f"== {doc.title} ==\n")
         for note in doc.notes:
             out.write(f"{note}\n")
@@ -97,6 +95,4 @@ def emit_report(doc: ReportDocument, fmt: str = "text", out=None) -> int:
         n_checks = len(doc.checks)
         n_pass = sum(c.passed for c in doc.checks)
         out.write(f"checks: {n_pass}/{n_checks} passed\n")
-    else:
-        raise UsageError(f"unknown report format {fmt!r}")
     return doc.exit_status

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, UsageError
-from .multipoly import Exponents, MultiPoly, grlex_monomials, monomial_label, poly_mul, truncate_degree
+from .multipoly import Exponents, MultiPoly, grlex_monomials, poly_mul, truncate_degree
 from .network import Dataset, LayerSpec, NetworkSpec, expand_network, expansion_degree, forward
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
@@ -81,12 +81,8 @@ class ResidualSystem:
     """Vector residual function of the flat weight vector."""
 
     unknowns: int
+    arity: int  # residual count
     residual_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    descriptions: tuple[str, ...]
-
-    @property
-    def arity(self) -> int:
-        return len(self.descriptions)
 
     def residuals(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -143,8 +139,7 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
         polys = expand_network(with_weights(arch, w))
         return np.array([polys[k].terms.get(e, 0.0) for k, e in index]) - wanted
 
-    descriptions = tuple(f"output {k}: {monomial_label(e)}" for k, e in index)
-    return ResidualSystem(network_weights(arch).size, residual_fn, descriptions)
+    return ResidualSystem(network_weights(arch).size, len(index), residual_fn)
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -157,7 +152,7 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
     def residual_fn(w: np.ndarray) -> np.ndarray:
         return forward(with_weights(arch, w), ds.X)[:, 0] - ds.y
 
-    return ResidualSystem(network_weights(arch).size, residual_fn, tuple(f"row {i}" for i in range(1, len(ds) + 1)))
+    return ResidualSystem(network_weights(arch).size, len(ds), residual_fn)
 
 
 def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:

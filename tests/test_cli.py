@@ -258,6 +258,18 @@ def test_non_finite_target_coefficient_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 3: non-finite")
 
 
+def test_non_finite_poly_activation_exits_2(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(
+        '{"input_dim": 1, "layers": [{"weights": [[0, 1]], "activation": {"kind": "poly", "coeffs": [NaN, 1]}}]}'
+    )
+    out_path = tmp_path / "expanded.poly"
+    rc = main(["expand", "--net", str(net_path), "--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: poly activation coefficients must be finite")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]]
 )
@@ -274,3 +286,8 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # the quadrature panels and grid size are fixed, not flags
+    for flag in (["--panels", "4096"], ["--gridpoints", "2001"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flag])
+        assert exc.value.code == 2

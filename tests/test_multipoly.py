@@ -227,3 +227,8 @@ def test_text_parse_errors():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ParseError, match="line 3: non-finite coefficient"):
             poly_from_text(f"poly nvars=2\n1 0 0\n{bad} 1 0\n")
+    # blank lines still count: errors name the physical line
+    with pytest.raises(ParseError, match="line 4: non-finite coefficient"):
+        poly_from_text("poly nvars=2\n1 0 0\n\nnan 1 0\n")
+    with pytest.raises(ParseError, match="line 2: expected 'poly nvars=<d>'"):
+        poly_from_text("\nnope nvars=2\n1 0 0\n")

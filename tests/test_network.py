@@ -90,6 +90,18 @@ def test_poly_activation_rejects_non_unipoly():
             PolyActivation(bad)
 
 
+def test_poly_activation_rejects_non_finite_coefficients():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(StructuralError, match="coefficients must be finite"):
+            PolyActivation(UniPoly((bad, 1.0)))
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(StructuralError, match="coefficients must be finite"):
+            network_from_json(
+                '{"input_dim": 1, "layers": [{"weights": [[0, 1]], '
+                f'"activation": {{"kind": "poly", "coeffs": [1, {token}]}}}}]}}'
+            )
+
+
 def test_layer_weights_are_read_only():
     layer = LayerSpec(np.array([[0.0, 1.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -204,6 +216,21 @@ def test_classify_rules():
         classify(single_square_net(), [1.0, 1.0])
 
 
+def test_classify_rows_match_single_rows():
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 20:
+        net = random_network(rng)
+        if net.output_dim < 2:
+            continue
+        X = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 12)), net.input_dim))
+        classes = classify(net, X)
+        assert classes.shape == (len(X),)
+        assert classes.tolist() == [classify(net, x) for x in X]
+        assert all(type(classify(net, x)) is int for x in X)
+        checked += 1
+
+
 def test_network_json_round_trip():
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -294,6 +321,11 @@ def test_dataset_csv_parse_errors():
     for bad in ("nan,1", "1,inf", "-inf,1"):
         with pytest.raises(ParseError, match="line 3: non-finite"):
             dataset_from_csv(f"f1,y\n0,1\n{bad}\n")
+    # blank lines still count: errors name the physical line
+    with pytest.raises(ParseError, match="line 4: non-finite"):
+        dataset_from_csv("f1,y\n0,1\n\n1,nan\n")
+    with pytest.raises(ParseError, match="line 3: non-numeric"):
+        dataset_from_csv("\nf1,y\n1,x\n")
 
 
 def test_bundled_table():
