@@ -15,6 +15,7 @@ from .experiments import run_experiment
 from .funcapprox import (
     approx_error,
     builtin,
+    check_trig_substitution,
     fourier_fit,
     fourier_to_poly,
     lsq_poly_fit,
@@ -110,9 +111,9 @@ def _cmd_approx(args) -> int:
     if args.method == "fourier":
         if lo != -hi:
             raise ConfigurationError("the fourier method needs a symmetric interval [-l, l]")
-        fs = fourier_fit(f, hi, args.fourier_n)
         terms = args.terms if args.terms is not None else trig_term_budget(args.fourier_n)
-        poly = fourier_to_poly(fs, terms)
+        check_trig_substitution(args.fourier_n, terms)  # before the quadrature, which it does not need
+        poly = fourier_to_poly(fourier_fit(f, hi, args.fourier_n), terms)
     else:
         poly = lsq_poly_fit(f, (lo, hi), args.degree)
     err = approx_error(f, poly, (lo, hi))

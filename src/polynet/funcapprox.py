@@ -10,8 +10,8 @@ Two routes produce a univariate polynomial standing in for an activation:
 
 The trigonometric route dies of cancellation once the series arguments get
 large (the sin/cos power series pass through huge intermediate terms), so
-fourier_to_poly refuses term budgets whose intermediates exceed 1e15; use
-lsq_poly_fit on wide intervals.
+check_trig_substitution refuses term budgets whose intermediates exceed
+1e15; use lsq_poly_fit on wide intervals.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        # Horner; x may be a scalar or an ndarray
+        # Horner; x may be a scalar, an ndarray, a MultiPoly or an array of them
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -212,30 +212,33 @@ def trig_term_budget(n_harmonics: int) -> int:
         k += 1
 
 
-def _log_max_series_term(u: float, max_power: int) -> float:
-    # log of max_k u^k / k! over 0 <= k <= max_power; the max sits near k = u
+def check_trig_substitution(n_harmonics: int, terms: int) -> None:
+    """Raise ConfigurationError unless terms >= 1 and substituting `terms`
+    Maclaurin terms at up to n_harmonics harmonics stays below intermediate
+    terms of COEFF_MAGNITUDE_LIMIT (beyond it all significance cancels away).
+    """
+    if terms < 1:
+        raise ConfigurationError("terms must be at least 1")
+    u = math.pi * n_harmonics
     if u <= 0:
-        return 0.0
+        return
+    # log of the largest series term u^k/k! up to degree 2*terms - 1; it sits near k = u
     log_u = math.log(u)
-    return max(k * log_u - math.lgamma(k + 1) for k in range(max_power + 1))
+    if max(k * log_u - math.lgamma(k + 1) for k in range(2 * terms)) > math.log(COEFF_MAGNITUDE_LIMIT):
+        raise ConfigurationError(
+            f"substituting {terms} series terms at {n_harmonics} harmonics needs intermediate "
+            f"terms above {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit for wide intervals"
+        )
 
 
 def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
     """Substitute Maclaurin series for every sin/cos term of the series.
 
     Each harmonic n becomes a polynomial in x through u = (n pi / l) x.
-    Raises ConfigurationError when the substitution would pass through
-    intermediate terms above 1e15 (all significance would cancel away);
-    fit with lsq_poly_fit instead in that regime.
+    Raises ConfigurationError when check_trig_substitution refuses the
+    term count; fit with lsq_poly_fit instead in that regime.
     """
-    if terms < 1:
-        raise ConfigurationError("terms must be at least 1")
-    u_max = math.pi * fs.n_terms
-    if fs.n_terms and _log_max_series_term(u_max, 2 * terms - 1) > math.log(COEFF_MAGNITUDE_LIMIT):
-        raise ConfigurationError(
-            f"substituting {terms} series terms at {fs.n_terms} harmonics needs intermediate "
-            f"terms above {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit for wide intervals"
-        )
+    check_trig_substitution(fs.n_terms, terms)
     sin_p = maclaurin_trig("sin", terms)
     cos_p = maclaurin_trig("cos", terms)
     acc = np.zeros(2 * terms, dtype=float)
@@ -282,6 +285,8 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     for c in t_coeffs[-2::-1]:
         comp = np.polynomial.polynomial.polymul(comp, np.array([beta, alpha]))
         comp[0] += c
+    if not np.all(np.isfinite(comp)):
+        raise NumericError(f"the degree-{degree} fit has non-finite monomial coefficients; lower the degree")
     return UniPoly(tuple(comp))
 
 

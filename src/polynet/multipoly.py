@@ -105,11 +105,17 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def __add__(self, other) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.nvars, other)
         return poly_add(self, other)
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return poly_add(self, -other)
+    def __radd__(self, other) -> "MultiPoly":
+        # the number's constant term comes first, as in a layer's bias
+        return poly_add(MultiPoly.constant(self.nvars, other), self)
+
+    def __sub__(self, other) -> "MultiPoly":
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -118,6 +124,9 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "MultiPoly":
+        return poly_pow(self, k)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {dict(self.items_grlex())})"
@@ -173,13 +182,8 @@ def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
 
 
 def apply_univariate(phi: UniPoly, p: MultiPoly) -> MultiPoly:
-    """phi composed with an arbitrary polynomial argument (Horner)."""
-    acc = MultiPoly.constant(p.nvars, phi.coeffs[-1])
-    for c in reversed(phi.coeffs[:-1]):
-        acc = poly_mul(acc, p)
-        if c:
-            acc = poly_add(acc, MultiPoly.constant(p.nvars, c))
-    return acc
+    """phi composed with an arbitrary polynomial argument (phi's own Horner)."""
+    return phi(p)
 
 
 def poly_eval(p: MultiPoly, x: Iterable[float]) -> float:

@@ -2,9 +2,9 @@
 
 A layer stores its bias as the first weight column, mapping h to
 act(W @ [1, h]).  Because every activation is a polynomial, the whole
-network is one: expand_network composes the layers in multivariate
-polynomial arithmetic and returns an explicit polynomial per output node,
-which agrees with forward evaluation up to rounding.
+network is one: expand_network runs the forward pass on polynomial inputs
+and returns an explicit polynomial per output node, which agrees with
+forward evaluation up to rounding.
 """
 
 from __future__ import annotations
@@ -12,21 +12,28 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, StructuralError, UsageError
+from .errors import ConfigurationError, DimensionError, ParseError, StructuralError, UsageError
 from .funcapprox import UniPoly
-from .multipoly import MultiPoly, apply_univariate, poly_add, poly_pow
+from .multipoly import MultiPoly
+
+# Largest C(d + D, d), the monomial count of a degree-D expansion in d
+# inputs.  Width-4 power nets on a shared 2-vCPU machine took 2-3 s at
+# 12,870 terms (d=8, D=8), 4-6 s at 18,564 (d=6, D=12) and 72-81 s at
+# 74,613 (d=6, D=16); the limit keeps the first two and refuses the third.
+MAX_EXPANSION_TERMS = 20_000
 
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Each activation maps a layer's pre-activations to its outputs three ways:
-# on numbers (__call__), on polynomials (expand) and as JSON text (to_json).
+# Each activation maps a layer's pre-activations to its outputs (__call__), on
+# arrays of numbers and of MultiPolys alike, and writes itself as JSON (to_json).
 
 
 @dataclass(frozen=True)
@@ -35,9 +42,6 @@ class Identity:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return values
-
-    def expand(self, p: MultiPoly) -> MultiPoly:
-        return p
 
     def to_json(self) -> str:
         return '{"kind": "identity"}'
@@ -57,9 +61,6 @@ class MonomialPower:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return values**self.k
-
-    def expand(self, p: MultiPoly) -> MultiPoly:
-        return poly_pow(p, self.k)
 
     def to_json(self) -> str:
         return f'{{"kind": "power", "k": {self.k}}}'
@@ -81,9 +82,6 @@ class PolyActivation:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.poly(values)
-
-    def expand(self, p: MultiPoly) -> MultiPoly:
-        return apply_univariate(self.poly, p)
 
     def to_json(self) -> str:
         coeffs = ", ".join(_f17(c) for c in self.poly.coeffs)
@@ -143,9 +141,7 @@ class NetworkSpec:
         return self.layers[-1].out_nodes
 
 
-def forward(net: NetworkSpec, x) -> np.ndarray:
-    """Outputs (out,) of one input (d,), or (n, out) of rows (n, d); no row's bits depend on the batch."""
-    h = np.asarray(x, dtype=float)
+def _run_layers(net: NetworkSpec, h: np.ndarray) -> np.ndarray:
     if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
@@ -155,19 +151,17 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
     return h
 
 
+def forward(net: NetworkSpec, x) -> np.ndarray:
+    """Outputs (out,) of one input (d,), or (n, out) of rows (n, d); no row's bits depend on the batch."""
+    return _run_layers(net, np.asarray(x, dtype=float))
+
+
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
-    """Symbolic evaluation: one polynomial in the inputs per output node."""
-    d = net.input_dim
-    polys = [MultiPoly.variable(d, j) for j in range(d)]
-    for layer in net.layers:
-        nxt = []
-        for row in layer.weights:
-            pre = MultiPoly.constant(d, row[0])
-            for w, pj in zip(row[1:], polys):
-                pre = poly_add(pre, pj * float(w))
-            nxt.append(layer.activation.expand(pre))
-        polys = nxt
-    return polys
+    """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node."""
+    check_expansion_size(net)
+    xs = np.empty(net.input_dim, dtype=object)
+    xs[:] = [MultiPoly.variable(net.input_dim, j) for j in range(net.input_dim)]
+    return list(_run_layers(net, xs))
 
 
 def expansion_degree(net: NetworkSpec) -> int:
@@ -176,6 +170,18 @@ def expansion_degree(net: NetworkSpec) -> int:
     for layer in net.layers:
         deg *= layer.activation.degree
     return deg
+
+
+def check_expansion_size(net: NetworkSpec) -> None:
+    """Raise ConfigurationError when a full expansion would allow more than
+    MAX_EXPANSION_TERMS monomials per output."""
+    d, D = net.input_dim, expansion_degree(net)
+    terms = math.comb(d + D, d)
+    if terms > MAX_EXPANSION_TERMS:
+        raise ConfigurationError(
+            f"expanding to degree {D} in {d} inputs allows C({d + D}, {d}) = {terms} terms per output, "
+            f"above the limit of {MAX_EXPANSION_TERMS}"
+        )
 
 
 def classify(net: NetworkSpec, x) -> int | np.ndarray:

@@ -24,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, UsageError
 from .multipoly import Exponents, MultiPoly, grlex_monomials, poly_mul, truncate_degree
-from .network import Dataset, LayerSpec, NetworkSpec, expand_network, expansion_degree, forward
+from .network import Dataset, LayerSpec, NetworkSpec, check_expansion_size, expand_network, expansion_degree, forward
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
@@ -119,6 +119,7 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     """One residual per monomial of total degree <= expansion_degree(arch),
     output-major, then graded-lex: expanded coefficient minus target
     coefficient."""
+    check_expansion_size(arch)
     targets = list(targets)
     if len(targets) != arch.output_dim:
         raise UsageError(f"{len(targets)} targets for {arch.output_dim} outputs")

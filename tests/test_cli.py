@@ -74,6 +74,27 @@ def test_approx_fourier_needs_symmetric_interval(capsys):
     assert "symmetric" in err
 
 
+def test_approx_lsq_non_finite_fit_exits_1(capsys):
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8",
+               "--method", "lsq", "--degree", "1000", "--machine"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("numeric error: the degree-1000 fit")  # after numpy's overflow warnings
+
+
+def test_approx_term_budget_refused_before_the_quadrature(monkeypatch, capsys):
+    def no_quadrature(*args):
+        raise AssertionError("fourier_fit ran before the term budget was checked")
+
+    monkeypatch.setattr(polynet.cli, "fourier_fit", no_quadrature)
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", "--fourier-n", "3000"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: substituting")
+    assert "use the least-squares fit" in err
+
+
 def test_approx_unknown_function(capsys):
     rc = main(["approx", "--fn", "gelu", "--interval", "-1", "1"])
     assert rc == 2
@@ -267,6 +288,17 @@ def test_non_finite_poly_activation_exits_2(tmp_path, capsys):
     rc = main(["expand", "--net", str(net_path), "--out", str(out_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: poly activation coefficients must be finite")
+    assert not out_path.exists()
+
+
+def test_expansion_over_budget_exits_2(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_network(NetworkSpec(10, (LayerSpec(np.ones((4, 11)), MonomialPower(16)),
+                                  LayerSpec(np.ones((1, 5))))), net_path)
+    out_path = tmp_path / "expanded.poly"
+    rc = main(["expand", "--net", str(net_path), "--out", str(out_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: expanding to degree 16 in 10 inputs")
     assert not out_path.exists()
 
 

@@ -221,6 +221,12 @@ def test_lsq_sigmoid_degree9_frozen_error():
     assert err.max_abs == pytest.approx(0.015650146292355727, rel=1e-9)
 
 
+def test_lsq_fit_rejects_non_finite_coefficients():
+    # the Legendre-to-monomial conversion overflows at this degree
+    with pytest.raises(NumericError, match="degree-1000 fit has non-finite"):
+        lsq_poly_fit(sigmoid8(), (-8.0, 8.0), 1000)
+
+
 def test_lsq_error_non_increasing_in_degree():
     f = sigmoid8()
     errs = [approx_error(f, lsq_poly_fit(f, (-8.0, 8.0), d), (-8.0, 8.0)).max_abs

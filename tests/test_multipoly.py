@@ -99,6 +99,13 @@ def test_function_aliases_match_operators():
     b = random_poly(rng, 2)
     assert coeff_gap(poly_add(a, b), a + b) == 0.0
     assert coeff_gap(poly_mul(a, b), a * b) == 0.0
+    # a number is a constant polynomial; on the left its term comes first
+    two = MultiPoly.constant(2, 2.0)
+    assert list((a + 2.0).terms.items()) == list(poly_add(a, two).terms.items())
+    assert list((2.0 + a).terms.items()) == list(poly_add(two, a).terms.items())
+    assert list((a - 2.0).terms.items()) == list(poly_add(a, -two).terms.items())
+    for k in range(5):
+        assert list((a**k).terms.items()) == list(poly_pow(a, k).terms.items())
 
 
 def test_eval_is_a_ring_homomorphism():

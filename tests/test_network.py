@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from polynet import (
+    ConfigurationError,
     Dataset,
     DimensionError,
     Identity,
     LayerSpec,
     MonomialPower,
+    MultiPoly,
     NetworkSpec,
     ParseError,
     PolyActivation,
     StructuralError,
     UniPoly,
     UsageError,
+    build_coefficient_system,
     classify,
     dataset_from_csv,
     dataset_to_csv,
@@ -28,6 +31,7 @@ from polynet import (
     poly_eval,
 )
 from polynet.experiments import load_reference_network, load_table1
+from polynet.network import check_expansion_size
 
 
 def single_square_net():
@@ -204,6 +208,82 @@ def test_expansion_keeps_tiny_terms():
     assert dict(poly.terms) == pytest.approx({e: 1e-16 * c for e, c in want.items()}, rel=1e-12)
     out = forward(net, [1.0, 1.0])[0]
     assert poly_eval(poly, [1.0, 1.0]) == pytest.approx(out, rel=1e-12)
+
+
+# Exact bits and dict order of one expansion: poly_eval sums terms in dict
+# order, so both decide its result.
+GOLDEN_TERMS = [
+    ((0, 0), '0x1.37e23a934ea1fp-1'),
+    ((1, 0), '-0x1.503f1669f82b9p-7'),
+    ((2, 0), '-0x1.20ec16b8ededep-8'),
+    ((3, 0), '0x1.e503b7e886d6cp-5'),
+    ((4, 0), '-0x1.296025909671ep-3'),
+    ((5, 0), '0x1.c1c14201ef0b5p-3'),
+    ((6, 0), '-0x1.c2be43c615721p-3'),
+    ((7, 0), '0x1.1435ae99a2f0fp-3'),
+    ((8, 0), '-0x1.423d0020e3153p-5'),
+    ((1, 1), '-0x1.5685d1ced3494p-4'),
+    ((0, 2), '-0x1.a2a38ea774042p-4'),
+    ((2, 1), '0x1.8ddb0b4d0ff07p-3'),
+    ((1, 2), '0x1.e6449c08da97bp-3'),
+    ((3, 1), '-0x1.16fd7021657dep-3'),
+    ((2, 2), '0x1.b0611390fb130p-2'),
+    ((1, 3), '0x1.706c253d90b86p+0'),
+    ((0, 4), '0x1.c24b49f5e9c4ep-1'),
+    ((4, 1), '0x1.13b49e485c58ap-6'),
+    ((3, 2), '-0x1.c84ffec561d1ap-1'),
+    ((2, 3), '-0x1.1d4afa7319fbcp+1'),
+    ((1, 4), '-0x1.5cb0f93758a57p+0'),
+    ((5, 1), '0x1.f98fec3b9e884p-8'),
+    ((4, 2), '0x1.2ee1951edd68cp-2'),
+    ((3, 3), '-0x1.2469a8573a5b4p+0'),
+    ((2, 4), '-0x1.94ede0c97bb8fp+2'),
+    ((1, 5), '-0x1.082fe1640e440p+3'),
+    ((0, 6), '-0x1.ae86ea90173f6p+1'),
+    ((6, 1), '0x1.469db2b6fff12p-11'),
+    ((5, 2), '0x1.ad3963c21f878p-5'),
+    ((4, 3), '0x1.8d81a46e7a496p+0'),
+    ((3, 4), '0x1.53b2d0a025390p+2'),
+    ((2, 5), '0x1.992750ee91b5ep+2'),
+    ((1, 6), '0x1.4d6267ded58acp+1'),
+    ((7, 1), '0x1.fd8cf3fb3f331p-17'),
+    ((6, 2), '0x1.f3c9eab28d66ap-10'),
+    ((5, 3), '0x1.be34cb6d49907p-4'),
+    ((4, 4), '0x1.46038b9efacdap+1'),
+    ((3, 5), '0x1.612375170d004p+3'),
+    ((2, 6), '0x1.390b424b863a6p+4'),
+    ((1, 7), '0x1.f92dee6007802p+3'),
+    ((0, 8), '0x1.34b8837392ce6p+2'),
+]
+
+
+def test_expansion_golden_bits_and_order():
+    # identity, power 1 and power 4, a poly activation with a zero
+    # coefficient, and exact-zero weights in every layer
+    net = NetworkSpec(2, (
+        LayerSpec(np.array([[0.3, -0.7, 0.0], [0.0, 0.45, 1.1]]), PolyActivation(UniPoly((0.25, 0.0, -1.5)))),
+        LayerSpec(np.array([[-0.2, 0.6, 0.0], [0.1, -0.35, 0.9]]), MonomialPower(4)),
+        LayerSpec(np.array([[0.0, 1.3, -0.4], [0.7, 0.0, 0.55]]), Identity()),
+        LayerSpec(np.array([[0.15, -0.8, 0.65]]), MonomialPower(1)),
+    ))
+    (poly,) = expand_network(net)
+    assert [(e, c.hex()) for e, c in poly.terms.items()] == GOLDEN_TERMS
+
+
+def test_expansion_budget_refuses_at_once():
+    # C(10 + 16, 10) = 5,311,735 terms per output
+    net = NetworkSpec(10, (
+        LayerSpec(np.ones((4, 11)), MonomialPower(16)),
+        LayerSpec(np.ones((1, 5)), Identity()),
+    ))
+    with pytest.raises(ConfigurationError, match=r"C\(26, 10\) = 5311735 terms"):
+        expand_network(net)
+    with pytest.raises(ConfigurationError, match="5311735"):
+        build_coefficient_system(net, [MultiPoly.constant(10, 1.0)])
+    # C(6 + 12, 6) = 18,564 is allowed, C(8 + 9, 8) = 24,310 is not
+    check_expansion_size(NetworkSpec(6, (LayerSpec(np.ones((1, 7)), MonomialPower(12)),)))
+    with pytest.raises(ConfigurationError, match="24310"):
+        check_expansion_size(NetworkSpec(8, (LayerSpec(np.ones((1, 9)), MonomialPower(9)),)))
 
 
 def test_classify_rules():
