@@ -287,7 +287,16 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
         comp[0] += c
     if not np.all(np.isfinite(comp)):
         raise NumericError(f"the degree-{degree} fit has non-finite monomial coefficients; lower the degree")
-    return UniPoly(tuple(comp))
+    # Refuse a monomial form that strays from the Legendre fit by more than
+    # the fit's own error; 256 ulps of max|y| leave room for exact fits.
+    p = UniPoly(tuple(comp))
+    fitted = V @ leg_coeffs
+    drift = float(np.max(np.abs(p(xs) - fitted)))
+    if drift > max(float(np.max(np.abs(fitted - ys))), 256 * float(np.spacing(np.max(np.abs(ys))))):
+        raise NumericError(
+            f"the degree-{degree} fit loses {drift:.3g} in monomial form, more than its own error; lower the degree"
+        )
+    return p
 
 
 @dataclass(frozen=True)

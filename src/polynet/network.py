@@ -14,6 +14,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,20 +141,28 @@ class NetworkSpec:
     def output_dim(self) -> int:
         return self.layers[-1].out_nodes
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[np.ndarray, Activation], ...]:
+        """(weights, activation) per layer, as _run_layers takes them."""
+        return tuple((layer.weights, layer.activation) for layer in self.layers)
 
-def _run_layers(net: NetworkSpec, h: np.ndarray) -> np.ndarray:
-    if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
-        raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")
+
+def _run_layers(layers, h: np.ndarray) -> np.ndarray:
+    """The forward pass over (weights, activation) pairs.  Weights are (r, c),
+    or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
-    for layer in net.layers:
-        h = layer.activation(np.matvec(layer.weights, np.concatenate((ones, h), axis=-1)))
+    for weights, activation in layers:
+        h = activation(np.matvec(weights, np.concatenate((ones, h), axis=-1)))
     return h
 
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Outputs (out,) of one input (d,), or (n, out) of rows (n, d); no row's bits depend on the batch."""
-    return _run_layers(net, np.asarray(x, dtype=float))
+    h = np.asarray(x, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
+        raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")
+    return _run_layers(net._pairs, h)
 
 
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
@@ -161,7 +170,7 @@ def expand_network(net: NetworkSpec) -> list[MultiPoly]:
     check_expansion_size(net)
     xs = np.empty(net.input_dim, dtype=object)
     xs[:] = [MultiPoly.variable(net.input_dim, j) for j in range(net.input_dim)]
-    return list(_run_layers(net, xs))
+    return list(_run_layers(net._pairs, xs))
 
 
 def expansion_degree(net: NetworkSpec) -> int:

@@ -22,9 +22,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigurationError, DimensionError, NumericError, UsageError
+from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
 from .multipoly import Exponents, MultiPoly, grlex_monomials, poly_mul, truncate_degree
-from .network import Dataset, LayerSpec, NetworkSpec, check_expansion_size, expand_network, expansion_degree, forward
+from .network import (
+    Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, check_expansion_size, expand_network, expansion_degree,
+)
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
@@ -32,6 +34,9 @@ STEP_EPS = 1e-14    # step-norm termination
 DAMPING = 1e-3      # initial Levenberg-Marquardt lambda
 FD_STEP = 1e-7      # relative forward-difference step
 RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
+# Largest stacked layer intermediate (m weight sets x n rows x layer width)
+# of one batched data residual call, in float64 elements (1 MiB).
+CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -61,34 +66,40 @@ def network_weights(net: NetworkSpec) -> np.ndarray:
     return np.concatenate([layer.weights.ravel() for layer in net.layers])
 
 
-def with_weights(arch: NetworkSpec, w) -> NetworkSpec:
-    """Rebuild the architecture with weights taken from the flat vector."""
-    w = np.asarray(w, dtype=float)
-    p = sum(layer.weights.size for layer in arch.layers)
-    if w.shape != (p,):
-        raise DimensionError(f"weight vector has shape {w.shape}, expected ({p},)")
-    layers = []
+def _check_weights(w: np.ndarray, unknowns: int) -> None:
+    if w.shape != (unknowns,):
+        raise DimensionError(f"weight vector has shape {w.shape}, expected ({unknowns},)")
+
+
+def _layer_weights(arch: NetworkSpec, w: np.ndarray) -> Iterator[tuple[np.ndarray, Activation]]:
+    """(weights, activation) per layer, the weights (..., r, c) viewed in flat vectors w (..., p)."""
     offset = 0
     for layer in arch.layers:
         r, c = layer.weights.shape
-        layers.append(LayerSpec(w[offset : offset + r * c].reshape(r, c), layer.activation))
+        yield w[..., offset : offset + r * c].reshape(w.shape[:-1] + (r, c)), layer.activation
         offset += r * c
-    return NetworkSpec(arch.input_dim, tuple(layers))
+
+
+def with_weights(arch: NetworkSpec, w) -> NetworkSpec:
+    """Rebuild the architecture with weights taken from the flat vector."""
+    w = np.asarray(w, dtype=float)
+    _check_weights(w, sum(layer.weights.size for layer in arch.layers))
+    return NetworkSpec(arch.input_dim, tuple(LayerSpec(*pair) for pair in _layer_weights(arch, w)))
 
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Vector residual function of the flat weight vector."""
+    """Vector residual function of the flat weight vector, evaluated on
+    stacks of weight vectors: batch_fn maps (m, unknowns) to (m, arity)."""
 
     unknowns: int
     arity: int  # residual count
-    residual_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    batch_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def residuals(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.unknowns,):
-            raise DimensionError(f"weight vector has shape {w.shape}, expected ({self.unknowns},)")
-        return np.asarray(self.residual_fn(w), dtype=float)
+        _check_weights(w, self.unknowns)
+        return self.batch_fn(w[None])[0]
 
 
 def class_target_poly(ds: Dataset, label: float) -> MultiPoly:
@@ -136,11 +147,14 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     index = [(k, e) for k in range(len(targets)) for e in monomials]
     wanted = np.array([targets[k].terms.get(e, 0.0) for k, e in index])
 
-    def residual_fn(w: np.ndarray) -> np.ndarray:
-        polys = expand_network(with_weights(arch, w))
-        return np.array([polys[k].terms.get(e, 0.0) for k, e in index]) - wanted
+    def batch_fn(Ws: np.ndarray) -> np.ndarray:
+        rows = []
+        for w in Ws:
+            polys = expand_network(with_weights(arch, w))
+            rows.append([polys[k].terms.get(e, 0.0) for k, e in index])
+        return np.array(rows) - wanted
 
-    return ResidualSystem(network_weights(arch).size, len(index), residual_fn)
+    return ResidualSystem(network_weights(arch).size, len(index), batch_fn)
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -150,26 +164,41 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
     if ds.X.shape[1] != arch.input_dim:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
 
-    def residual_fn(w: np.ndarray) -> np.ndarray:
-        return forward(with_weights(arch, w), ds.X)[:, 0] - ds.y
+    # forward's layer loop on up to `chunk` weight sets at once.  The inputs
+    # are copied per set, not broadcast: a broadcast view makes concatenate
+    # lay [1, x] out column-major, and a strided dot rounds differently.
+    unknowns = network_weights(arch).size
+    widest = max(layer.weights.shape[1] for layer in arch.layers)
+    chunk = max(1, min(unknowns, CHUNK_ELEMENTS // (len(ds) * widest)))
+    X = np.broadcast_to(ds.X, (chunk,) + ds.X.shape).copy()
 
-    return ResidualSystem(network_weights(arch).size, len(ds), residual_fn)
+    def batch_fn(Ws: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(Ws)):
+            raise StructuralError("weights must be finite")
+        R = np.empty((len(Ws), len(ds)))
+        for lo in range(0, len(Ws), chunk):
+            stack = Ws[lo : lo + chunk, None, :]
+            R[lo : lo + chunk] = _run_layers(_layer_weights(arch, stack), X[: len(stack)])[..., 0] - ds.y
+        return R
+
+    return ResidualSystem(unknowns, len(ds), batch_fn)
 
 
 def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
     """Forward-difference Jacobian at w, where r0 = system.residuals(w); the
     same scheme solve_system iterates with.
 
-    Column j uses step FD_STEP * (1 + |w_j|).
+    Column j uses step FD_STEP * (1 + |w_j|).  The p perturbed vectors go
+    through one batch_fn call; every entry has the bits of a per-column
+    system.residuals evaluation.
     """
-    w = np.asarray(w, dtype=float).copy()
-    J = np.empty((r0.size, w.size))
-    for j in range(w.size):
-        old = w[j]
-        h = FD_STEP * (1.0 + abs(old))
-        w[j] = old + h
-        J[:, j] = (system.residuals(w) - r0) / h
-        w[j] = old
+    w = np.asarray(w, dtype=float)
+    _check_weights(w, system.unknowns)
+    steps = FD_STEP * (1.0 + np.abs(w))
+    Ws = np.tile(w, (w.size, 1))
+    np.fill_diagonal(Ws, w + steps)
+    J = np.subtract(system.batch_fn(Ws).T, r0[:, None], order="C")  # J.T @ J rounds differently in F order
+    J /= steps
     return J
 
 

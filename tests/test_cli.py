@@ -83,6 +83,16 @@ def test_approx_lsq_non_finite_fit_exits_1(capsys):
     assert err.splitlines()[-1].startswith("numeric error: the degree-1000 fit")  # after numpy's overflow warnings
 
 
+def test_approx_lsq_fit_that_loses_its_digits_exits_1(capsys):
+    # finite monomial coefficients, but max_abs was 9.2e+48 before the check
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8",
+               "--method", "lsq", "--degree", "200", "--machine"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("numeric error: the degree-200 fit loses")
+
+
 def test_approx_term_budget_refused_before_the_quadrature(monkeypatch, capsys):
     def no_quadrature(*args):
         raise AssertionError("fourier_fit ran before the term budget was checked")

@@ -227,6 +227,15 @@ def test_lsq_fit_rejects_non_finite_coefficients():
         lsq_poly_fit(sigmoid8(), (-8.0, 8.0), 1000)
 
 
+def test_lsq_fit_refuses_a_monomial_form_that_drifts_past_the_fit_error():
+    # degree 40: the conversion drifts 3.3e-9 against a fit error of 1.4e-7;
+    # degree 50: 3.6e-7 against 3.5e-9, and degree 40 approximates better
+    f = sigmoid8()
+    assert approx_error(f, lsq_poly_fit(f, (-8.0, 8.0), 40), (-8.0, 8.0)).max_abs < 2e-7
+    with pytest.raises(NumericError, match="degree-50 fit loses"):
+        lsq_poly_fit(f, (-8.0, 8.0), 50)
+
+
 def test_lsq_error_non_increasing_in_degree():
     f = sigmoid8()
     errs = [approx_error(f, lsq_poly_fit(f, (-8.0, 8.0), d), (-8.0, 8.0)).max_abs

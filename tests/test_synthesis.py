@@ -6,15 +6,19 @@ import re
 import numpy as np
 import pytest
 
+from polynet import synthesis
 from polynet import (
     Dataset,
     DimensionError,
+    Identity,
     LayerSpec,
     MonomialPower,
     MultiPoly,
     NetworkSpec,
     PolyActivation,
+    SolveReport,
     SolverConfig,
+    StructuralError,
     UniPoly,
     UsageError,
     build_coefficient_system,
@@ -255,6 +259,108 @@ def test_solver_is_deterministic():
     w2, r2 = solve_system(system)
     assert w1.tobytes() == w2.tobytes()
     assert r1 == r2
+
+
+def test_data_solve_golden_bits():
+    # recorded before the Jacobian was batched over weight vectors, when it
+    # called system.residuals once per column; the first three starts stall
+    rng = np.random.default_rng(2024)
+    X = rng.uniform(-1.0, 1.0, (12, 2))
+    y = (X[:, 0] - 0.5 * X[:, 1]) ** 2 - 2.0 * (0.5 + X[:, 1]) ** 2 + 0.75
+    arch = NetworkSpec(2, (LayerSpec(np.zeros((2, 3)), MonomialPower(2)), LayerSpec(np.zeros((1, 3)))))
+    w, report = solve_system(build_data_system(arch, Dataset(X, y)))
+    assert [c.hex() for c in w] == [
+        "-0x1.5ae99cba741b1p-1", "-0x1.62b9a2f6b4fa4p-4", "-0x1.4fd3cfa2be32dp+0",
+        "-0x1.0cce68e163491p-4", "-0x1.06e2d0f15f86bp+0", "0x1.875e6d720db99p-2",
+        "0x1.8000000000838p-1", "-0x1.191b6ee402702p+0", "0x1.e98703c80439bp-1",
+    ]
+    assert report == SolveReport(True, 10, 2.9454216843305403e-13, 3)
+
+
+def random_arch(rng, d, depth, outputs, max_degree):
+    layers, fan_in = [], d
+    for i in range(depth):
+        width = outputs if i == depth - 1 else int(rng.integers(1, 4))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            act = Identity()
+        elif kind == 1:
+            act = MonomialPower(int(rng.integers(1, max_degree + 1)))
+        else:
+            act = PolyActivation(UniPoly(tuple(rng.uniform(-1.0, 1.0, int(rng.integers(1, max_degree + 2))))))
+        layers.append(LayerSpec(np.zeros((width, fan_in + 1)), act))
+        fan_in = width
+    return NetworkSpec(d, tuple(layers))
+
+
+def per_column_jacobian(residual, w, r0):
+    """The forward-difference scheme one column at a time."""
+    J = np.empty((r0.size, w.size))
+    for j in range(w.size):
+        wj = w.copy()
+        h = synthesis.FD_STEP * (1.0 + abs(w[j]))
+        wj[j] = w[j] + h
+        J[:, j] = (residual(wj) - r0) / h
+    return J
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_batched_jacobian_matches_per_column_data_residuals():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        # a single row is where a column-major [1, x] would round differently
+        d, rows = int(rng.integers(1, 4)), 1 if rng.random() < 0.3 else int(rng.integers(2, 40))
+        arch = random_arch(rng, d, int(rng.integers(1, 4)), 1, 3)
+        ds = Dataset(rng.uniform(-1.0, 1.0, (rows, d)), rng.uniform(-1.0, 1.0, rows))
+        system = build_data_system(arch, ds)
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        r0 = system.residuals(w)
+        J = residual_jacobian(system, w, r0)
+        assert J.flags.c_contiguous
+        assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+        # and the residual as forward computes it on a rebuilt network
+        assert_same_bits(J, per_column_jacobian(lambda v: forward(with_weights(arch, v), ds.X)[:, 0] - ds.y, w, r0))
+
+
+def test_batched_jacobian_matches_per_column_coefficient_residuals():
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        d = int(rng.integers(1, 3))
+        arch = random_arch(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
+        teacher = with_weights(arch, rng.uniform(-1.0, 1.0, network_weights(arch).size))
+        system = build_coefficient_system(arch, expand_network(teacher))
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        r0 = system.residuals(w)
+        J = residual_jacobian(system, w, r0)
+        assert J.flags.c_contiguous
+        assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+
+
+@pytest.mark.parametrize("budget", [1, 60, 150])
+def test_data_jacobian_is_the_same_in_chunks(monkeypatch, budget):
+    rng = np.random.default_rng(10)
+    arch = random_arch(rng, 2, 3, 1, 3)
+    ds = Dataset(rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.0, 1.0, 7))
+    w = rng.uniform(-1.0, 1.0, network_weights(arch).size)
+    whole = build_data_system(arch, ds)
+    J = residual_jacobian(whole, w, whole.residuals(w))
+    monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget)
+    chunked = build_data_system(arch, ds)
+    assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
+
+
+def test_non_finite_weights_raise_in_both_system_kinds():
+    arch = square_arch(4, 1)
+    ds = Dataset(np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([1.0, 2.0]))
+    w = np.ones(17)
+    w[5] = np.nan
+    for system in (build_data_system(arch, ds), build_coefficient_system(arch, [regression_target()])):
+        with pytest.raises(StructuralError, match="weights must be finite"):
+            system.residuals(w)
 
 
 def test_solver_reports_failure_honestly():
