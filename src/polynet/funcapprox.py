@@ -277,14 +277,16 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
         leg_coeffs = np.linalg.solve(V.T @ V, V.T @ ys)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"normal equations are singular: {exc}") from None
-    t_coeffs = np.polynomial.legendre.leg2poly(leg_coeffs)
-    # compose with t = alpha*x + beta to get coefficients in x
+    # compose with t = alpha*x + beta to get coefficients in x; an overflow
+    # here is reported by the finiteness check below
     alpha = 2.0 / (hi - lo)
     beta = -(lo + hi) / (hi - lo)
-    comp = np.array([t_coeffs[-1]])
-    for c in t_coeffs[-2::-1]:
-        comp = np.polynomial.polynomial.polymul(comp, np.array([beta, alpha]))
-        comp[0] += c
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_coeffs = np.polynomial.legendre.leg2poly(leg_coeffs)
+        comp = np.array([t_coeffs[-1]])
+        for c in t_coeffs[-2::-1]:
+            comp = np.polynomial.polynomial.polymul(comp, np.array([beta, alpha]))
+            comp[0] += c
     if not np.all(np.isfinite(comp)):
         raise NumericError(f"the degree-{degree} fit has non-finite monomial coefficients; lower the degree")
     # Refuse a monomial form that strays from the Legendre fit by more than

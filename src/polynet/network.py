@@ -92,7 +92,7 @@ class PolyActivation:
 Activation = Identity | MonomialPower | PolyActivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerSpec:
     """Weights of shape (out_nodes, 1 + in_nodes); column 0 is the bias."""
 
@@ -119,7 +119,7 @@ class LayerSpec:
         return self.weights.shape[1] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     input_dim: int
     layers: tuple[LayerSpec, ...]
@@ -165,12 +165,15 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
     return _run_layers(net._pairs, h)
 
 
+def _variables(d: int) -> np.ndarray:
+    """The inputs x1..xd as an object array (d,) of MultiPolys, for _run_layers."""
+    return np.fromiter((MultiPoly.variable(d, j) for j in range(d)), dtype=object, count=d)
+
+
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
     """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node."""
     check_expansion_size(net)
-    xs = np.empty(net.input_dim, dtype=object)
-    xs[:] = [MultiPoly.variable(net.input_dim, j) for j in range(net.input_dim)]
-    return list(_run_layers(net._pairs, xs))
+    return list(_run_layers(net._pairs, _variables(net.input_dim)))
 
 
 def expansion_degree(net: NetworkSpec) -> int:

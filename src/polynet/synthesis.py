@@ -24,9 +24,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
 from .multipoly import Exponents, MultiPoly, grlex_monomials, poly_mul, truncate_degree
-from .network import (
-    Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, check_expansion_size, expand_network, expansion_degree,
-)
+from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
+                      expand_network, expansion_degree)
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
@@ -34,8 +33,9 @@ STEP_EPS = 1e-14    # step-norm termination
 DAMPING = 1e-3      # initial Levenberg-Marquardt lambda
 FD_STEP = 1e-7      # relative forward-difference step
 RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
-# Largest stacked layer intermediate (m weight sets x n rows x layer width)
-# of one batched data residual call, in float64 elements (1 MiB).
+# Largest stacked layer intermediate (m weight sets x residuals x widest
+# layer input) of one batched residual call, in float64 elements (1 MiB);
+# for polynomial inputs, a term counts as one element.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -144,17 +144,12 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
                 f"target {k} has degree {t.degree()} but the architecture expands to degree {attainable}"
             )
     monomials = grlex_monomials(arch.input_dim, attainable)
-    index = [(k, e) for k in range(len(targets)) for e in monomials]
-    wanted = np.array([targets[k].terms.get(e, 0.0) for k, e in index])
+    wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
 
-    def batch_fn(Ws: np.ndarray) -> np.ndarray:
-        rows = []
-        for w in Ws:
-            polys = expand_network(with_weights(arch, w))
-            rows.append([polys[k].terms.get(e, 0.0) for k, e in index])
-        return np.array(rows) - wanted
+    def readout(outputs: np.ndarray) -> np.ndarray:
+        return np.array([[p.terms.get(e, 0.0) for p in polys for e in monomials] for polys in outputs[:, 0]])
 
-    return ResidualSystem(network_weights(arch).size, len(index), batch_fn)
+    return _stacked_system(arch, _variables(arch.input_dim)[None], readout, wanted)
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -163,25 +158,27 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         raise UsageError(f"data matching needs a single-output architecture, got {arch.output_dim} outputs")
     if ds.X.shape[1] != arch.input_dim:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
+    return _stacked_system(arch, ds.X, lambda outputs: outputs[..., 0], ds.y)
 
-    # forward's layer loop on up to `chunk` weight sets at once.  The inputs
-    # are copied per set, not broadcast: a broadcast view makes concatenate
-    # lay [1, x] out column-major, and a strided dot rounds differently.
+
+def _stacked_system(arch: NetworkSpec, X: np.ndarray, readout, targets: np.ndarray) -> ResidualSystem:
+    """Residuals readout(outputs) - targets, where outputs (m, n, out) are
+    forward's layer loop on input rows X (n, d), numbers or MultiPolys,
+    for up to `chunk` weight sets at once.  Rows are copied per set: a
+    broadcast view makes concatenate lay [1, x] out column-major, and a
+    strided dot rounds differently."""
     unknowns = network_weights(arch).size
     widest = max(layer.weights.shape[1] for layer in arch.layers)
-    chunk = max(1, min(unknowns, CHUNK_ELEMENTS // (len(ds) * widest)))
-    X = np.broadcast_to(ds.X, (chunk,) + ds.X.shape).copy()
+    chunk = max(1, min(unknowns, CHUNK_ELEMENTS // (targets.size * widest)))
+    X = np.broadcast_to(X, (chunk,) + X.shape).copy()
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(Ws)):
             raise StructuralError("weights must be finite")
-        R = np.empty((len(Ws), len(ds)))
-        for lo in range(0, len(Ws), chunk):
-            stack = Ws[lo : lo + chunk, None, :]
-            R[lo : lo + chunk] = _run_layers(_layer_weights(arch, stack), X[: len(stack)])[..., 0] - ds.y
-        return R
+        stacks = (Ws[lo : lo + chunk, None, :] for lo in range(0, len(Ws), chunk))
+        return np.concatenate([readout(_run_layers(_layer_weights(arch, s), X[: len(s)])) for s in stacks]) - targets
 
-    return ResidualSystem(unknowns, len(ds), batch_fn)
+    return ResidualSystem(unknowns, targets.size, batch_fn)
 
 
 def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
@@ -296,17 +293,9 @@ def compress_network(
     trace=None,
 ) -> tuple[NetworkSpec, SolveReport]:
     """Fit a smaller architecture to the degree-truncated expansion of a
-    trained network, by coefficient matching."""
-    if teacher.input_dim != student_arch.input_dim:
-        raise DimensionError(
-            f"teacher has {teacher.input_dim} inputs, student has {student_arch.input_dim}"
-        )
-    if teacher.output_dim != student_arch.output_dim:
-        raise UsageError(
-            f"teacher has {teacher.output_dim} outputs, student has {student_arch.output_dim}"
-        )
-    if degree < 0:
-        raise UsageError("degree must be non-negative")
+    trained network, by coefficient matching.  Mismatched inputs or outputs
+    and a negative degree are refused by truncate_degree and
+    build_coefficient_system."""
     if expansion_degree(student_arch) < degree:
         raise UsageError(
             f"student expands to degree {expansion_degree(student_arch)}, below the requested {degree}"

@@ -112,6 +112,18 @@ def test_layer_weights_are_read_only():
         layer.weights[0, 0] = 5.0
 
 
+def test_specs_compare_and_hash_by_identity():
+    layer = LayerSpec(np.ones((2, 3)))
+    assert layer == layer
+    assert layer != LayerSpec(np.ones((2, 3)))  # no elementwise array comparison
+    assert hash(layer) == hash(layer)
+    net = single_square_net()
+    assert net != single_square_net()
+    names = {net: "square"}
+    assert names[net] == "square"
+    assert net._pairs is net._pairs  # still cached on the frozen instance
+
+
 def test_network_chaining_mismatch_names_the_layer():
     layers = (
         LayerSpec(np.zeros((2, 3))),

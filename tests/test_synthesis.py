@@ -27,6 +27,7 @@ from polynet import (
     coefficient,
     compress_network,
     expand_network,
+    expansion_degree,
     forward,
     network_weights,
     poly_eval,
@@ -41,6 +42,7 @@ from polynet.experiments import (
     two_class_points,
     two_class_targets,
 )
+from polynet.multipoly import grlex_monomials
 
 # Class polynomials for the 4-example table, derived independently with pencil
 # and paper from the product-of-negated-squared-distances construction.
@@ -277,6 +279,20 @@ def test_data_solve_golden_bits():
     assert report == SolveReport(True, 10, 2.9454216843305403e-13, 3)
 
 
+def test_coefficient_solve_golden_bits():
+    # experiment 2 from all ones, recorded when every residual expanded a
+    # rebuilt network one weight vector at a time
+    w, report = solve_system(build_coefficient_system(square_arch(4, 1), [regression_target()]))
+    assert [c.hex() for c in w] == [
+        "-0x1.224e134c06b62p-2", "0x1.bfb5b2a0aa069p-1", "0x1.0f5f501cf5f64p+0", "0x1.163aee4bebf07p+1",
+        "0x1.2268d6d24381ep-1", "0x1.2a43515114710p-5", "0x1.80affbfeaef11p-4", "0x1.c680d3f261c6ap-1",
+        "0x1.a9af886b70d8dp-1", "0x1.4bba856f0f581p-1", "0x1.5e9e04984da58p+0", "-0x1.173d0342560e5p-4",
+        "-0x1.952135f5ff097p+2", "0x1.2f5fe2f2d1766p-1", "0x1.63b77d8c35e54p+0", "0x1.f1035d18cb853p-2",
+        "-0x1.5e14a19977583p-1",
+    ]
+    assert report == SolveReport(True, 45, 6.972200594645983e-14, 0)
+
+
 def random_arch(rng, d, depth, outputs, max_degree):
     layers, fan_in = [], d
     for i in range(depth):
@@ -326,31 +342,63 @@ def test_batched_jacobian_matches_per_column_data_residuals():
         assert_same_bits(J, per_column_jacobian(lambda v: forward(with_weights(arch, v), ds.X)[:, 0] - ds.y, w, r0))
 
 
+def coefficient_residuals(arch, targets, w):
+    """The coefficient residual read off a full expansion of the rebuilt network."""
+    monomials = grlex_monomials(arch.input_dim, expansion_degree(arch))
+    polys = expand_network(with_weights(arch, w))
+    return np.array([p.terms.get(e, 0.0) - t.terms.get(e, 0.0) for p, t in zip(polys, targets) for e in monomials])
+
+
 def test_batched_jacobian_matches_per_column_coefficient_residuals():
     rng = np.random.default_rng(9)
     for _ in range(12):
         d = int(rng.integers(1, 3))
         arch = random_arch(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
         teacher = with_weights(arch, rng.uniform(-1.0, 1.0, network_weights(arch).size))
-        system = build_coefficient_system(arch, expand_network(teacher))
+        targets = expand_network(teacher)
+        system = build_coefficient_system(arch, targets)
         w = rng.uniform(-1.0, 1.0, system.unknowns)
         r0 = system.residuals(w)
+        assert_same_bits(r0, coefficient_residuals(arch, targets, w))
         J = residual_jacobian(system, w, r0)
         assert J.flags.c_contiguous
         assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+        # and the residual as expand_network computes it on a rebuilt network
+        assert_same_bits(J, per_column_jacobian(lambda v: coefficient_residuals(arch, targets, v), w, r0))
 
 
-@pytest.mark.parametrize("budget", [1, 60, 150])
-def test_data_jacobian_is_the_same_in_chunks(monkeypatch, budget):
-    rng = np.random.default_rng(10)
-    arch = random_arch(rng, 2, 3, 1, 3)
-    ds = Dataset(rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.0, 1.0, 7))
-    w = rng.uniform(-1.0, 1.0, network_weights(arch).size)
-    whole = build_data_system(arch, ds)
+def chunk_test_system(kind):
+    """(builder, weights) of a system whose weight sets cost 28 (data) or
+    120 (coefficient) elements of CHUNK_ELEMENTS each."""
+    if kind == "data":
+        rng = np.random.default_rng(10)
+        arch = random_arch(rng, 2, 3, 1, 3)  # 15 unknowns, widest layer input 4
+        ds = Dataset(rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.0, 1.0, 7))
+        return lambda: build_data_system(arch, ds), rng.uniform(-1.0, 1.0, network_weights(arch).size)
+    rng = np.random.default_rng(11)
+    first = LayerSpec(np.zeros((3, 3)), PolyActivation(UniPoly((0.5, -1.0, 0.25))))
+    arch = NetworkSpec(2, (first, LayerSpec(np.zeros((2, 4)), MonomialPower(2))))  # 2 x 15 residuals, 17 unknowns
+    targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, 17)))
+    return lambda: build_coefficient_system(arch, targets), rng.uniform(-1.0, 1.0, 17)
+
+
+# budgets that give chunks of 1, 2 and 5 weight sets
+@pytest.mark.parametrize(
+    "kind, budget, sets",
+    [pytest.param("data", b, n, id=str(b)) for b, n in ((1, 1), (60, 2), (150, 5))]
+    + [pytest.param("coefficient", b, n, id=f"coefficient-{b}") for b, n in ((1, 1), (240, 2), (600, 5))],
+)
+def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets):
+    build, w = chunk_test_system(kind)
+    whole = build()
     J = residual_jacobian(whole, w, whole.residuals(w))
     monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget)
-    chunked = build_data_system(arch, ds)
+    chunked = build()
+    stacked = []
+    run_layers = synthesis._run_layers
+    monkeypatch.setattr(synthesis, "_run_layers", lambda layers, h: stacked.append(len(h)) or run_layers(layers, h))
     assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
+    assert max(stacked) == sets
 
 
 def test_non_finite_weights_raise_in_both_system_kinds():
@@ -432,6 +480,14 @@ def test_compress_rejects_too_shallow_students():
     student = NetworkSpec(2, (LayerSpec(np.zeros((1, 3))),))
     with pytest.raises(UsageError, match="degree 1, below the requested 2"):
         compress_network(teacher, student, 2)
+    # and students that do not fit the teacher, or a negative degree
+    wrong_inputs = NetworkSpec(3, (LayerSpec(np.zeros((2, 4)), MonomialPower(2)), LayerSpec(np.zeros((1, 3)))))
+    with pytest.raises(DimensionError, match="target 0 has 2 variables, architecture has 3"):
+        compress_network(teacher, wrong_inputs, 2)
+    with pytest.raises(UsageError, match="1 targets for 2 outputs"):
+        compress_network(teacher, square_arch(4, 2), 2)
+    with pytest.raises(UsageError, match="non-negative"):
+        compress_network(teacher, square_arch(4, 1), -1)
 
 
 def test_two_class_points_layout():
