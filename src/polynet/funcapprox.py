@@ -103,8 +103,8 @@ class SampledFunction:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ConfigurationError("domain must satisfy lo < hi")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ConfigurationError("domain must be finite and satisfy lo < hi")
 
 
 def _sigmoid(x: float) -> float:
@@ -179,19 +179,21 @@ def maclaurin_trig(kind: str, terms: int) -> UniPoly:
     sin: sum_m (-1)^m x^(2m+1)/(2m+1)!, degree 2*terms - 1
     cos: sum_m (-1)^m x^(2m)/(2m)!,     degree 2*terms - 2
     """
+    _check_term_count(terms)
+    if kind not in ("sin", "cos"):
+        raise UsageError(f"kind must be 'sin' or 'cos', got {kind!r}")
+    odd = 1 if kind == "sin" else 0
+    coeffs = [0.0] * (2 * terms - 1 + odd)
+    for m in range(terms):
+        coeffs[2 * m + odd] = (-1.0) ** m / math.factorial(2 * m + odd)
+    return UniPoly(tuple(coeffs))
+
+
+def _check_term_count(terms: int) -> None:
     if terms < 1:
         raise ConfigurationError("terms must be at least 1")
-    if kind == "sin":
-        coeffs = [0.0] * (2 * terms)
-        for m in range(terms):
-            coeffs[2 * m + 1] = (-1.0) ** m / math.factorial(2 * m + 1)
-    elif kind == "cos":
-        coeffs = [0.0] * (2 * terms - 1)
-        for m in range(terms):
-            coeffs[2 * m] = (-1.0) ** m / math.factorial(2 * m)
-    else:
-        raise UsageError(f"kind must be 'sin' or 'cos', got {kind!r}")
-    return UniPoly(tuple(coeffs))
+    if terms > 85:  # from 86 terms on, (2*terms - 1)! does not fit in a double
+        raise ConfigurationError(f"{terms} series terms need factorials beyond the double range; use at most 85")
 
 
 def trig_term_budget(n_harmonics: int) -> int:
@@ -203,32 +205,27 @@ def trig_term_budget(n_harmonics: int) -> int:
     if n_harmonics < 1:
         raise ConfigurationError("n_harmonics must be at least 1")
     u = math.pi * n_harmonics
-    log_tol = math.log(TERM_TOL)
-    k = 1
-    while True:
-        m = 2 * k + 1
-        if m * math.log(u) - math.lgamma(m + 1) < log_tol:
-            return k
+    # u^m/m! >= 1/(e sqrt(m)), far above TERM_TOL, while m <= e*u, so no K with 2K + 1 <= e*u qualifies
+    k = max(1, int((math.e * u - 1) / 2))
+    while (2 * k + 1) * math.log(u) - math.lgamma(2 * k + 2) >= math.log(TERM_TOL):
         k += 1
+    return k
 
 
 def check_trig_substitution(n_harmonics: int, terms: int) -> None:
-    """Raise ConfigurationError unless terms >= 1 and substituting `terms`
-    Maclaurin terms at up to n_harmonics harmonics stays below intermediate
-    terms of COEFF_MAGNITUDE_LIMIT (beyond it all significance cancels away).
-    """
-    if terms < 1:
-        raise ConfigurationError("terms must be at least 1")
+    """Raise ConfigurationError unless terms is in 1..85 and substituting
+    `terms` Maclaurin terms at n_harmonics harmonics keeps intermediate terms
+    below COEFF_MAGNITUDE_LIMIT (beyond it all significance cancels away)."""
     u = math.pi * n_harmonics
-    if u <= 0:
-        return
-    # log of the largest series term u^k/k! up to degree 2*terms - 1; it sits near k = u
-    log_u = math.log(u)
-    if max(k * log_u - math.lgamma(k + 1) for k in range(2 * terms)) > math.log(COEFF_MAGNITUDE_LIMIT):
+    # u^k/k! grows while k < u and shrinks after, so this k has the largest term up to degree
+    # 2*terms - 1; k <= 0 (u < 1 or terms < 1) leaves only the term 1
+    k = min(math.floor(u), 2 * terms - 1)
+    if k > 0 and k * math.log(u) - math.lgamma(k + 1) > math.log(COEFF_MAGNITUDE_LIMIT):
         raise ConfigurationError(
             f"substituting {terms} series terms at {n_harmonics} harmonics needs intermediate "
             f"terms above {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit for wide intervals"
         )
+    _check_term_count(terms)
 
 
 def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
@@ -263,8 +260,8 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     in the original variable.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigurationError("interval must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigurationError("interval must be finite and satisfy lo < hi")
     if degree < 0:
         raise ConfigurationError("degree must be non-negative")
     if GRID_POINTS <= degree:
@@ -310,8 +307,8 @@ class ApproxError:
 def approx_error(f: SampledFunction, p: UniPoly, interval: tuple[float, float]) -> ApproxError:
     """Max-absolute and root-mean-square deviation of p from f on GRID_POINTS uniform points."""
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigurationError("interval must satisfy lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigurationError("interval must be finite and satisfy lo < hi")
     xs = np.linspace(lo, hi, GRID_POINTS)
     d = p(xs) - _samples(f, xs)
     return ApproxError(float(np.max(np.abs(d))), float(math.sqrt(np.mean(d * d))))

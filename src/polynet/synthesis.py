@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
-from .multipoly import Exponents, MultiPoly, grlex_monomials, poly_mul, truncate_degree
+from .multipoly import MultiPoly, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
                       expand_network, expansion_degree)
 
@@ -51,6 +51,8 @@ class SolverConfig:
             raise ConfigurationError("max_iters must be at least 1")
         if not 0 < self.tol_residual < math.inf:
             raise ConfigurationError("tol_residual must be positive and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,11 @@ def class_target_poly(ds: Dataset, label: float) -> MultiPoly:
         raise UsageError(f"no examples with label {label!r}")
     prod = MultiPoly.constant(d, 1.0)
     for i in matched:
-        terms: dict[Exponents, float] = {(0,) * d: float(np.dot(ds.X[i], ds.X[i]))}
+        dist = MultiPoly.constant(d, float(np.dot(ds.X[i], ds.X[i])))
         for j, c in enumerate(ds.X[i]):
-            e1 = tuple(1 if t == j else 0 for t in range(d))
-            e2 = tuple(2 if t == j else 0 for t in range(d))
-            terms[e1] = -2.0 * float(c)
-            terms[e2] = 1.0
-        prod = poly_mul(prod, MultiPoly(d, terms))
+            v = MultiPoly.variable(d, j)
+            dist = dist + v * (-2.0 * float(c)) + v * v
+        prod = prod * dist
     return -prod
 
 

@@ -98,11 +98,26 @@ def test_approx_term_budget_refused_before_the_quadrature(monkeypatch, capsys):
         raise AssertionError("fourier_fit ran before the term budget was checked")
 
     monkeypatch.setattr(polynet.cli, "fourier_fit", no_quadrature)
-    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", "--fourier-n", "3000"])
+    factorials = "series terms need factorials beyond the double range; use at most 85"
+    for flags, message in ((["--fourier-n", "3000"], "substituting"),
+                           (["--fourier-n", "1000000000"], "substituting"),
+                           (["--fourier-n", "1", "--terms", "1000000000"], f"1000000000 {factorials}"),
+                           (["--fourier-n", "1", "--terms", "86"], f"86 {factorials}")):
+        rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert len(err.splitlines()) == 1
+        if message == "substituting":
+            assert "use the least-squares fit" in err
+
+
+def test_approx_infinite_interval_exits_2(capsys):
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "0", "1e309", "--method", "lsq"])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: substituting")
-    assert "use the least-squares fit" in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: domain must be finite and satisfy lo < hi\n"
 
 
 def test_approx_unknown_function(capsys):
@@ -313,7 +328,7 @@ def test_expansion_over_budget_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]]
+    "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"]]
 )
 def test_bad_solver_settings_exit_2(flag, capsys):
     rc = main(["verify-exp2", *flag])

@@ -24,7 +24,7 @@ from polynet import (
     unipoly_from_text,
     unipoly_to_text,
 )
-from polynet.funcapprox import _samples
+from polynet.funcapprox import COEFF_MAGNITUDE_LIMIT, TERM_TOL, _samples, check_trig_substitution
 
 SIGMOID_AT_1 = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -181,6 +181,46 @@ def test_trig_term_budget():
         trig_term_budget(0)
 
 
+def scanned_term_budget(n_harmonics):
+    """Reference: count up from one term until u^(2K+1)/(2K+1)! < TERM_TOL."""
+    u = math.pi * n_harmonics
+    k = 1
+    while (2 * k + 1) * math.log(u) - math.lgamma(2 * k + 2) >= math.log(TERM_TOL):
+        k += 1
+    return k
+
+
+def scan_refuses(n_harmonics, terms):
+    """Reference: the largest of all 2*terms series terms u^k/k! exceeds the limit."""
+    u = math.pi * n_harmonics
+    peak = max(k * math.log(u) - math.lgamma(k + 1) for k in range(2 * terms))
+    return peak > math.log(COEFF_MAGNITUDE_LIMIT)
+
+
+def test_trig_term_budget_matches_a_scan():
+    assert [trig_term_budget(n) for n in range(1, 301)] == [scanned_term_budget(n) for n in range(1, 301)]
+
+
+def test_trig_substitution_refusal_matches_a_scan():
+    for n in range(1, 86):
+        for terms in range(1, 86):
+            try:
+                check_trig_substitution(n, terms)
+                refused = False
+            except ConfigurationError:
+                refused = True
+            assert refused == scan_refuses(n, terms), (n, terms)
+
+
+def test_factorials_beyond_the_double_range_are_refused():
+    maclaurin_trig("sin", 85)
+    check_trig_substitution(1, 85)
+    for call in (lambda: maclaurin_trig("sin", 86), lambda: maclaurin_trig("cos", 86),
+                 lambda: check_trig_substitution(1, 86), lambda: check_trig_substitution(1, 10**9)):
+        with pytest.raises(ConfigurationError, match="beyond the double range; use at most 85"):
+            call()
+
+
 def test_fourier_to_poly_tracks_the_series():
     fs = fourier_fit(sigmoid8(), 8.0, 4)
     budget = trig_term_budget(4)
@@ -256,3 +296,13 @@ def test_approx_error_validation():
     f = sigmoid8()
     with pytest.raises(ConfigurationError, match="lo < hi"):
         approx_error(f, UniPoly((0.5,)), (2.0, -2.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0)])
+def test_infinite_intervals_are_refused(lo, hi):
+    with pytest.raises(ConfigurationError, match="finite and satisfy lo < hi"):
+        SampledFunction(math.tanh, lo, hi)
+    with pytest.raises(ConfigurationError, match="finite and satisfy lo < hi"):
+        lsq_poly_fit(sigmoid8(), (lo, hi), 3)
+    with pytest.raises(ConfigurationError, match="finite and satisfy lo < hi"):
+        approx_error(sigmoid8(), UniPoly((0.5,)), (lo, hi))

@@ -88,6 +88,30 @@ def test_class_target_polys_match_hand_derivation():
     assert coefficient(class3, (1, 3)) == 0.0
 
 
+# [(exponents, coefficient.hex())] of the table-1 class polynomials, in dict order
+CLASS3_TERM_BITS = [
+    ((0, 0), "-0x1.919ce075f6fd1p-3"), ((1, 0), "0x1.04189374bc6a8p-2"), ((2, 0), "-0x1.f5c28f5c28f5cp-1"),
+    ((0, 1), "0x1.276c8b4395810p+0"), ((0, 2), "-0x1.4a3d70a3d70a3p+1"), ((3, 0), "0x1.3333333333334p-1"),
+    ((1, 1), "-0x1.851eb851eb852p-1"), ((1, 2), "0x1.3333333333334p-1"), ((4, 0), "-0x1.0000000000000p+0"),
+    ((2, 1), "0x1.4ccccccccccccp+1"), ((2, 2), "-0x1.0000000000000p+1"), ((0, 3), "0x1.4ccccccccccccp+1"),
+    ((0, 4), "-0x1.0000000000000p+0"),
+]
+CLASS8_TERM_BITS = [
+    ((0, 0), "-0x1.6a8c154c985f2p-1"), ((1, 0), "0x1.2a7ef9db22d0fp+0"), ((2, 0), "-0x1.170a3d70a3d71p+1"),
+    ((0, 1), "0x1.6ed916872b022p+1"), ((0, 2), "-0x1.251eb851eb852p+2"), ((3, 0), "0x1.6666666666666p+0"),
+    ((1, 1), "-0x1.2e147ae147ae2p+1"), ((1, 2), "0x1.6666666666666p+0"), ((4, 0), "-0x1.0000000000000p+0"),
+    ((2, 1), "0x1.b333333333334p+1"), ((2, 2), "-0x1.0000000000000p+1"), ((0, 3), "0x1.b333333333334p+1"),
+    ((0, 4), "-0x1.0000000000000p+0"),
+]
+
+
+def test_class_target_poly_golden_bits():
+    table = load_table1()
+    for label, expected in ((3.0, CLASS3_TERM_BITS), (8.0, CLASS8_TERM_BITS)):
+        p = class_target_poly(table, label)
+        assert [(e, c.hex()) for e, c in p.terms.items()] == expected
+
+
 def test_class_target_value_is_a_product_of_negated_squares():
     table = load_table1()
     class8 = class_target_poly(table, 8.0)
