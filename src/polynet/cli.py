@@ -112,7 +112,7 @@ def _cmd_approx(args) -> int:
         if lo != -hi:
             raise ConfigurationError("the fourier method needs a symmetric interval [-l, l]")
         terms = args.terms if args.terms is not None else trig_term_budget(args.fourier_n)
-        check_trig_substitution(args.fourier_n, terms)  # before the quadrature, which it does not need
+        check_trig_substitution(args.fourier_n, terms, hi)  # before the quadrature, which it does not need
         poly = fourier_to_poly(fourier_fit(f, hi, args.fourier_n), terms)
     else:
         poly = lsq_poly_fit(f, (lo, hi), args.degree)

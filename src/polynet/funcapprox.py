@@ -204,7 +204,7 @@ def trig_term_budget(n_harmonics: int) -> int:
     """
     if n_harmonics < 1:
         raise ConfigurationError("n_harmonics must be at least 1")
-    u = math.pi * n_harmonics
+    u = _series_argument(n_harmonics)
     # u^m/m! >= 1/(e sqrt(m)), far above TERM_TOL, while m <= e*u, so no K with 2K + 1 <= e*u qualifies
     k = max(1, int((math.e * u - 1) / 2))
     while (2 * k + 1) * math.log(u) - math.lgamma(2 * k + 2) >= math.log(TERM_TOL):
@@ -212,11 +212,29 @@ def trig_term_budget(n_harmonics: int) -> int:
     return k
 
 
-def check_trig_substitution(n_harmonics: int, terms: int) -> None:
+def _series_argument(n_harmonics: int) -> float:
+    """u = pi * n_harmonics, the largest argument the substituted series see.
+
+    Above COEFF_MAGNITUDE_LIMIT even the term u^1 is too large, so those
+    counts are refused here, before a huge int fails to convert to float.
+    """
+    if n_harmonics > COEFF_MAGNITUDE_LIMIT / math.pi:
+        raise ConfigurationError(
+            f"the harmonic count is above {COEFF_MAGNITUDE_LIMIT / math.pi:.3g}, where no series "
+            f"substitution stays below {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit"
+        )
+    return math.pi * n_harmonics
+
+
+def check_trig_substitution(n_harmonics: int, terms: int, half_period: float) -> None:
     """Raise ConfigurationError unless terms is in 1..85 and substituting
-    `terms` Maclaurin terms at n_harmonics harmonics keeps intermediate terms
-    below COEFF_MAGNITUDE_LIMIT (beyond it all significance cancels away)."""
-    u = math.pi * n_harmonics
+    `terms` Maclaurin terms at n_harmonics harmonics on [-half_period,
+    half_period] keeps intermediate terms below COEFF_MAGNITUDE_LIMIT
+    (beyond it all significance cancels away) and the powers of the scaled
+    argument in the double range."""
+    if not half_period > 0:
+        raise ConfigurationError("half_period must be positive")
+    u = _series_argument(n_harmonics)
     # u^k/k! grows while k < u and shrinks after, so this k has the largest term up to degree
     # 2*terms - 1; k <= 0 (u < 1 or terms < 1) leaves only the term 1
     k = min(math.floor(u), 2 * terms - 1)
@@ -226,6 +244,16 @@ def check_trig_substitution(n_harmonics: int, terms: int) -> None:
             f"terms above {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit for wide intervals"
         )
     _check_term_count(terms)
+    s = u / half_period  # UniPoly.scaled_argument raises s to powers up to 2*terms - 1
+    try:
+        fits = math.isfinite(s ** (2 * terms - 1))
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise ConfigurationError(
+            f"substituting {terms} series terms at {n_harmonics} harmonics on [-{half_period:g}, {half_period:g}] "
+            f"raises {s:.3g} to powers beyond the double range; use fewer terms or the least-squares fit"
+        )
 
 
 def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
@@ -235,7 +263,7 @@ def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
     Raises ConfigurationError when check_trig_substitution refuses the
     term count; fit with lsq_poly_fit instead in that regime.
     """
-    check_trig_substitution(fs.n_terms, terms)
+    check_trig_substitution(fs.n_terms, terms, fs.half_period)
     sin_p = maclaurin_trig("sin", terms)
     cos_p = maclaurin_trig("cos", terms)
     acc = np.zeros(2 * terms, dtype=float)
@@ -257,7 +285,10 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
 
     Normal equations are formed in a Legendre basis on the grid mapped to
     [-1, 1], then the solution is expanded back to monomial coefficients
-    in the original variable.
+    in the original variable.  That expansion loses digits at high degree:
+    a monomial form that strays from the Legendre fit by more than the
+    fit's own error is refused when a lower degree's monomial form
+    approximates f better on the grid.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not -math.inf < lo < hi < math.inf:
@@ -268,6 +299,29 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
         raise ConfigurationError(f"need more than {degree} gridpoints for a degree-{degree} fit")
     xs = np.linspace(lo, hi, GRID_POINTS)
     ys = _samples(f, xs)
+    p, fitted = _lsq_monomial_fit(xs, ys, degree)
+    if not np.all(np.isfinite(p.coeffs)):
+        raise NumericError(f"the degree-{degree} fit has non-finite monomial coefficients; lower the degree")
+    values = p(xs)
+    drift = float(np.max(np.abs(values - fitted)))
+    # 256 ulps of max|y| leave room for exact fits
+    if drift > max(float(np.max(np.abs(fitted - ys))), 256 * float(np.spacing(np.max(np.abs(ys))))):
+        error = float(np.max(np.abs(values - ys)))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite lower fit compares False
+            lower = (np.max(np.abs(_lsq_monomial_fit(xs, ys, d)[0](xs) - ys)) for d in range(degree))
+            better = next((d for d, e in enumerate(lower) if e < error), None)
+        if better is not None:
+            raise NumericError(
+                f"the degree-{degree} fit loses {drift:.3g} in monomial form, more than its own error, "
+                f"and degree {better} approximates better; lower the degree"
+            )
+    return p
+
+
+def _lsq_monomial_fit(xs: np.ndarray, ys: np.ndarray, degree: int) -> tuple[UniPoly, np.ndarray]:
+    """The degree-`degree` least-squares fit on the grid xs in monomial form,
+    and the Legendre fit's values on the grid."""
+    lo, hi = xs[0], xs[-1]
     ts = (2.0 * xs - (lo + hi)) / (hi - lo)
     V = np.polynomial.legendre.legvander(ts, degree)
     try:
@@ -275,7 +329,7 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"normal equations are singular: {exc}") from None
     # compose with t = alpha*x + beta to get coefficients in x; an overflow
-    # here is reported by the finiteness check below
+    # here is reported by the caller's finiteness check
     alpha = 2.0 / (hi - lo)
     beta = -(lo + hi) / (hi - lo)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,18 +338,7 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
         for c in t_coeffs[-2::-1]:
             comp = np.polynomial.polynomial.polymul(comp, np.array([beta, alpha]))
             comp[0] += c
-    if not np.all(np.isfinite(comp)):
-        raise NumericError(f"the degree-{degree} fit has non-finite monomial coefficients; lower the degree")
-    # Refuse a monomial form that strays from the Legendre fit by more than
-    # the fit's own error; 256 ulps of max|y| leave room for exact fits.
-    p = UniPoly(tuple(comp))
-    fitted = V @ leg_coeffs
-    drift = float(np.max(np.abs(p(xs) - fitted)))
-    if drift > max(float(np.max(np.abs(fitted - ys))), 256 * float(np.spacing(np.max(np.abs(ys))))):
-        raise NumericError(
-            f"the degree-{degree} fit loses {drift:.3g} in monomial form, more than its own error; lower the degree"
-        )
-    return p
+    return UniPoly(tuple(comp)), V @ leg_coeffs
 
 
 @dataclass(frozen=True)

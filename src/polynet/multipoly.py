@@ -6,6 +6,10 @@ zeros and nothing else, so every nonzero term an operation produces is
 kept, however small.  Term order everywhere is graded lexicographic
 (total degree ascending, then tuple order on the exponents), which pins
 down serialization and the ordering of downstream equation systems.
+
+The ring operations also take (m,) float arrays as coefficients, one entry
+per stacked weight set, so that one pass computes m expansions; each entry
+gets the bits it would get on its own (see MultiPoly._trusted).
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import DimensionError, ParseError, UsageError
 from .funcapprox import UniPoly
@@ -45,6 +51,29 @@ def monomial_label(e: Exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
+class _MixedZeros(Exception):
+    """Raised by the ring when a stacked coefficient is 0 in some weight sets
+    but not all; args[0] marks the zero entries."""
+
+
+def _kept(c) -> bool:
+    """Whether a float or (m,) array coefficient keeps its term."""
+    if not isinstance(c, np.ndarray):
+        return c != 0.0
+    nonzero = np.count_nonzero(c)
+    if nonzero == len(c):
+        return True
+    if nonzero == 0:
+        return False
+    # each zero entry's own expansion drops the term, so its later sums run in another order
+    raise _MixedZeros(c == 0.0)
+
+
+def _as_coefficient(c):
+    """A number as a float; an (m,) array of stacked coefficients as it is."""
+    return c if getattr(c, "ndim", 0) == 1 else float(c)
+
+
 class MultiPoly:
     """Sparse polynomial over a fixed number of variables.
 
@@ -52,6 +81,7 @@ class MultiPoly:
     """
 
     __slots__ = ("nvars", "terms")
+    __array_ufunc__ = None  # ndarray * MultiPoly and ndarray + MultiPoly defer to MultiPoly
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
         if nvars < 1:
@@ -68,6 +98,20 @@ class MultiPoly:
                 clean[key] = c
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """A polynomial from keys that are already valid: only exact zeros go.
+
+        Raises _MixedZeros for an (m,) coefficient that is 0 in some entries only.
+        """
+        p = object.__new__(cls)
+        p.nvars = nvars
+        try:
+            p.terms = {e: c for e, c in terms.items() if c != 0.0}
+        except ValueError:  # an (m,) coefficient has no single truth value
+            p.terms = {e: c for e, c in terms.items() if _kept(c)}
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -103,16 +147,19 @@ class MultiPoly:
     __hash__ = None
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def _number(self, c) -> "MultiPoly":
+        return MultiPoly._trusted(self.nvars, {(0,) * self.nvars: _as_coefficient(c)})
 
     def __add__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
+            other = self._number(other)
         return poly_add(self, other)
 
     def __radd__(self, other) -> "MultiPoly":
         # the number's constant term comes first, as in a layer's bias
-        return poly_add(MultiPoly.constant(self.nvars, other), self)
+        return poly_add(self._number(other), self)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + -other
@@ -120,8 +167,8 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             return poly_mul(self, other)
-        s = float(other)
-        return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
+        s = _as_coefficient(other)
+        return MultiPoly._trusted(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -152,7 +199,7 @@ def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     out = dict(p.terms)
     for e, c in q.terms.items():
         out[e] = out.get(e, 0.0) + c
-    return MultiPoly(p.nvars, out)
+    return MultiPoly._trusted(p.nvars, out)
 
 
 def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -163,22 +210,22 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for e2, c2 in q.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             out[e] = out.get(e, 0.0) + c1 * c2
-    return MultiPoly(p.nvars, out)
+    return MultiPoly._trusted(p.nvars, out)
 
 
 def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
     """p**k for integer k >= 0, by square and multiply."""
     if k < 0:
         raise UsageError("exponent must be non-negative")
-    result = MultiPoly.constant(p.nvars, 1.0)
+    result = None  # the constant 1, never multiplied out: 1.0 * c is c
     base = p
     while k:
         if k & 1:
-            result = poly_mul(result, base)
+            result = base if result is None else poly_mul(result, base)
         k >>= 1
         if k:
             base = poly_mul(base, base)
-    return result
+    return MultiPoly.constant(p.nvars, 1.0) if result is None else result
 
 
 def apply_univariate(phi: UniPoly, p: MultiPoly) -> MultiPoly:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
-from .multipoly import MultiPoly, grlex_monomials, truncate_degree
+from .multipoly import MultiPoly, _MixedZeros, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
                       expand_network, expansion_degree)
 
@@ -35,7 +35,7 @@ FD_STEP = 1e-7      # relative forward-difference step
 RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
 # Largest stacked layer intermediate (m weight sets x residuals x widest
 # layer input) of one batched residual call, in float64 elements (1 MiB);
-# for polynomial inputs, a term counts as one element.
+# a coefficient residual is a monomial whose coefficient holds m floats.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -145,11 +145,38 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
             )
     monomials = grlex_monomials(arch.input_dim, attainable)
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
+    x = _variables(arch.input_dim)
 
-    def readout(outputs: np.ndarray) -> np.ndarray:
-        return np.array([[p.terms.get(e, 0.0) for p in polys for e in monomials] for polys in outputs[:, 0]])
+    def one(w: np.ndarray) -> np.ndarray:
+        """Coefficients (arity,) of the expansion at one weight vector, in floats."""
+        return np.array([p.terms.get(e, 0.0) for p in _run_layers(_layer_weights(arch, w), x) for e in monomials])
 
-    return _stacked_system(arch, _variables(arch.input_dim)[None], readout, wanted)
+    def stacked(Ws: np.ndarray) -> np.ndarray:
+        """Coefficients (k, arity) at k > 1 weight sets, by one ring pass in
+        which weight j of all k sets enters as one (k,) coefficient array."""
+        zero = np.zeros(len(Ws))
+        outputs = _run_layers(_layer_weights(arch, np.fromiter(Ws.T.copy(), dtype=object)), x)
+        return np.array([zero + p.terms.get(e, 0.0) for p in outputs for e in monomials]).T
+
+    def run(Ws: np.ndarray) -> np.ndarray:
+        """Coefficients (k, arity) at weight sets Ws (k, unknowns), stacked
+        except for sets a stacked coefficient is exactly 0 in."""
+        out = np.empty((len(Ws), wanted.size))
+        rest = np.arange(len(Ws))  # sets still to run stacked
+        while rest.size > 1:
+            try:
+                out[rest] = stacked(Ws[rest])
+                return out
+            except _MixedZeros as signal:  # a term those sets drop on their own: run them alone
+                zero = signal.args[0]
+                for i in rest[zero]:
+                    out[i] = one(Ws[i])
+                rest = rest[~zero]
+        for i in rest:
+            out[i] = one(Ws[i])
+        return out
+
+    return _stacked_system(arch, wanted, run)
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -158,27 +185,33 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         raise UsageError(f"data matching needs a single-output architecture, got {arch.output_dim} outputs")
     if ds.X.shape[1] != arch.input_dim:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
-    return _stacked_system(arch, ds.X, lambda outputs: outputs[..., 0], ds.y)
+    # Rows are copied per set: a broadcast view makes concatenate lay [1, x]
+    # out column-major, and a strided dot rounds differently.
+    X = np.broadcast_to(ds.X, (_chunk(arch, len(ds)),) + ds.X.shape).copy()
+
+    def run(Ws: np.ndarray) -> np.ndarray:
+        return _run_layers(_layer_weights(arch, Ws[:, None]), X[: len(Ws)])[..., 0]
+
+    return _stacked_system(arch, ds.y, run)
 
 
-def _stacked_system(arch: NetworkSpec, X: np.ndarray, readout, targets: np.ndarray) -> ResidualSystem:
-    """Residuals readout(outputs) - targets, where outputs (m, n, out) are
-    forward's layer loop on input rows X (n, d), numbers or MultiPolys,
-    for up to `chunk` weight sets at once.  Rows are copied per set: a
-    broadcast view makes concatenate lay [1, x] out column-major, and a
-    strided dot rounds differently."""
-    unknowns = network_weights(arch).size
+def _chunk(arch: NetworkSpec, arity: int) -> int:
+    """Weight sets per stacked call, from CHUNK_ELEMENTS."""
     widest = max(layer.weights.shape[1] for layer in arch.layers)
-    chunk = max(1, min(unknowns, CHUNK_ELEMENTS // (targets.size * widest)))
-    X = np.broadcast_to(X, (chunk,) + X.shape).copy()
+    return max(1, min(network_weights(arch).size, CHUNK_ELEMENTS // (arity * widest)))
+
+
+def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run) -> ResidualSystem:
+    """Residuals run(Ws) - targets, where run maps up to _chunk weight sets
+    (k, unknowns) to outputs (k, arity)."""
+    chunk = _chunk(arch, targets.size)
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(Ws)):
             raise StructuralError("weights must be finite")
-        stacks = (Ws[lo : lo + chunk, None, :] for lo in range(0, len(Ws), chunk))
-        return np.concatenate([readout(_run_layers(_layer_weights(arch, s), X[: len(s)])) for s in stacks]) - targets
+        return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
 
-    return ResidualSystem(unknowns, targets.size, batch_fn)
+    return ResidualSystem(network_weights(arch).size, targets.size, batch_fn)
 
 
 def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:

@@ -112,6 +112,27 @@ def test_approx_term_budget_refused_before_the_quadrature(monkeypatch, capsys):
             assert "use the least-squares fit" in err
 
 
+def test_approx_narrow_interval_refuses_powers_beyond_the_double_range(capsys):
+    # s = pi / 0.04 = 78.5, and s**169 overflowed in UniPoly.scaled_argument
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-0.04", "0.04", "--fourier-n", "1", "--terms", "85"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: substituting 85 series terms at 1 harmonics on [-0.04, 0.04] raises 78.5")
+    assert len(err.splitlines()) == 1
+
+
+def test_approx_harmonic_count_beyond_the_double_range_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(polynet.cli, "fourier_fit", lambda *args: pytest.fail("quadrature ran"))
+    huge = "1" + "0" * 400  # pi * n does not convert to a float
+    for flags in (["--fourier-n", huge], ["--fourier-n", huge, "--terms", "5"]):
+        rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the harmonic count is above 3.18e+14")
+        assert len(err.splitlines()) == 1
+
+
 def test_approx_infinite_interval_exits_2(capsys):
     rc = main(["approx", "--fn", "sigmoid", "--interval", "0", "1e309", "--method", "lsq"])
     assert rc == 2

@@ -205,7 +205,7 @@ def test_trig_substitution_refusal_matches_a_scan():
     for n in range(1, 86):
         for terms in range(1, 86):
             try:
-                check_trig_substitution(n, terms)
+                check_trig_substitution(n, terms, 1.0)  # on [-1, 1] the scaled argument is u itself
                 refused = False
             except ConfigurationError:
                 refused = True
@@ -214,11 +214,29 @@ def test_trig_substitution_refusal_matches_a_scan():
 
 def test_factorials_beyond_the_double_range_are_refused():
     maclaurin_trig("sin", 85)
-    check_trig_substitution(1, 85)
+    check_trig_substitution(1, 85, 1.0)
     for call in (lambda: maclaurin_trig("sin", 86), lambda: maclaurin_trig("cos", 86),
-                 lambda: check_trig_substitution(1, 86), lambda: check_trig_substitution(1, 10**9)):
+                 lambda: check_trig_substitution(1, 86, 1.0), lambda: check_trig_substitution(1, 10**9, 1.0)):
         with pytest.raises(ConfigurationError, match="beyond the double range; use at most 85"):
             call()
+
+
+def test_harmonic_counts_no_substitution_can_take_are_refused_up_front():
+    # pi * n above COEFF_MAGNITUDE_LIMIT: the term u^1 alone is too large; the sizing loop
+    # used to lose itself in float rounding there, and an int past the double range
+    # failed to convert
+    for n in (10**15, 10**400):
+        for call in (lambda: trig_term_budget(n), lambda: check_trig_substitution(n, 5, 8.0)):
+            with pytest.raises(ConfigurationError, match="harmonic count is above"):
+                call()
+
+
+def test_scaled_argument_powers_beyond_the_double_range_are_refused():
+    # on [-0.04, 0.04] one harmonic scales x by s = 78.5, and s**(2*terms - 1) fits up to 81 terms
+    check_trig_substitution(1, 81, 0.04)
+    assert fourier_to_poly(fourier_fit(builtin("tanh", -0.04, 0.04), 0.04, 1), 81).degree == 161
+    with pytest.raises(ConfigurationError, match="to powers beyond the double range"):
+        check_trig_substitution(1, 82, 0.04)
 
 
 def test_fourier_to_poly_tracks_the_series():
@@ -274,6 +292,24 @@ def test_lsq_fit_refuses_a_monomial_form_that_drifts_past_the_fit_error():
     assert approx_error(f, lsq_poly_fit(f, (-8.0, 8.0), 40), (-8.0, 8.0)).max_abs < 2e-7
     with pytest.raises(NumericError, match="degree-50 fit loses"):
         lsq_poly_fit(f, (-8.0, 8.0), 50)
+
+
+def test_lsq_fit_keeps_a_drifting_monomial_form_that_beats_every_lower_degree():
+    # these monomial forms stray from their Legendre fits by more than the fits' own
+    # error, yet approximate better than any lower degree does
+    for f, interval, kept, refused in ((sigmoid8(), (-8.0, 8.0), (44, 46), (45, 47)),
+                                       (builtin("tanh", -3.0, 3.0), (-3.0, 3.0), (43, 45, 46), (44, 47))):
+        errs = {}
+        for d in range(max(kept) + 1):
+            try:
+                errs[d] = approx_error(f, lsq_poly_fit(f, interval, d), interval).max_abs
+            except NumericError:
+                assert d in refused
+        for d in kept:
+            assert errs[d] < min(e for k, e in errs.items() if k < d)
+        for d in refused:
+            with pytest.raises(NumericError, match=f"degree-{d} fit loses .* and degree [0-9]+ approximates better"):
+                lsq_poly_fit(f, interval, d)
 
 
 def test_lsq_error_non_increasing_in_degree():

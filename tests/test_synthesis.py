@@ -2,6 +2,7 @@
 
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,40 @@ def test_batched_jacobian_matches_per_column_coefficient_residuals():
         assert_same_bits(J, per_column_jacobian(lambda v: coefficient_residuals(arch, targets, v), w, r0))
 
 
+def test_coefficient_jacobian_keeps_its_bits_at_exact_zero_weights():
+    # A coefficient that is exactly 0 drops its term from that weight set's own
+    # expansion, which changes the order of its later sums; the stacked ring must
+    # give every set the bits of its own evaluation all the same.
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        d = int(rng.integers(1, 3))
+        arch = random_arch(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
+        targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, network_weights(arch).size)))
+        system = build_coefficient_system(arch, targets)
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        w[rng.random(w.size) < 0.2] = 0.0
+        r0 = system.residuals(w)
+        assert_same_bits(residual_jacobian(system, w, r0), per_column_jacobian(system.residuals, w, r0))
+
+
+def test_stacked_coefficients_overflow_as_floats_do():
+    # Squares of 1e120 weights overflow to inf, and sums of opposite infs give nan.
+    # numpy reports the overflow after the float path's object loops, and in the
+    # stacked arrays' own operations; the values agree bit for bit.
+    system = build_coefficient_system(square_arch(4, 1), [regression_target()])
+    Ws = 1e120 * np.random.default_rng(13).uniform(-1.0, 1.0, (5, system.unknowns))
+    for call in (lambda: system.batch_fn(Ws), lambda: system.residuals(Ws[0])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert any("overflow encountered" in str(w.message) for w in caught)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        R = system.batch_fn(Ws)
+        assert np.isinf(R).any() and np.isnan(R).any()
+        assert_same_bits(R, np.array([system.residuals(w) for w in Ws]))
+
+
 def chunk_test_system(kind):
     """(builder, weights) of a system whose weight sets cost 28 (data) or
     120 (coefficient) elements of CHUNK_ELEMENTS each."""
@@ -420,7 +455,14 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets):
     chunked = build()
     stacked = []
     run_layers = synthesis._run_layers
-    monkeypatch.setattr(synthesis, "_run_layers", lambda layers, h: stacked.append(len(h)) or run_layers(layers, h))
+
+    def spy(layers, h):
+        out = run_layers(layers, h)
+        # weight sets per call: stacked input rows (data), or entries of stacked coefficients
+        stacked.append(len(h) if kind == "data" else max(np.size(c) for p in out for c in p.terms.values()))
+        return out
+
+    monkeypatch.setattr(synthesis, "_run_layers", spy)
     assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
     assert max(stacked) == sets
 
