@@ -35,7 +35,6 @@ from .funcapprox import (
 from .multipoly import (
     MultiPoly,
     apply_univariate,
-    coefficient,
     poly_add,
     poly_eval,
     poly_from_text,

@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import UsageError
-from .multipoly import MultiPoly, coefficient, grlex_monomials, poly_eval, poly_pow
+from .multipoly import MultiPoly, grlex_monomials, poly_eval
 from .network import (
     Dataset,
     Identity,
@@ -64,8 +64,8 @@ def load_table1() -> Dataset:
 
 def two_class_targets() -> tuple[MultiPoly, MultiPoly]:
     """Experiment 1 class scores: -(x1 - x2)^2 and -((x1 + x2) - 1)^2."""
-    c0 = -poly_pow(MultiPoly(2, {(1, 0): 1.0, (0, 1): -1.0}), 2)
-    c1 = -poly_pow(MultiPoly(2, {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}), 2)
+    c0 = -MultiPoly(2, {(1, 0): 1.0, (0, 1): -1.0}) ** 2
+    c1 = -MultiPoly(2, {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0}) ** 2
     return c0, c1
 
 
@@ -176,7 +176,7 @@ def _run_exp3(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     labels = sorted(set(ds.y))
     polys = [class_target_poly(ds, lab) for lab in labels]
     for name, poly, table in (("sp0", polys[0], SP0_COEFFS), ("sp1", polys[1], SP1_COEFFS)):
-        worst = max(abs(coefficient(poly, e) - table.get(e, 0.0)) for e in grlex_monomials(2, 4))
+        worst = max(abs(poly.terms.get(e, 0.0) - table.get(e, 0.0)) for e in grlex_monomials(2, 4))
         doc.check(f"exp3.{name}.coeff_error", f"{name} worst coefficient error", worst, 0.0, 1e-12)
     doc.check(
         "exp3.sp1.value_at_row1",

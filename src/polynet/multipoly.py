@@ -52,8 +52,7 @@ def monomial_label(e: Exponents) -> str:
 
 
 class _MixedZeros(Exception):
-    """Raised by the ring when a stacked coefficient is 0 in some weight sets
-    but not all; args[0] marks the zero entries."""
+    """Raised by the ring when a stacked coefficient is 0 in some weight sets but not all."""
 
 
 def _kept(c) -> bool:
@@ -66,7 +65,7 @@ def _kept(c) -> bool:
     if nonzero == 0:
         return False
     # each zero entry's own expansion drops the term, so its later sums run in another order
-    raise _MixedZeros(c == 0.0)
+    raise _MixedZeros
 
 
 def _as_coefficient(c):
@@ -114,10 +113,6 @@ class MultiPoly:
         return p
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value: float) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: value})
 
@@ -131,9 +126,6 @@ class MultiPoly:
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
         return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def items_grlex(self) -> Iterator[tuple[Exponents, float]]:
         for e in sorted(self.terms, key=grlex_key):
@@ -253,14 +245,6 @@ def truncate_degree(p: MultiPoly, max_degree: int) -> MultiPoly:
     if max_degree < 0:
         raise UsageError("max_degree must be non-negative")
     return MultiPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= max_degree})
-
-
-def coefficient(p: MultiPoly, e: Iterable[int]) -> float:
-    """Coefficient of one monomial, 0.0 when absent."""
-    key = tuple(int(k) for k in e)
-    if len(key) != p.nvars:
-        raise DimensionError(f"exponent vector has length {len(key)}, expected {p.nvars}")
-    return p.terms.get(key, 0.0)
 
 
 def poly_to_text(p: MultiPoly) -> str:

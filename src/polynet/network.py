@@ -188,7 +188,12 @@ def expansion_degree(net: NetworkSpec) -> int:
 def check_expansion_size(net: NetworkSpec) -> None:
     """Raise ConfigurationError when a full expansion would allow more than
     MAX_EXPANSION_TERMS monomials per output."""
-    d, D = net.input_dim, expansion_degree(net)
+    check_term_count(net.input_dim, expansion_degree(net))
+
+
+def check_term_count(d: int, D: int) -> None:
+    """Raise ConfigurationError when a degree-D polynomial in d variables
+    may hold more than MAX_EXPANSION_TERMS monomials."""
     terms = math.comb(d + D, d)
     if terms > MAX_EXPANSION_TERMS:
         raise ConfigurationError(

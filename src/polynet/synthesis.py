@@ -25,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
 from .multipoly import MultiPoly, _MixedZeros, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
-                      expand_network, expansion_degree)
+                      check_term_count, expand_network, expansion_degree)
 
 LAMBDA_MIN = 1e-12  # keep the damped normal matrix numerically PD
 LAMBDA_MAX = 1e12   # past this the step is effectively zero; give up
@@ -111,11 +111,14 @@ def class_target_poly(ds: Dataset, label: float) -> MultiPoly:
     It is 0 exactly at the class's own points and negative elsewhere, so
     the class whose polynomial is largest wins.  The constant input
     feature contributes (1 - 1)^2 = 0 to every distance and is omitted.
+    A product of n quadratics in d variables may hold C(d + 2n, d) terms,
+    and check_term_count refuses it before any product is taken.
     """
     d = ds.X.shape[1]
     matched = [i for i in range(len(ds)) if ds.y[i] == label]
     if not matched:
         raise UsageError(f"no examples with label {label!r}")
+    check_term_count(d, 2 * len(matched))
     prod = MultiPoly.constant(d, 1.0)
     for i in matched:
         dist = MultiPoly.constant(d, float(np.dot(ds.X[i], ds.X[i])))
@@ -147,34 +150,17 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
     x = _variables(arch.input_dim)
 
-    def one(w: np.ndarray) -> np.ndarray:
-        """Coefficients (arity,) of the expansion at one weight vector, in floats."""
-        return np.array([p.terms.get(e, 0.0) for p in _run_layers(_layer_weights(arch, w), x) for e in monomials])
-
-    def stacked(Ws: np.ndarray) -> np.ndarray:
-        """Coefficients (k, arity) at k > 1 weight sets, by one ring pass in
-        which weight j of all k sets enters as one (k,) coefficient array."""
-        zero = np.zeros(len(Ws))
-        outputs = _run_layers(_layer_weights(arch, np.fromiter(Ws.T.copy(), dtype=object)), x)
-        return np.array([zero + p.terms.get(e, 0.0) for p in outputs for e in monomials]).T
-
     def run(Ws: np.ndarray) -> np.ndarray:
-        """Coefficients (k, arity) at weight sets Ws (k, unknowns), stacked
-        except for sets a stacked coefficient is exactly 0 in."""
-        out = np.empty((len(Ws), wanted.size))
-        rest = np.arange(len(Ws))  # sets still to run stacked
-        while rest.size > 1:
-            try:
-                out[rest] = stacked(Ws[rest])
-                return out
-            except _MixedZeros as signal:  # a term those sets drop on their own: run them alone
-                zero = signal.args[0]
-                for i in rest[zero]:
-                    out[i] = one(Ws[i])
-                rest = rest[~zero]
-        for i in rest:
-            out[i] = one(Ws[i])
-        return out
+        """Coefficients (k, arity) at weight sets Ws (k, unknowns) by one ring
+        pass, in which weight j enters as a float when k = 1 and as the (k,)
+        array of every set's weight j otherwise."""
+        w = Ws[0] if len(Ws) == 1 else np.fromiter(Ws.T.copy(), dtype=object)
+        try:
+            outputs = _run_layers(_layer_weights(arch, w), x)
+        except _MixedZeros:  # a term some sets drop on their own: run each set alone
+            return np.concatenate([run(v[None]) for v in Ws])
+        zero = 0.0 * w[0]
+        return np.array([zero + p.terms.get(e, 0.0) for p in outputs for e in monomials]).reshape(-1, len(Ws)).T
 
     return _stacked_system(arch, wanted, run)
 

@@ -26,7 +26,6 @@ from polynet import (
     builtin,
     class_target_poly,
     classify,
-    coefficient,
     compress_network,
     expand_network,
     forward,
@@ -93,7 +92,7 @@ def test_acceptance_two_class_target_expansions():
     for poly, want in ((c0, want0), (c1, want1)):
         keys = set(poly.terms) | set(want)
         for e in keys:
-            assert abs(coefficient(poly, e) - want.get(e, 0.0)) <= 1e-12
+            assert abs(poly.terms.get(e, 0.0) - want.get(e, 0.0)) <= 1e-12
     t0, t1 = two_class_targets()
     assert dict(t0.terms) == pytest.approx(want0, abs=1e-12)
     assert dict(t1.terms) == pytest.approx(want1, abs=1e-12)
@@ -147,8 +146,8 @@ def test_acceptance_table_classification():
     monomials = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
     assert len(monomials) == 15
     for e in monomials:
-        assert abs(coefficient(class3, e) - CLASS3_TARGET.get(e, 0.0)) <= 1e-12
-        assert abs(coefficient(class8, e) - CLASS8_TARGET.get(e, 0.0)) <= 1e-12
+        assert abs(class3.terms.get(e, 0.0) - CLASS3_TARGET.get(e, 0.0)) <= 1e-12
+        assert abs(class8.terms.get(e, 0.0) - CLASS8_TARGET.get(e, 0.0)) <= 1e-12
 
     # the value at the first row is a plain product of squared distances
     assert poly_eval(class8, (0.1, 0.6)) == pytest.approx(-0.08 * 0.18, abs=1e-12)

@@ -195,7 +195,7 @@ def test_synth_zero_last_layer(tmp_path, capsys):
     arch_path = tmp_path / "arch.json"
     save_network(NetworkSpec(2, (first, last)), arch_path)
     target_path = tmp_path / "zero.poly"
-    target_path.write_text(poly_to_text(MultiPoly.zero(2)))
+    target_path.write_text(poly_to_text(MultiPoly(2)))
     rc = main(["synth", "--arch", str(arch_path), "--targets", str(target_path),
                "--out", str(tmp_path / "solved.json")])
     assert rc == 0

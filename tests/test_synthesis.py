@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from polynet import synthesis
+from polynet import multipoly, synthesis
 from polynet import (
+    ConfigurationError,
     Dataset,
     DimensionError,
     Identity,
@@ -25,7 +26,6 @@ from polynet import (
     build_coefficient_system,
     build_data_system,
     class_target_poly,
-    coefficient,
     compress_network,
     expand_network,
     expansion_degree,
@@ -43,7 +43,7 @@ from polynet.experiments import (
     two_class_points,
     two_class_targets,
 )
-from polynet.multipoly import grlex_monomials
+from polynet.multipoly import _MixedZeros, grlex_monomials
 
 # Class polynomials for the 4-example table, derived independently with pencil
 # and paper from the product-of-negated-squared-distances construction.
@@ -82,11 +82,11 @@ def test_class_target_polys_match_hand_derivation():
     class3 = class_target_poly(table, 3.0)
     class8 = class_target_poly(table, 8.0)
     for e in degree4_monomials():
-        assert coefficient(class3, e) == pytest.approx(CLASS3_TARGET.get(e, 0.0), abs=1e-12)
-        assert coefficient(class8, e) == pytest.approx(CLASS8_TARGET.get(e, 0.0), abs=1e-12)
+        assert class3.terms.get(e, 0.0) == pytest.approx(CLASS3_TARGET.get(e, 0.0), abs=1e-12)
+        assert class8.terms.get(e, 0.0) == pytest.approx(CLASS8_TARGET.get(e, 0.0), abs=1e-12)
     # cross terms x1^3 x2 and x1 x2^3 cancel structurally
-    assert coefficient(class3, (3, 1)) == 0.0
-    assert coefficient(class3, (1, 3)) == 0.0
+    assert class3.terms.get((3, 1), 0.0) == 0.0
+    assert class3.terms.get((1, 3), 0.0) == 0.0
 
 
 # [(exponents, coefficient.hex())] of the table-1 class polynomials, in dict order
@@ -129,6 +129,25 @@ def test_class_target_trivial_cases():
     assert dict(p.terms) == {(2,): -1.0}
     with pytest.raises(UsageError, match="no examples with label"):
         class_target_poly(ds, 7.0)
+
+
+class ProductTaken(Exception):
+    pass
+
+
+def test_class_target_poly_refuses_oversized_products_up_front(monkeypatch):
+    # n examples of a class in d inputs multiply out to up to C(d + 2n, d) terms;
+    # the count is checked before the first polynomial product
+    def no_products(p, q):
+        raise ProductTaken
+
+    monkeypatch.setattr(multipoly, "poly_mul", no_products)
+    rng = np.random.default_rng(14)
+    for n, error in ((99, ProductTaken), (100, ConfigurationError)):  # C(200, 2) = 19900, C(202, 2) = 20301
+        with pytest.raises(error):
+            class_target_poly(Dataset(rng.uniform(-1.0, 1.0, (n, 2)), np.zeros(n)), 0.0)
+    with pytest.raises(ConfigurationError, match=r"C\(83, 3\) = 91881 terms"):  # 40 examples in 3 inputs
+        class_target_poly(Dataset(rng.uniform(-1.0, 1.0, (40, 3)), np.zeros(40)), 0.0)
 
 
 def test_unknown_layout_round_trip():
@@ -245,7 +264,7 @@ def test_solver_stops_immediately_at_a_root():
 def test_zero_last_layer_gives_one_equation_per_output():
     first = LayerSpec(np.zeros((2, 3)), MonomialPower(2))
     last = LayerSpec(np.zeros((1, 3)), PolyActivation(UniPoly((0.0,))))
-    system = build_coefficient_system(NetworkSpec(2, (first, last)), [MultiPoly.zero(2)])
+    system = build_coefficient_system(NetworkSpec(2, (first, last)), [MultiPoly(2)])
     assert system.arity == 1
     _, report = solve_system(system)
     assert report.converged
@@ -441,23 +460,32 @@ def chunk_test_system(kind):
     return lambda: build_coefficient_system(arch, targets), rng.uniform(-1.0, 1.0, 17)
 
 
-# budgets that give chunks of 1, 2 and 5 weight sets
+# budgets that give chunks of 1, 2 and 5 weight sets; "zero" sets weight 5 to
+# exactly 0, which every perturbed set but set 5 shares, so the one chunk that
+# holds set 5 runs set by set while the chunks around it stack
 @pytest.mark.parametrize(
-    "kind, budget, sets",
-    [pytest.param("data", b, n, id=str(b)) for b, n in ((1, 1), (60, 2), (150, 5))]
-    + [pytest.param("coefficient", b, n, id=f"coefficient-{b}") for b, n in ((1, 1), (240, 2), (600, 5))],
+    "kind, budget, sets, zero",
+    [pytest.param("data", b, n, False, id=str(b)) for b, n in ((1, 1), (60, 2), (150, 5))]
+    + [pytest.param("coefficient", b, n, False, id=f"coefficient-{b}") for b, n in ((1, 1), (240, 2), (600, 5))]
+    + [pytest.param("coefficient", b, n, True, id=f"coefficient-zero-{b}") for b, n in ((1, 1), (240, 2), (600, 5))],
 )
-def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets):
+def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, zero):
     build, w = chunk_test_system(kind)
+    if zero:
+        w[5] = 0.0
     whole = build()
     J = residual_jacobian(whole, w, whole.residuals(w))
     monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget)
     chunked = build()
-    stacked = []
+    stacked, fallbacks = [], []
     run_layers = synthesis._run_layers
 
     def spy(layers, h):
-        out = run_layers(layers, h)
+        try:
+            out = run_layers(layers, h)
+        except _MixedZeros:
+            fallbacks.append(h)
+            raise
         # weight sets per call: stacked input rows (data), or entries of stacked coefficients
         stacked.append(len(h) if kind == "data" else max(np.size(c) for p in out for c in p.terms.values()))
         return out
@@ -465,6 +493,7 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets):
     monkeypatch.setattr(synthesis, "_run_layers", spy)
     assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
     assert max(stacked) == sets
+    assert len(fallbacks) == (zero and sets > 1)
 
 
 def test_non_finite_weights_raise_in_both_system_kinds():
