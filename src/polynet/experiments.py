@@ -205,7 +205,7 @@ def _run_exp4(doc: ReportDocument, cfg: SolverConfig, trace) -> None:
     target = regression_target()
     axis = (0.0, 0.5, 1.0)
     X = np.array([(u, v) for u in axis for v in axis])
-    y = np.array([poly_eval(target, x) for x in X])
+    y = poly_eval(target, X)
     ds = Dataset(X, y)
     arch = _square_arch(4, 1)
     system = build_data_system(arch, ds)

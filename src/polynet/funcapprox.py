@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigurationError, NumericError, ParseError, UsageError
 
@@ -141,6 +140,19 @@ def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson over an odd number of samples, with the arithmetic of
+    scipy.integrate.simpson(y, x=x) (its variable-spacing form), bit for bit."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    r = np.divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv_r = np.divide(1.0, r, out=np.zeros_like(r), where=r != 0)
+    h_ratio = np.divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    parts = hsum / 6.0 * (y[:-2:2] * (2.0 - inv_r) + y[1::2] * (hsum * h_ratio) + y[2::2] * (2.0 - r))
+    return float(np.sum(parts))
+
+
 def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
     """Fit a trigonometric series to f on [-l, l] by composite-Simpson quadrature.
 
@@ -155,12 +167,12 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
         raise ConfigurationError(f"domain [{f.lo}, {f.hi}] does not contain [-{l}, {l}]")
     xs = np.linspace(-l, l, SIMPSON_PANELS + 1)
     ys = _samples(f, xs)
-    a0 = float(simpson(ys, x=xs)) / l
+    a0 = _simpson(ys, xs) / l
     a, b = [], []
     for n in range(1, n_terms + 1):
         theta = n * np.pi * xs / l
-        a.append(float(simpson(ys * np.cos(theta), x=xs)) / l)
-        b.append(float(simpson(ys * np.sin(theta), x=xs)) / l)
+        a.append(_simpson(ys * np.cos(theta), xs) / l)
+        b.append(_simpson(ys * np.sin(theta), xs) / l)
     return FourierSeries(l, a0, tuple(a), tuple(b))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class MultiPoly:
     Instances are treated as immutable; operations return new objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_compiled")
     __array_ufunc__ = None  # ndarray * MultiPoly and ndarray + MultiPoly defer to MultiPoly
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
@@ -97,6 +97,7 @@ class MultiPoly:
                 clean[key] = c
         self.nvars = nvars
         self.terms = clean
+        self._compiled = None
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
@@ -106,6 +107,7 @@ class MultiPoly:
         """
         p = object.__new__(cls)
         p.nvars = nvars
+        p._compiled = None
         try:
             p.terms = {e: c for e, c in terms.items() if c != 0.0}
         except ValueError:  # an (m,) coefficient has no single truth value
@@ -225,19 +227,38 @@ def apply_univariate(phi: UniPoly, p: MultiPoly) -> MultiPoly:
     return phi(p)
 
 
-def poly_eval(p: MultiPoly, x: Iterable[float]) -> float:
-    """Evaluate at a point; integer powers by repeated multiplication."""
-    xs = [float(v) for v in x]
-    if len(xs) != p.nvars:
-        raise DimensionError(f"point has length {len(xs)}, expected {p.nvars}")
-    total = 0.0
-    for e, c in p.terms.items():
-        term = c
-        for v, k in zip(xs, e):
-            for _ in range(k):
-                term *= v
-        total += term
-    return total
+def _compile(p: MultiPoly) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """p's evaluation plan, built once: the coefficients in dict order behind a
+    leading 0.0, and one (j, mask of terms with e_j >= s) step per power s of x_j."""
+    if p._compiled is None:
+        exps = np.array([(0,) * p.nvars, *p.terms], dtype=np.int64)
+        coeffs = np.array([0.0, *p.terms.values()])
+        steps = [(j, exps[:, j] >= s) for j in range(p.nvars) for s in range(1, exps[:, j].max() + 1)]
+        p._compiled = (coeffs, steps)
+    return p._compiled
+
+
+def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
+    """Evaluate at one point, shape (d,), giving a float, or at n points, shape
+    (n, d), giving an (n,) array.
+
+    Each term is its coefficient times x_j once per unit of e_j, j ascending,
+    and the terms are summed left to right in dict order from 0.0, so every
+    value has the bits of that plain per-term loop.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"points have shape {x.shape}, expected ({p.nvars},) or (n, {p.nvars})")
+    if x.shape[-1] != p.nvars:
+        raise DimensionError(f"point has length {x.shape[-1]}, expected {p.nvars}")
+    coeffs, steps = _compile(p)
+    terms = np.tile(coeffs, x.shape[:-1] + (1,))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
+        for j, mask in steps:
+            np.multiply(terms, x[..., j, None], out=terms, where=mask)
+        # accumulate adds strictly left to right; np.sum would add pairwise
+        np.add.accumulate(terms, axis=-1, out=terms)
+    return float(terms[-1]) if x.ndim == 1 else terms[:, -1].copy()
 
 
 def truncate_degree(p: MultiPoly, max_degree: int) -> MultiPoly:

@@ -1,6 +1,10 @@
 """Activation surrogates: trigonometric series route and least-squares route."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,14 @@ from polynet import (
     unipoly_from_text,
     unipoly_to_text,
 )
-from polynet.funcapprox import COEFF_MAGNITUDE_LIMIT, TERM_TOL, _samples, check_trig_substitution
+from polynet.funcapprox import (
+    COEFF_MAGNITUDE_LIMIT,
+    SIMPSON_PANELS,
+    TERM_TOL,
+    _samples,
+    _simpson,
+    check_trig_substitution,
+)
 
 SIGMOID_AT_1 = 1.0 / (1.0 + math.exp(-1.0))
 
@@ -132,6 +143,30 @@ def test_fourier_quadrature_converged_at_default_panels():
     a0 = simpson(ys, x=xs) / 8.0
     assert abs(fs.b[0] - b1) <= 1e-6
     assert abs(fs.a0 - a0) <= 1e-6
+
+
+@pytest.mark.parametrize("half_period", (1e-3, 0.5, 2.0, 8.0, 37.5, 1e6))
+def test_simpson_has_the_bits_of_scipy(half_period):
+    xs = np.linspace(-half_period, half_period, SIMPSON_PANELS + 1)
+    ys = _samples(builtin("tanh", -half_period, half_period), xs)
+    rng = np.random.default_rng(5)
+    for y in (ys, ys * np.sin(3 * np.pi * xs / half_period), rng.normal(size=xs.size) * 1e8):
+        assert _simpson(y, xs).hex() == float(simpson(y, x=xs)).hex()
+    # the series coefficients are the scipy quadrature's, divided by l
+    fs = fourier_fit(builtin("tanh", -half_period, half_period), half_period, 3)
+    assert fs.a0.hex() == (float(simpson(ys, x=xs)) / half_period).hex()
+    b3 = float(simpson(ys * np.sin(3 * np.pi * xs / half_period), x=xs)) / half_period
+    assert fs.b[2].hex() == b3.hex()
+
+
+def test_importing_polynet_leaves_out_scipy_integrate():
+    # importing scipy.integrate adds over 20 MB of RSS to every process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, polynet, polynet.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_fourier_energy_bound():

@@ -8,11 +8,16 @@ import pytest
 
 from polynet import (
     DimensionError,
+    Identity,
+    LayerSpec,
+    MonomialPower,
     MultiPoly,
+    NetworkSpec,
     ParseError,
     UniPoly,
     UsageError,
     apply_univariate,
+    expand_network,
     poly_add,
     poly_eval,
     poly_from_text,
@@ -124,6 +129,75 @@ def test_eval_plain_monomials():
     assert poly_eval(p, (2.0, 5.0)) == 3.0 * 4.0 * 5.0 - 1.0
     with pytest.raises(DimensionError, match="length 1, expected 2"):
         poly_eval(p, [1.0])
+
+
+def loop_eval(p, x):
+    """The per-term loop poly_eval compiles, kept as the reference for its bits:
+    x_j multiplied in once per unit of e_j, terms summed in dict order from 0.0."""
+    xs = [float(v) for v in x]
+    total = 0.0
+    for e, c in p.terms.items():
+        term = c
+        for v, k in zip(xs, e):
+            for _ in range(k):
+                term *= v
+        total += term
+    return total
+
+
+def assert_loop_bits(p, X):
+    """poly_eval at each row and on all rows at once has the loop's bits."""
+    want = [loop_eval(p, x).hex() for x in X]
+    assert [poly_eval(p, x).hex() for x in X] == want
+    assert [v.hex() for v in poly_eval(p, np.asarray(X, dtype=float)).tolist()] == want
+
+
+# (inputs, hidden degree): a biased power expands to all C(d + D, d) monomials, 10 to 3003
+ORACLE_SHAPES = ((2, 3), (3, 4), (4, 5), (2, 8), (5, 6), (6, 8))
+
+
+@pytest.mark.parametrize("scale", (1e-3, 1.0, 1e2))
+def test_eval_has_the_bits_of_the_per_term_loop(scale):
+    rng = np.random.default_rng(int(round(math.log10(scale))) + 40)
+    for d, degree in ORACLE_SHAPES:
+        hidden = LayerSpec(rng.uniform(-scale, scale, (3, d + 1)), MonomialPower(degree))
+        net = NetworkSpec(d, (hidden, LayerSpec(rng.uniform(-scale, scale, (1, 4)), Identity())))
+        (p,) = expand_network(net)
+        assert len(p.terms) == math.comb(d + degree, d)
+        assert_loop_bits(p, rng.uniform(-1.0, 1.0, (6, d)))
+        # the ring's _trusted results, a truncation and a text round trip
+        assert_loop_bits(p * p if len(p.terms) < 100 else -p, rng.uniform(-1.0, 1.0, (3, d)))
+        assert_loop_bits(truncate_degree(p, degree - 1), rng.uniform(-1.0, 1.0, (3, d)))
+        assert_loop_bits(poly_from_text(poly_to_text(p)), rng.uniform(-1.0, 1.0, (3, d)))
+
+
+def test_eval_edge_cases_have_the_loop_bits():
+    zeros = [(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    assert_loop_bits(MultiPoly(2), zeros + [(1.5, -2.0)])
+    assert poly_eval(MultiPoly(2), (1.0, 2.0)).hex() == (0.0).hex()
+    assert_loop_bits(MultiPoly.constant(2, -2.5), zeros + [(1.5, -2.0)])
+    # every term is -0.0 here: only a sum started from 0.0 comes out +0.0
+    minus_zero = MultiPoly(2, {(1, 0): -1.0, (0, 1): -2.0, (1, 1): -3.0, (2, 0): -0.5})
+    assert poly_eval(minus_zero, (0.0, 0.0)).hex() == (0.0).hex()
+    # overflow to inf and inf - inf = nan pass silently, as in the loop
+    assert_loop_bits(minus_zero, zeros + [(1e-200, -1e-200), (1e200, 1e200), (1e200, -1e200)])
+    trusted = MultiPoly._trusted(2, {(1, 1): 0.5, (0, 0): 0.0, (2, 0): -1.0, (0, 3): 1e-300})
+    assert_loop_bits(trusted, zeros + [(3.0, -1e-100), (-2.0, 7.0)])
+    # the compiled form is built on first use and reused
+    plan = trusted._compiled
+    assert plan is not None
+    assert_loop_bits(trusted, [(0.25, 0.5)])
+    assert trusted._compiled is plan
+
+
+def test_eval_refuses_wrong_shapes():
+    p = MultiPoly(2, {(2, 1): 3.0, (0, 0): -1.0})
+    with pytest.raises(DimensionError, match="length 3, expected 2"):
+        poly_eval(p, np.ones((4, 3)))
+    with pytest.raises(DimensionError, match=r"shape \(2, 2, 2\)"):
+        poly_eval(p, np.ones((2, 2, 2)))
+    with pytest.raises(DimensionError):
+        poly_eval(p, 1.0)
 
 
 def test_pow_matches_repeated_multiplication():
