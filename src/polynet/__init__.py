@@ -34,12 +34,8 @@ from .funcapprox import (
 )
 from .multipoly import (
     MultiPoly,
-    apply_univariate,
-    poly_add,
     poly_eval,
     poly_from_text,
-    poly_mul,
-    poly_pow,
     poly_to_text,
     truncate_degree,
 )

@@ -88,10 +88,6 @@ class FourierSeries:
     def n_terms(self) -> int:
         return len(self.a)
 
-    @property
-    def constant_term(self) -> float:
-        return 0.5 * self.a0
-
 
 @dataclass(frozen=True)
 class SampledFunction:

@@ -21,7 +21,6 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import DimensionError, ParseError, UsageError
-from .funcapprox import UniPoly
 
 Exponents = tuple[int, ...]
 
@@ -101,7 +100,9 @@ class MultiPoly:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """A polynomial from keys that are already valid: only exact zeros go.
+        """A polynomial that takes over a fresh dict whose keys are already
+        valid.  Only exact zeros go, deleted in place: rebuilding the dict
+        would hash every d-long key again.
 
         Raises _MixedZeros for an (m,) coefficient that is 0 in some entries only.
         """
@@ -109,9 +110,12 @@ class MultiPoly:
         p.nvars = nvars
         p._compiled = None
         try:
-            p.terms = {e: c for e, c in terms.items() if c != 0.0}
+            zeros = [e for e, c in terms.items() if c == 0.0]
         except ValueError:  # an (m,) coefficient has no single truth value
-            p.terms = {e: c for e, c in terms.items() if _kept(c)}
+            zeros = [e for e, c in terms.items() if not _kept(c)]
+        for e in zeros:
+            del terms[e]
+        p.terms = terms
         return p
 
     @classmethod
@@ -222,8 +226,8 @@ def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
     return MultiPoly.constant(p.nvars, 1.0) if result is None else result
 
 
-def apply_univariate(phi: UniPoly, p: MultiPoly) -> MultiPoly:
-    """phi composed with an arbitrary polynomial argument (phi's own Horner)."""
+def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
+    """A UniPoly phi composed with an arbitrary polynomial argument (phi's own Horner)."""
     return phi(p)
 
 

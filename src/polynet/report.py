@@ -56,10 +56,6 @@ class ReportDocument:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    @property
-    def exit_status(self) -> int:
-        return 0 if self.passed else 1
-
 
 def _measured_str(v: float) -> str:
     if v == 0.0 or 1e-4 <= abs(v) < 1e7:
@@ -95,4 +91,4 @@ def emit_report(doc: ReportDocument, machine: bool) -> int:
         n_checks = len(doc.checks)
         n_pass = sum(c.passed for c in doc.checks)
         out.write(f"checks: {n_pass}/{n_checks} passed\n")
-    return doc.exit_status
+    return 0 if doc.passed else 1

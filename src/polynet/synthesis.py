@@ -44,7 +44,6 @@ class SolverConfig:
     max_iters: int = 500
     tol_residual: float = 1e-10  # on the residual infinity norm
     seed: int = 0                # of the restart draws
-    start: tuple[float, ...] | None = None  # first start; None is all ones
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -189,13 +188,15 @@ def _chunk(arch: NetworkSpec, arity: int) -> int:
 
 def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run) -> ResidualSystem:
     """Residuals run(Ws) - targets, where run maps up to _chunk weight sets
-    (k, unknowns) to outputs (k, arity)."""
+    (k, unknowns) to outputs (k, arity).  Overflow to inf or nan is silent:
+    the solver's finiteness checks report it."""
     chunk = _chunk(arch, targets.size)
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(Ws)):
             raise StructuralError("weights must be finite")
-        return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
 
     return ResidualSystem(network_weights(arch).size, targets.size, batch_fn)
 
@@ -218,18 +219,7 @@ def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
     return J
 
 
-def _starts(cfg: SolverConfig, p: int) -> Iterator[np.ndarray]:
-    first = np.ones(p) if cfg.start is None else np.asarray(cfg.start, dtype=float)
-    if first.shape != (p,):
-        raise DimensionError(f"start vector has shape {first.shape}, expected ({p},)")
-    yield first
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(RESTARTS):
-        yield rng.uniform(-1.0, 1.0, p)
-
-
-def _lm(system: ResidualSystem, w0: np.ndarray, cfg: SolverConfig, trace) -> tuple[np.ndarray, bool, int, float]:
-    w = np.asarray(w0, dtype=float).copy()
+def _lm(system: ResidualSystem, w: np.ndarray, cfg: SolverConfig, trace) -> tuple[np.ndarray, bool, int, float]:
     r = system.residuals(w)
     if not np.all(np.isfinite(r)):
         raise NumericError("residuals are not finite at the initial point")
@@ -284,17 +274,18 @@ def solve_system(
     multiplied by 10 whenever a step is rejected and divided by 10 when
     one is accepted.  Iteration stops on residual infinity-norm at or
     below tol_residual, a step shorter than 1e-14, or max_iters.  The first
-    attempt starts from config.start (all ones when None); the next 16
-    start from uniform(-1, 1) draws seeded by config.seed.  The first
-    converged attempt wins, deterministically for a fixed seed.  When no
-    attempt converges the best attempt (lowest residual norm) is returned
-    with converged=False.
+    attempt starts from all ones; the next 16 start from uniform(-1, 1)
+    draws seeded by config.seed.  The first converged attempt wins,
+    deterministically for a fixed seed.  When no attempt converges the
+    best attempt (lowest residual norm) is returned with converged=False.
 
     Returns (weights, SolveReport).
     """
     cfg = config if config is not None else SolverConfig()
+    rng = np.random.default_rng(cfg.seed)
     best: tuple[np.ndarray, int, float] | None = None
-    for attempt, w0 in enumerate(_starts(cfg, system.unknowns)):
+    for attempt in range(RESTARTS + 1):
+        w0 = np.ones(system.unknowns) if attempt == 0 else rng.uniform(-1.0, 1.0, system.unknowns)
         w, converged, iters, norm = _lm(system, w0, cfg, trace)
         if converged:
             return w, SolveReport(True, iters, norm, attempt)

@@ -244,6 +244,18 @@ def test_fit_data_reports_nonconvergence(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
+def test_fit_data_overflow_is_reported_once(tmp_path, capsys):
+    arch_path = tmp_path / "arch.json"
+    save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2)), MonomialPower(2)),)), arch_path)
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("f1,y\n1e200,0\n")  # (1 + 1e200)^2 overflows at the first start
+    rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: residuals are not finite at the initial point\n"
+
+
 def test_compress_command(tmp_path):
     teacher_path = tmp_path / "teacher.json"
     base = load_reference_network(2)
@@ -346,6 +358,52 @@ def test_expansion_over_budget_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: expanding to degree 16 in 10 inputs")
     assert not out_path.exists()
+
+
+NET = '{"input_dim": 1, "layers": [%s]}'
+LAYER = '{"weights": [[0, 1]], "activation": %s}'
+
+
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("expand", "{", "invalid JSON: "),
+        ("expand", "[]", "top level must be an object"),
+        ("expand", '{"input_dim": 0, "layers": []}', "'input_dim' must be a positive integer"),
+        ("expand", '{"input_dim": true, "layers": []}', "'input_dim' must be a positive integer"),
+        ("expand", NET % "", "'layers' must be a non-empty list"),
+        ("expand", NET % "1", "layer 0: must be an object"),
+        ("expand", NET % '{"weights": [[0, 1], [0]]}', "layer 0: 'weights' must be a rectangular numeric matrix"),
+        ("expand", NET % '{"weights": [[0, "1"]]}', "layer 0: 'weights' must be a rectangular numeric matrix"),
+        ("expand", NET % '{"weights": [[0, 1]]}', "layer 0: activation must be an object with a 'kind' field"),
+        ("expand", NET % (LAYER % '{"kind": "power", "k": 0}'), "layer 0: power activation needs a positive integer 'k'"),
+        ("expand", NET % (LAYER % '{"kind": "power", "k": 2.0}'), "layer 0: power activation needs a positive integer 'k'"),
+        ("expand", NET % (LAYER % '{"kind": "poly", "coeffs": []}'),
+         "layer 0: poly activation needs a non-empty numeric 'coeffs' list"),
+        ("expand", NET % (LAYER % '{"kind": "poly", "coeffs": [true]}'),
+         "layer 0: poly activation needs a non-empty numeric 'coeffs' list"),
+        ("expand", NET % (LAYER % '{"kind": "relu"}'), "layer 0: unknown activation kind 'relu'"),
+        ("fit-data", "", "empty CSV"),
+        ("fit-data", "x,y\n1,2\n", "expected header f1,...,fd,y, got 'x,y'"),
+        ("fit-data", "f1,y\n", "dataset has no example rows"),
+        ("synth", "", "empty polynomial text"),
+        ("synth", "poly nvars=two\n", "line 1: bad variable count in 'poly nvars=two'"),
+        ("synth", "poly nvars=0\n", "nvars must be at least 1"),
+    ],
+)
+def test_bad_inputs_exit_2(verb, text, message, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_text(text)
+    arch = tmp_path / "arch.json"
+    save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), arch)
+    inputs = {"expand": ["--net", str(bad), "--out", str(tmp_path / "out.poly")],
+              "fit-data": ["--arch", str(arch), "--data", str(bad)],
+              "synth": ["--arch", str(arch), "--targets", str(bad)]}
+    rc = main([verb, *inputs[verb]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -103,7 +103,7 @@ def test_fourier_fit_recovers_a_pure_sine():
     f = SampledFunction(lambda x: math.sin(math.pi * x), -1.0, 1.0)
     fs = fourier_fit(f, 1.0, 3)
     assert abs(fs.b[0] - 1.0) <= 1e-10
-    assert abs(fs.constant_term) <= 1e-10
+    assert abs(0.5 * fs.a0) <= 1e-10
     assert max(abs(v) for v in fs.a) <= 1e-10
     assert max(abs(v) for v in fs.b[1:]) <= 1e-10
 
@@ -111,14 +111,14 @@ def test_fourier_fit_recovers_a_pure_sine():
 def test_fourier_fit_recovers_a_constant():
     f = SampledFunction(lambda x: 0.7, -2.0, 2.0)
     fs = fourier_fit(f, 2.0, 4)
-    assert abs(fs.constant_term - 0.7) <= 1e-12
+    assert abs(0.5 * fs.a0 - 0.7) <= 1e-12
     assert max(abs(v) for v in fs.a + fs.b) <= 1e-12
 
 
 def test_fourier_sigmoid_cosine_terms_vanish():
     # sigmoid(x) - 1/2 is odd, so the cosine side carries nothing
     fs = fourier_fit(sigmoid8(), 8.0, 8)
-    assert abs(fs.constant_term - 0.5) <= 1e-8
+    assert abs(0.5 * fs.a0 - 0.5) <= 1e-8
     assert max(abs(v) for v in fs.a) <= 1e-8
     assert fs.n_terms == 8
 
@@ -174,7 +174,7 @@ def test_fourier_energy_bound():
     f = sigmoid8()
     fs = fourier_fit(f, 8.0, 8)
     grid = np.linspace(-8.0, 8.0, 4097)
-    vals = np.array(_samples(f, grid)) - fs.constant_term
+    vals = np.array(_samples(f, grid)) - 0.5 * fs.a0
     fn_energy = np.trapezoid(vals * vals, grid) / 8.0
     series_energy = sum(a * a + b * b for a, b in zip(fs.a, fs.b))
     assert series_energy <= fn_energy + 1e-9

@@ -16,17 +16,13 @@ from polynet import (
     ParseError,
     UniPoly,
     UsageError,
-    apply_univariate,
     expand_network,
-    poly_add,
     poly_eval,
     poly_from_text,
-    poly_mul,
-    poly_pow,
     poly_to_text,
     truncate_degree,
 )
-from polynet.multipoly import grlex_monomials
+from polynet.multipoly import apply_univariate, grlex_monomials, monomial_label, poly_add, poly_mul, poly_pow
 
 
 def random_poly(rng, nvars, max_degree=3, max_terms=6):
@@ -71,6 +67,16 @@ def test_graded_lex_iteration_order():
     exps = [e for e, _ in p.items_grlex()]
     assert exps == sorted(exps, key=lambda e: (sum(e), e))
     assert exps[0] == (0, 0) and exps[-1] == (2, 0)
+
+
+def test_text_form():
+    assert str(MultiPoly(2)) == "0"
+    assert repr(MultiPoly(2)) == "MultiPoly(2, {})"
+    assert str(MultiPoly.constant(2, -1.5)) == "-1.5"
+    p = MultiPoly(2, {(2, 1): 3.0, (0, 0): 0.5, (1, 0): -2.0})
+    assert str(p) == "0.5 + -2*x1 + 3*x1^2*x2"
+    assert repr(p) == "MultiPoly(2, {(0, 0): 0.5, (1, 0): -2.0, (2, 1): 3.0})"
+    assert [monomial_label(e) for e in ((0, 0), (0, 1), (2, 1))] == ["1", "x2", "x1^2*x2"]
 
 
 def test_grlex_monomials_enumerates_the_full_basis():

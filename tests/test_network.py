@@ -1,6 +1,7 @@
 """Network model: validation, forward pass, symbolic expansion, serialization."""
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ def test_specs_compare_and_hash_by_identity():
     names = {net: "square"}
     assert names[net] == "square"
     assert net._pairs is net._pairs  # still cached on the frozen instance
+
+
+def test_network_needs_inputs_and_layers():
+    with pytest.raises(StructuralError, match="input_dim must be at least 1"):
+        NetworkSpec(0, (LayerSpec(np.zeros((1, 2))),))
+    with pytest.raises(StructuralError, match="at least one layer"):
+        NetworkSpec(2, ())
 
 
 def test_network_chaining_mismatch_names_the_layer():
@@ -280,6 +288,22 @@ def test_expansion_golden_bits_and_order():
     ))
     (poly,) = expand_network(net)
     assert [(e, c.hex()) for e, c in poly.terms.items()] == GOLDEN_TERMS
+
+
+def test_wide_linear_expansion_is_fast_and_exact():
+    # d + 1 terms, but each ring sum used to rehash every d-long key: 2000
+    # inputs took 23 s, and take about 1 s on a shared 2-vCPU machine
+    d = 2000
+    w = np.random.default_rng(3).uniform(-1.0, 1.0, (1, d + 1))
+    net = NetworkSpec(d, (LayerSpec(w),))
+    start = time.perf_counter()
+    (poly,) = expand_network(net)
+    elapsed = time.perf_counter() - start
+    want = {(0,) * d: w[0, 0]}
+    for j in range(d):
+        want[tuple(int(k == j) for k in range(d))] = w[0, j + 1]
+    assert list(poly.terms.items()) == list(want.items())
+    assert elapsed < 8.0
 
 
 def test_expansion_budget_refuses_at_once():

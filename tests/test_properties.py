@@ -31,11 +31,9 @@ from polynet import (  # noqa: E402
     expand_network,
     expansion_degree,
     forward,
-    poly_add,
     poly_eval,
-    poly_mul,
-    poly_pow,
 )
+from polynet.multipoly import poly_add, poly_mul, poly_pow  # noqa: E402
 
 EPS = np.finfo(float).eps
 C_BOUND = 256

@@ -18,6 +18,7 @@ from polynet import (
     MultiPoly,
     NetworkSpec,
     PolyActivation,
+    ResidualSystem,
     SolveReport,
     SolverConfig,
     StructuralError,
@@ -227,7 +228,7 @@ def test_data_system_requires_single_output():
 def test_data_system_bias_only_fit():
     arch = NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),))
     system = build_data_system(arch, Dataset(np.array([[0.0]]), np.array([3.0])))
-    w, report = solve_system(system, SolverConfig(start=(0.0, 0.0)))
+    w, report = solve_system(system)
     assert report.converged
     net = with_weights(arch, w)
     assert forward(net, [0.0])[0] == pytest.approx(3.0, abs=1e-8)
@@ -251,10 +252,10 @@ def test_forward_difference_jacobian_matches_central():
 
 def test_solver_stops_immediately_at_a_root():
     arch = square_arch(4, 1)
-    w_star = np.arange(1, 18, dtype=float) / 10.0
+    w_star = np.ones(17)  # the first start
     target = expand_network(with_weights(arch, w_star))[0]
     system = build_coefficient_system(arch, [target])
-    w, report = solve_system(system, SolverConfig(start=tuple(w_star)))
+    w, report = solve_system(system)
     assert report.converged
     assert report.iterations == 0
     assert report.restarts_used == 0
@@ -428,21 +429,18 @@ def test_coefficient_jacobian_keeps_its_bits_at_exact_zero_weights():
 
 
 def test_stacked_coefficients_overflow_as_floats_do():
-    # Squares of 1e120 weights overflow to inf, and sums of opposite infs give nan.
-    # numpy reports the overflow after the float path's object loops, and in the
-    # stacked arrays' own operations; the values agree bit for bit.
+    # Squares of 1e120 weights overflow to inf, and sums of opposite infs give nan,
+    # in the float path's object loops and in the stacked arrays' own operations.
+    # Both stay silent (the solver's finiteness checks report them), and the
+    # values agree bit for bit.
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     Ws = 1e120 * np.random.default_rng(13).uniform(-1.0, 1.0, (5, system.unknowns))
-    for call in (lambda: system.batch_fn(Ws), lambda: system.residuals(Ws[0])):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        assert any("overflow encountered" in str(w.message) for w in caught)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         R = system.batch_fn(Ws)
-        assert np.isinf(R).any() and np.isnan(R).any()
-        assert_same_bits(R, np.array([system.residuals(w) for w in Ws]))
+        single = np.array([system.residuals(w) for w in Ws])
+    assert np.isinf(R).any() and np.isnan(R).any()
+    assert_same_bits(R, single)
 
 
 def chunk_test_system(kind):
@@ -515,10 +513,44 @@ def test_solver_reports_failure_honestly():
     assert np.isfinite(report.final_residual_norm)
 
 
-def test_initial_vector_length_is_checked():
-    system = build_coefficient_system(square_arch(4, 1), [regression_target()])
-    with pytest.raises(DimensionError, match="expected"):
-        solve_system(system, SolverConfig(start=(1.0, 2.0)))
+def bias_only_system(rows):
+    """Data system of y = w0 + w1 * x on (x, y) rows."""
+    X, y = np.array(rows).T
+    return build_data_system(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), Dataset(X[:, None], y))
+
+
+def lm_from_ones(system):
+    """One solver attempt from all ones: (converged, iterations, Jacobians
+    evaluated, step norm of each iteration)."""
+    jacobians = []
+
+    def batch_fn(Ws):
+        jacobians.append(len(Ws) > 1)  # a Jacobian stacks one set per unknown
+        return system.batch_fn(Ws)
+
+    trace = io.StringIO()
+    counted = ResidualSystem(system.unknowns, system.arity, batch_fn)
+    _, converged, iterations, _ = synthesis._lm(counted, np.ones(system.unknowns), SolverConfig(), trace)
+    steps = [float(line.split(", ")[3]) for line in trace.getvalue().splitlines()]
+    return converged, iterations, sum(jacobians), steps
+
+
+def test_attempt_stops_when_no_damping_goes_downhill():
+    # one point with two labels: the fit stalls at w0 = 0.5, norm 0.5
+    converged, iterations, jacobians, steps = lm_from_ones(bias_only_system([(0.0, 0.0), (0.0, 1.0)]))
+    assert not converged
+    assert iterations < SolverConfig.max_iters
+    assert jacobians == iterations + 1  # the last Jacobian gave no step
+    assert min(steps) >= synthesis.STEP_EPS
+
+
+def test_attempt_stops_on_a_step_below_step_eps():
+    # as above at x = 1e11, where the third accepted step is 2.7e-16 long
+    converged, iterations, jacobians, steps = lm_from_ones(bias_only_system([(1e11, 0.0), (1e11, 1.0)]))
+    assert not converged
+    assert iterations < SolverConfig.max_iters
+    assert jacobians == iterations
+    assert steps[-1] < synthesis.STEP_EPS <= min(steps[:-1])
 
 
 def test_trace_stream_format():
@@ -549,12 +581,11 @@ def test_duplicated_teacher_matches_its_base():
 
 
 def test_compress_identity_is_a_fixed_point():
-    teacher = load_reference_network(2)
-    w = network_weights(teacher)
-    student, report = compress_network(teacher, teacher, 2, SolverConfig(start=tuple(w)))
+    teacher = with_weights(square_arch(4, 1), np.ones(17))  # weights at the first start
+    student, report = compress_network(teacher, teacher, 2)
     assert report.converged
     assert report.iterations == 0
-    assert np.array_equal(network_weights(student), w)
+    assert np.array_equal(network_weights(student), np.ones(17))
 
 
 def test_compress_eight_nodes_to_four():
