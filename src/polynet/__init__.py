@@ -62,7 +62,6 @@ from .network import (
 from .synthesis import (
     ResidualSystem,
     SolveReport,
-    SolverConfig,
     build_coefficient_system,
     build_data_system,
     class_target_poly,

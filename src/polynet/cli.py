@@ -25,25 +25,12 @@ from .funcapprox import (
 from .multipoly import poly_from_text, poly_to_text
 from .network import expand_network, load_network, load_dataset, save_network
 from .report import emit_report
-from .synthesis import (
-    SolverConfig,
-    build_coefficient_system,
-    build_data_system,
-    compress_network,
-    solve_system,
-    with_weights,
-)
+from .synthesis import build_coefficient_system, build_data_system, compress_network, solve_system, with_weights
 
 
 def _add_solver_flags(sub) -> None:
-    sub.add_argument("--seed", type=int, default=SolverConfig.seed, help="seed for solver restarts")
-    sub.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    sub.add_argument("--tol", type=float, default=SolverConfig.tol_residual)
+    sub.add_argument("--seed", type=int, default=0, help="seed for solver restarts")
     sub.add_argument("--trace", action="store_true", help="solver iterations to stderr")
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters, tol_residual=args.tol, seed=args.seed)
 
 
 def _trace(args):
@@ -165,7 +152,7 @@ def _cmd_synth(args) -> int:
     arch = load_network(args.arch)
     targets = [poly_from_text(Path(p).read_text()) for p in args.targets]
     system = build_coefficient_system(arch, targets)
-    w, report = solve_system(system, _solver_config(args), _trace(args))
+    w, report = solve_system(system, args.seed, _trace(args))
     return _save_and_report(args, with_weights(arch, w), report)
 
 
@@ -173,25 +160,27 @@ def _cmd_fit_data(args) -> int:
     arch = load_network(args.arch)
     ds = load_dataset(args.data)
     system = build_data_system(arch, ds)
-    w, report = solve_system(system, _solver_config(args), _trace(args))
+    w, report = solve_system(system, args.seed, _trace(args))
     return _save_and_report(args, with_weights(arch, w), report)
 
 
 def _cmd_compress(args) -> int:
     teacher = load_network(args.teacher)
     student_arch = load_network(args.student_arch)
-    student, report = compress_network(teacher, student_arch, args.degree, _solver_config(args), _trace(args))
+    student, report = compress_network(teacher, student_arch, args.degree, args.seed, _trace(args))
     return _save_and_report(args, student, report)
 
 
 def _cmd_verify(args) -> int:
-    doc = run_experiment(args.exp_id, _solver_config(args), _trace(args))
+    doc = run_experiment(args.exp_id, args.seed, _trace(args))
     return emit_report(doc, args.machine)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # before dispatch: verify-exp3 never solves
+            raise ConfigurationError("seed must be non-negative")
         return args.handler(args)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -128,6 +128,14 @@ def builtin(name: str, lo: float, hi: float) -> SampledFunction:
     return SampledFunction(fn, lo, hi)
 
 
+def _check_interval(f: SampledFunction, lo: float, hi: float) -> None:
+    """Refuse a sampling interval that is not finite and ordered, or that leaves f's domain."""
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigurationError("interval must be finite and satisfy lo < hi")
+    if f.lo > lo or f.hi < hi:
+        raise ConfigurationError(f"domain [{f.lo}, {f.hi}] does not contain [{lo}, {hi}]")
+
+
 def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
     ys = np.array([f.evaluator(float(x)) for x in xs], dtype=float)
     bad = np.flatnonzero(~np.isfinite(ys))
@@ -159,8 +167,7 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
         raise ConfigurationError("half-period l must be positive")
     if n_terms < 1:
         raise ConfigurationError("n_terms must be at least 1")
-    if f.lo > -l or f.hi < l:
-        raise ConfigurationError(f"domain [{f.lo}, {f.hi}] does not contain [-{l}, {l}]")
+    _check_interval(f, -l, l)
     xs = np.linspace(-l, l, SIMPSON_PANELS + 1)
     ys = _samples(f, xs)
     a0 = _simpson(ys, xs) / l
@@ -299,8 +306,7 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     approximates f better on the grid.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise ConfigurationError("interval must be finite and satisfy lo < hi")
+    _check_interval(f, lo, hi)
     if degree < 0:
         raise ConfigurationError("degree must be non-negative")
     if GRID_POINTS <= degree:
@@ -358,8 +364,7 @@ class ApproxError:
 def approx_error(f: SampledFunction, p: UniPoly, interval: tuple[float, float]) -> ApproxError:
     """Max-absolute and root-mean-square deviation of p from f on GRID_POINTS uniform points."""
     lo, hi = float(interval[0]), float(interval[1])
-    if not -math.inf < lo < hi < math.inf:
-        raise ConfigurationError("interval must be finite and satisfy lo < hi")
+    _check_interval(f, lo, hi)
     xs = np.linspace(lo, hi, GRID_POINTS)
     d = p(xs) - _samples(f, xs)
     return ApproxError(float(np.max(np.abs(d))), float(math.sqrt(np.mean(d * d))))

@@ -225,6 +225,15 @@ def network_to_json(net: NetworkSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_doubles(values, name: str, layer_index: int) -> None:
+    """Refuse JSON integers past the float range; LayerSpec and PolyActivation refuse inf and nan."""
+    for v in values:
+        try:
+            float(v)
+        except OverflowError:
+            raise ParseError(f"layer {layer_index}: '{name}' holds an integer too large for a double") from None
+
+
 def _activation_from_json(doc, layer_index: int) -> Activation:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError(f"layer {layer_index}: activation must be an object with a 'kind' field")
@@ -235,6 +244,7 @@ def _activation_from_json(doc, layer_index: int) -> Activation:
         k = doc.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ParseError(f"layer {layer_index}: power activation needs a positive integer 'k'")
+        _check_doubles((k,), "k", layer_index)
         return MonomialPower(k)
     if kind == "poly":
         coeffs = doc.get("coeffs")
@@ -242,6 +252,7 @@ def _activation_from_json(doc, layer_index: int) -> Activation:
             isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs
         ):
             raise ParseError(f"layer {layer_index}: poly activation needs a non-empty numeric 'coeffs' list")
+        _check_doubles(coeffs, "coeffs", layer_index)
         return PolyActivation(UniPoly(tuple(float(c) for c in coeffs)))
     raise ParseError(f"layer {layer_index}: unknown activation kind {kind!r}")
 
@@ -273,6 +284,7 @@ def network_from_json(text: str) -> NetworkSpec:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for r in rows for v in r)
         ):
             raise ParseError(f"layer {i}: 'weights' must be a rectangular numeric matrix")
+        _check_doubles((v for r in rows for v in r), "weights", i)
         layers.append(LayerSpec(np.array(rows, dtype=float), _activation_from_json(item.get("activation"), i)))
     return NetworkSpec(input_dim, tuple(layers))
 

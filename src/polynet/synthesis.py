@@ -15,7 +15,6 @@ fine; the damped normal matrix stays positive definite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -33,25 +32,12 @@ STEP_EPS = 1e-14    # step-norm termination
 DAMPING = 1e-3      # initial Levenberg-Marquardt lambda
 FD_STEP = 1e-7      # relative forward-difference step
 RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
+MAX_ITERS = 500     # accepted steps per attempt
+TOL_RESIDUAL = 1e-10  # on the residual infinity norm: an attempt at or below it has converged
 # Largest stacked layer intermediate (m weight sets x residuals x widest
 # layer input) of one batched residual call, in float64 elements (1 MiB);
 # a coefficient residual is a monomial whose coefficient holds m floats.
 CHUNK_ELEMENTS = 1 << 17
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 500
-    tol_residual: float = 1e-10  # on the residual infinity norm
-    seed: int = 0                # of the restart draws
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be at least 1")
-        if not 0 < self.tol_residual < math.inf:
-            raise ConfigurationError("tol_residual must be positive and finite")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -219,19 +205,27 @@ def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
     return J
 
 
-def _lm(system: ResidualSystem, w: np.ndarray, cfg: SolverConfig, trace) -> tuple[np.ndarray, bool, int, float]:
+def _finite(value, name: str):
+    """value, or NumericError naming it when any entry overflowed."""
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"{name} is not finite")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked, or rejects a trial step
+def _lm(system: ResidualSystem, w: np.ndarray, trace) -> tuple[np.ndarray, bool, int, float]:
     r = system.residuals(w)
     if not np.all(np.isfinite(r)):
         raise NumericError("residuals are not finite at the initial point")
     lam = DAMPING
     norm = float(np.max(np.abs(r)))
-    cost = 0.5 * float(r @ r)
+    cost = 0.5 * float(_finite(r @ r, "residual sum of squares r'r"))
     eye = np.eye(w.size)
     iterations = 0
-    while iterations < cfg.max_iters and norm > cfg.tol_residual:
+    while iterations < MAX_ITERS and norm > TOL_RESIDUAL:
         J = residual_jacobian(system, w, r)
-        A = J.T @ J
-        g = J.T @ r
+        A = _finite(J.T @ J, "normal matrix J'J")
+        g = _finite(J.T @ r, "gradient J'r")
         step = None
         while lam <= LAMBDA_MAX:
             try:
@@ -259,34 +253,31 @@ def _lm(system: ResidualSystem, w: np.ndarray, cfg: SolverConfig, trace) -> tupl
             print(f"{iterations}, {norm:.9e}, {lam:.3e}, {step_norm:.9e}", file=trace)
         if step_norm < STEP_EPS:
             break
-    return w, norm <= cfg.tol_residual, iterations, norm
+    return w, norm <= TOL_RESIDUAL, iterations, norm
 
 
-def solve_system(
-    system: ResidualSystem,
-    config: SolverConfig | None = None,
-    trace=None,
-) -> tuple[np.ndarray, SolveReport]:
+def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.ndarray, SolveReport]:
     """Levenberg-Marquardt on half the squared residual norm.
 
     Each outer iteration builds a forward-difference Jacobian and solves
     the damped normal equations (J'J + lambda I) delta = -J'r; lambda is
     multiplied by 10 whenever a step is rejected and divided by 10 when
     one is accepted.  Iteration stops on residual infinity-norm at or
-    below tol_residual, a step shorter than 1e-14, or max_iters.  The first
-    attempt starts from all ones; the next 16 start from uniform(-1, 1)
-    draws seeded by config.seed.  The first converged attempt wins,
-    deterministically for a fixed seed.  When no attempt converges the
+    below TOL_RESIDUAL, a step shorter than STEP_EPS, or MAX_ITERS accepted
+    steps.  The first attempt starts from all ones; the next RESTARTS start
+    from uniform(-1, 1) draws seeded by seed.  The first converged attempt
+    wins, deterministically for a fixed seed.  When no attempt converges the
     best attempt (lowest residual norm) is returned with converged=False.
 
     Returns (weights, SolveReport).
     """
-    cfg = config if config is not None else SolverConfig()
-    rng = np.random.default_rng(cfg.seed)
+    if seed < 0:
+        raise ConfigurationError("seed must be non-negative")
+    rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, int, float] | None = None
     for attempt in range(RESTARTS + 1):
         w0 = np.ones(system.unknowns) if attempt == 0 else rng.uniform(-1.0, 1.0, system.unknowns)
-        w, converged, iters, norm = _lm(system, w0, cfg, trace)
+        w, converged, iters, norm = _lm(system, w0, trace)
         if converged:
             return w, SolveReport(True, iters, norm, attempt)
         if best is None or norm < best[2]:
@@ -296,11 +287,7 @@ def solve_system(
 
 
 def compress_network(
-    teacher: NetworkSpec,
-    student_arch: NetworkSpec,
-    degree: int,
-    config: SolverConfig | None = None,
-    trace=None,
+    teacher: NetworkSpec, student_arch: NetworkSpec, degree: int, seed: int = 0, trace=None
 ) -> tuple[NetworkSpec, SolveReport]:
     """Fit a smaller architecture to the degree-truncated expansion of a
     trained network, by coefficient matching.  Mismatched inputs or outputs
@@ -312,5 +299,5 @@ def compress_network(
         )
     targets = [truncate_degree(p, degree) for p in expand_network(teacher)]
     system = build_coefficient_system(student_arch, targets)
-    w, report = solve_system(system, config, trace)
+    w, report = solve_system(system, seed, trace)
     return with_weights(student_arch, w), report

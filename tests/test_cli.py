@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
+import argparse
 import re
 
 import numpy as np
@@ -19,7 +20,7 @@ from polynet import (
     save_network,
     unipoly_from_text,
 )
-from polynet.cli import main
+from polynet.cli import build_parser, main
 from polynet.experiments import load_reference_network, regression_target
 
 CHECK_LINE = re.compile(r"^.+=.+ expected .+ ±.+ (PASS|FAIL)$")
@@ -238,22 +239,36 @@ def test_fit_data_reports_nonconvergence(tmp_path, capsys):
     # two different labels for the same point: no exact fit exists
     data_path.write_text("f1,y\n0,0\n0,1\n")
 
-    rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path),
-               "--max-iters", "2"])
+    rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path)])
     assert rc == 1
     assert "converged=False" in capsys.readouterr().out
 
 
-def test_fit_data_overflow_is_reported_once(tmp_path, capsys):
+def fit_power2(rows, tmp_path, capsys):
+    """fit-data of y = (w0 + w1 * x)^2 on CSV rows: (exit code, stdout, stderr)."""
     arch_path = tmp_path / "arch.json"
     save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2)), MonomialPower(2)),)), arch_path)
     data_path = tmp_path / "data.csv"
-    data_path.write_text("f1,y\n1e200,0\n")  # (1 + 1e200)^2 overflows at the first start
+    data_path.write_text("f1,y\n" + rows)
     rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path)])
-    assert rc == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "numeric error: residuals are not finite at the initial point\n"
+    return (rc, *capsys.readouterr())
+
+
+def test_fit_data_overflow_is_reported_once(tmp_path, capsys):
+    # (1 + 1e200)^2 overflows at the first start
+    err = "numeric error: residuals are not finite at the initial point\n"
+    assert fit_power2("1e200,0\n", tmp_path, capsys) == (1, "", err)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1e100,0\n", "residual sum of squares r'r is not finite"),  # r = 1e200 is finite, r'r is not
+        ("1e100,1e200\n0,0\n", "normal matrix J'J is not finite"),  # r = (0, 1), J holds 2e200
+    ],
+)
+def test_fit_data_normal_equations_overflow_is_reported_once(rows, message, tmp_path, capsys):
+    assert fit_power2(rows, tmp_path, capsys) == (1, "", f"numeric error: {message}\n")
 
 
 def test_compress_command(tmp_path):
@@ -362,6 +377,7 @@ def test_expansion_over_budget_exits_2(tmp_path, capsys):
 
 NET = '{"input_dim": 1, "layers": [%s]}'
 LAYER = '{"weights": [[0, 1]], "activation": %s}'
+BIG = "9" * 400  # a JSON integer past the float range
 
 
 @pytest.mark.parametrize(
@@ -383,6 +399,12 @@ LAYER = '{"weights": [[0, 1]], "activation": %s}'
         ("expand", NET % (LAYER % '{"kind": "poly", "coeffs": [true]}'),
          "layer 0: poly activation needs a non-empty numeric 'coeffs' list"),
         ("expand", NET % (LAYER % '{"kind": "relu"}'), "layer 0: unknown activation kind 'relu'"),
+        ("expand", NET % '{"weights": [[0, %s]], "activation": {"kind": "identity"}}' % BIG,
+         "layer 0: 'weights' holds an integer too large for a double"),
+        ("expand", NET % (LAYER % '{"kind": "poly", "coeffs": [1, %s]}' % BIG),
+         "layer 0: 'coeffs' holds an integer too large for a double"),
+        ("fit-data --arch", NET % (LAYER % '{"kind": "power", "k": %s}' % BIG),
+         "layer 0: 'k' holds an integer too large for a double"),
         ("fit-data", "", "empty CSV"),
         ("fit-data", "x,y\n1,2\n", "expected header f1,...,fd,y, got 'x,y'"),
         ("fit-data", "f1,y\n", "dataset has no example rows"),
@@ -396,23 +418,47 @@ def test_bad_inputs_exit_2(verb, text, message, tmp_path, capsys):
     bad.write_text(text)
     arch = tmp_path / "arch.json"
     save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), arch)
-    inputs = {"expand": ["--net", str(bad), "--out", str(tmp_path / "out.poly")],
-              "fit-data": ["--arch", str(arch), "--data", str(bad)],
-              "synth": ["--arch", str(arch), "--targets", str(bad)]}
-    rc = main([verb, *inputs[verb]])
+    data = tmp_path / "data.csv"
+    data.write_text("f1,y\n0,1\n")
+    argvs = {"expand": ["expand", "--net", str(bad), "--out", str(tmp_path / "out.poly")],
+             "fit-data": ["fit-data", "--arch", str(arch), "--data", str(bad)],
+             "fit-data --arch": ["fit-data", "--arch", str(bad), "--data", str(data)],
+             "synth": ["synth", "--arch", str(arch), "--targets", str(bad)]}
+    rc = main(argvs[verb])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + message)
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "flag", [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"], ["--seed", "-1"]]
-)
-def test_bad_solver_settings_exit_2(flag, capsys):
-    rc = main(["verify-exp2", *flag])
+@pytest.mark.parametrize("verb", ["verify-exp1", "verify-exp2", "verify-exp3", "verify-exp4", "synth", "fit-data",
+                                  "compress"])
+def test_bad_solver_settings_exit_2(verb, capsys):
+    # refused before the verb runs, so the named files need not exist
+    inputs = {"synth": ["--arch", "a.json", "--targets", "t.poly"], "fit-data": ["--arch", "a.json", "--data", "d.csv"],
+              "compress": ["--teacher", "t.json", "--student-arch", "s.json", "--degree", "2"]}
+    rc = main([verb, *inputs.get(verb, []), "--seed", "-1"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+
+
+SOLVER_OPTIONS = ["--seed", "--trace"]
+VERB_OPTIONS = {
+    "approx": ["--fn", "--interval", "--method", "--fourier-n", "--terms", "--degree", "--out", "--machine"],
+    "expand": ["--net", "--out"],
+    "synth": ["--arch", "--targets", "--out", *SOLVER_OPTIONS],
+    "fit-data": ["--arch", "--data", "--out", *SOLVER_OPTIONS],
+    "compress": ["--teacher", "--student-arch", "--degree", "--out", *SOLVER_OPTIONS],
+    **{f"verify-exp{i}": ["--machine", *SOLVER_OPTIONS] for i in (1, 2, 3, 4)},
+}
+
+
+def test_verb_options():
+    # every flag of every verb; a new or deleted flag is a deliberate edit here
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: [opt for a in sub._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+             for name, sub in verbs.choices.items()}
+    assert found == VERB_OPTIONS
 
 
 def test_bad_flags_exit_2():
@@ -426,4 +472,9 @@ def test_bad_flags_exit_2():
     for flag in (["--panels", "4096"], ["--gridpoints", "2001"]):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flag])
+        assert exc.value.code == 2
+    # so are the solver's iteration cap and tolerance
+    for flag in (["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-exp2", *flag])
         assert exc.value.code == 2

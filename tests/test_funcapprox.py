@@ -192,6 +192,14 @@ def test_fourier_fit_validation():
         fourier_fit(f, 10.0, 8)
 
 
+def test_sampling_outside_the_domain_is_refused():
+    f = SampledFunction(math.sqrt, 0.0, 1.0)  # sqrt(-1) would raise a math domain error
+    for sample in (lambda: fourier_fit(f, 1.0, 2), lambda: lsq_poly_fit(f, (-1.0, 1.0), 3),
+                   lambda: approx_error(f, UniPoly((0.5,)), (-1.0, 1.0))):
+        with pytest.raises(ConfigurationError, match=r"domain \[0.0, 1.0\] does not contain \[-1.0, 1.0\]"):
+            sample()
+
+
 def test_non_finite_samples_are_reported():
     bad = SampledFunction(lambda x: float("nan"), -1.0, 1.0)
     with pytest.raises(NumericError, match="not finite"):

@@ -20,7 +20,6 @@ from polynet import (
     PolyActivation,
     ResidualSystem,
     SolveReport,
-    SolverConfig,
     StructuralError,
     UniPoly,
     UsageError,
@@ -504,19 +503,24 @@ def test_non_finite_weights_raise_in_both_system_kinds():
             system.residuals(w)
 
 
-def test_solver_reports_failure_honestly():
-    system = build_coefficient_system(square_arch(4, 1), [regression_target()])
-    w, report = solve_system(system, SolverConfig(max_iters=1))
-    assert not report.converged
-    assert report.restarts_used == 16
-    assert w.shape == (17,)
-    assert np.isfinite(report.final_residual_norm)
-
-
 def bias_only_system(rows):
     """Data system of y = w0 + w1 * x on (x, y) rows."""
     X, y = np.array(rows).T
     return build_data_system(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), Dataset(X[:, None], y))
+
+
+def test_solver_reports_failure_honestly():
+    # one point with two labels: no attempt can fit both
+    w, report = solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]))
+    assert not report.converged
+    assert report.restarts_used == 16
+    assert w.shape == (2,)
+    assert np.isfinite(report.final_residual_norm)
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]), seed=-1)
 
 
 def lm_from_ones(system):
@@ -530,7 +534,7 @@ def lm_from_ones(system):
 
     trace = io.StringIO()
     counted = ResidualSystem(system.unknowns, system.arity, batch_fn)
-    _, converged, iterations, _ = synthesis._lm(counted, np.ones(system.unknowns), SolverConfig(), trace)
+    _, converged, iterations, _ = synthesis._lm(counted, np.ones(system.unknowns), trace)
     steps = [float(line.split(", ")[3]) for line in trace.getvalue().splitlines()]
     return converged, iterations, sum(jacobians), steps
 
@@ -539,7 +543,7 @@ def test_attempt_stops_when_no_damping_goes_downhill():
     # one point with two labels: the fit stalls at w0 = 0.5, norm 0.5
     converged, iterations, jacobians, steps = lm_from_ones(bias_only_system([(0.0, 0.0), (0.0, 1.0)]))
     assert not converged
-    assert iterations < SolverConfig.max_iters
+    assert iterations < synthesis.MAX_ITERS
     assert jacobians == iterations + 1  # the last Jacobian gave no step
     assert min(steps) >= synthesis.STEP_EPS
 
@@ -548,7 +552,7 @@ def test_attempt_stops_on_a_step_below_step_eps():
     # as above at x = 1e11, where the third accepted step is 2.7e-16 long
     converged, iterations, jacobians, steps = lm_from_ones(bias_only_system([(1e11, 0.0), (1e11, 1.0)]))
     assert not converged
-    assert iterations < SolverConfig.max_iters
+    assert iterations < synthesis.MAX_ITERS
     assert jacobians == iterations
     assert steps[-1] < synthesis.STEP_EPS <= min(steps[:-1])
 
