@@ -431,13 +431,29 @@ def test_bad_inputs_exit_2(verb, text, message, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("verb", ["verify-exp1", "verify-exp2", "verify-exp3", "verify-exp4", "synth", "fit-data",
-                                  "compress"])
-def test_bad_solver_settings_exit_2(verb, capsys):
+# the solver's iteration cap and tolerance are fixed, not flags, so argparse refuses them
+DELETED_SOLVER_FLAGS = [["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]]
+SOLVER_VERB_INPUTS = {
+    **{f"verify-exp{i}": [] for i in (1, 2, 3, 4)},
+    "synth": ["--arch", "a.json", "--targets", "t.poly"],
+    "fit-data": ["--arch", "a.json", "--data", "d.csv"],
+    "compress": ["--teacher", "t.json", "--student-arch", "s.json", "--degree", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *[pytest.param(["verify-exp2", *flag], id=f"flag{i}") for i, flag in enumerate(DELETED_SOLVER_FLAGS)],
+    *[pytest.param([verb, *inputs, "--seed", "-1"], id=verb) for verb, inputs in SOLVER_VERB_INPUTS.items()],
+])
+def test_bad_solver_settings_exit_2(argv, capsys):
     # refused before the verb runs, so the named files need not exist
-    inputs = {"synth": ["--arch", "a.json", "--targets", "t.poly"], "fit-data": ["--arch", "a.json", "--data", "d.csv"],
-              "compress": ["--teacher", "t.json", "--student-arch", "s.json", "--degree", "2"]}
-    rc = main([verb, *inputs.get(verb, []), "--seed", "-1"])
+    if "--seed" not in argv:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "polynet: error: unrecognized arguments: " + " ".join(argv[1:])
+        return
+    rc = main(argv)
     assert rc == 2
     assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
@@ -472,9 +488,4 @@ def test_bad_flags_exit_2():
     for flag in (["--panels", "4096"], ["--gridpoints", "2001"]):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flag])
-        assert exc.value.code == 2
-    # so are the solver's iteration cap and tolerance
-    for flag in (["--max-iters", "0"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-exp2", *flag])
         assert exc.value.code == 2
