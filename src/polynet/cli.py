@@ -86,7 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     for exp_id in (1, 2, 3, 4):
         p = subs.add_parser(f"verify-exp{exp_id}", help=f"run reference experiment {exp_id}")
         p.add_argument("--machine", action="store_true", help="stable key=value output")
-        _add_solver_flags(p)
+        if exp_id == 3:  # never solves
+            p.set_defaults(seed=0, trace=False)
+        else:
+            _add_solver_flags(p)
         p.set_defaults(handler=_cmd_verify, exp_id=exp_id)
 
     return parser
@@ -179,7 +182,7 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # before dispatch: verify-exp3 never solves
+        if getattr(args, "seed", 0) < 0:  # before dispatch, so before any input is read
             raise ConfigurationError("seed must be non-negative")
         return args.handler(args)
     except NumericError as exc:

@@ -285,7 +285,10 @@ def network_from_json(text: str) -> NetworkSpec:
         ):
             raise ParseError(f"layer {i}: 'weights' must be a rectangular numeric matrix")
         _check_doubles((v for r in rows for v in r), "weights", i)
-        layers.append(LayerSpec(np.array(rows, dtype=float), _activation_from_json(item.get("activation"), i)))
+        try:  # LayerSpec and PolyActivation refuse non-finite values
+            layers.append(LayerSpec(np.array(rows, dtype=float), _activation_from_json(item.get("activation"), i)))
+        except StructuralError as exc:
+            raise StructuralError(f"layer {i}: {exc}") from None
     return NetworkSpec(input_dim, tuple(layers))
 
 

@@ -33,6 +33,8 @@ DAMPING = 1e-3      # initial Levenberg-Marquardt lambda
 FD_STEP = 1e-7      # relative forward-difference step
 RESTARTS = 16       # seeded uniform(-1, 1) starts tried after the first one
 MAX_ITERS = 500     # accepted steps per attempt
+STALL_WINDOW = 50   # an attempt whose cost fell by less than STALL_DROP
+STALL_DROP = 0.02   # over the last STALL_WINDOW accepted steps has stalled
 TOL_RESIDUAL = 1e-10  # on the residual infinity norm: an attempt at or below it has converged
 # Largest stacked layer intermediate (m weight sets x residuals x widest
 # layer input) of one batched residual call, in float64 elements (1 MiB);
@@ -220,6 +222,7 @@ def _lm(system: ResidualSystem, w: np.ndarray, trace) -> tuple[np.ndarray, bool,
     lam = DAMPING
     norm = float(np.max(np.abs(r)))
     cost = 0.5 * float(_finite(r @ r, "residual sum of squares r'r"))
+    costs = [np.inf] * STALL_WINDOW + [cost]  # per accepted step; no stall before STALL_WINDOW steps
     eye = np.eye(w.size)
     iterations = 0
     while iterations < MAX_ITERS and norm > TOL_RESIDUAL:
@@ -247,11 +250,12 @@ def _lm(system: ResidualSystem, w: np.ndarray, trace) -> tuple[np.ndarray, bool,
         if step is None:
             break  # no damping gives a downhill step
         iterations += 1
+        costs.append(cost)
         norm = float(np.max(np.abs(r)))
         step_norm = float(np.linalg.norm(step))
         if trace is not None:
             print(f"{iterations}, {norm:.9e}, {lam:.3e}, {step_norm:.9e}", file=trace)
-        if step_norm < STEP_EPS:
+        if step_norm < STEP_EPS or cost > (1.0 - STALL_DROP) * costs[-STALL_WINDOW - 1]:
             break
     return w, norm <= TOL_RESIDUAL, iterations, norm
 
@@ -263,8 +267,10 @@ def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.
     the damped normal equations (J'J + lambda I) delta = -J'r; lambda is
     multiplied by 10 whenever a step is rejected and divided by 10 when
     one is accepted.  Iteration stops on residual infinity-norm at or
-    below TOL_RESIDUAL, a step shorter than STEP_EPS, or MAX_ITERS accepted
-    steps.  The first attempt starts from all ones; the next RESTARTS start
+    below TOL_RESIDUAL, a step shorter than STEP_EPS, MAX_ITERS accepted
+    steps, or a stall: a cost (half the squared residual norm) above
+    (1 - STALL_DROP) times the cost STALL_WINDOW accepted steps earlier.
+    The first attempt starts from all ones; the next RESTARTS start
     from uniform(-1, 1) draws seeded by seed.  The first converged attempt
     wins, deterministically for a fixed seed.  When no attempt converges the
     best attempt (lowest residual norm) is returned with converged=False.

@@ -557,6 +557,57 @@ def test_attempt_stops_on_a_step_below_step_eps():
     assert steps[-1] < synthesis.STEP_EPS <= min(steps[:-1])
 
 
+def test_attempt_stops_when_its_cost_stalls():
+    # experiment 1 from all ones sits at a saddle: the cost keeps falling by
+    # less than STALL_DROP per STALL_WINDOW steps, and every step is long
+    system = build_coefficient_system(square_arch(4, 2), list(two_class_targets()))
+    converged, iterations, jacobians, steps = lm_from_ones(system)
+    assert not converged
+    assert iterations < synthesis.MAX_ITERS
+    assert min(steps) >= synthesis.STEP_EPS  # not stopped by the step-norm rule
+    assert jacobians == iterations
+
+
+def synth3_system():
+    """Problem synth3 of the synth-coef benchmark pool: the coefficients of
+    the fourth of six seeded 2-input, 4-hidden squared teachers (two outputs)."""
+    rng = np.random.default_rng(2305_00663)
+    for outputs in (1, 1, 1, 2):
+        teacher = NetworkSpec(2, (LayerSpec(rng.uniform(-1.0, 1.0, (4, 3)), MonomialPower(2)),
+                                  LayerSpec(rng.uniform(-1.0, 1.0, (outputs, 5)))))
+    return build_coefficient_system(square_arch(4, 2), expand_network(teacher))
+
+
+def test_slow_converger_keeps_its_bits():
+    # the cost plateaus from about step 150 to 250, falling by only 5.3% over
+    # its flattest STALL_WINDOW steps, then the attempt escapes and converges;
+    # recorded before the stall rule existed
+    system = synth3_system()
+    costs = []
+
+    def batch_fn(Ws):
+        R = system.batch_fn(Ws)
+        if len(Ws) == 1:  # the start or an LM trial, accepted when its cost is lower
+            cost = 0.5 * float(R[0] @ R[0])
+            if not costs or cost < costs[-1]:
+                costs.append(cost)
+        return R
+
+    w, report = solve_system(ResidualSystem(system.unknowns, system.arity, batch_fn))
+    assert report == SolveReport(True, 296, 2.4121815656030776e-12, 0)
+    assert len(costs) == 297
+    k = synthesis.STALL_WINDOW
+    assert max(costs[i] / costs[i - k] for i in range(k, len(costs))) >= 0.9
+    assert [c.hex() for c in w] == [
+        "0x1.9a49251a7d7dbp-2", "0x1.acf1b090a865bp-1", "0x1.4f18097fc3690p+0", "0x1.09b75776ff878p-2",
+        "0x1.db1826c66a4aap-1", "0x1.e75ca174a8547p-1", "-0x1.e41f467dd6863p+0", "0x1.d0ad6434ceb8fp-3",
+        "0x1.821a5979aacd1p-3", "-0x1.e7a2846990e62p-1", "-0x1.03782705282d0p+0", "-0x1.65a025bf66f79p+0",
+        "0x1.cedd77d3b5700p+2", "0x1.fdc9d156f67adp+0", "-0x1.e1a5b4a7f1eb6p-4", "-0x1.bbb7e2e24f508p+0",
+        "-0x1.b73632678bd74p+0", "-0x1.798183f1b2c4ep-2", "-0x1.c7aca1a9b554bp-1", "0x1.61f98cc194c0bp+0",
+        "-0x1.a1c08ae81ce61p-2", "-0x1.a462d82bbcec4p-5",
+    ]
+
+
 def test_trace_stream_format():
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     buf = io.StringIO()
