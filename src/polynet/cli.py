@@ -1,5 +1,7 @@
 """Command-line interface.
 
+Every verb returns a ReportDocument and `main` alone prints it; `expand`,
+`synth`, `fit-data` and `compress` always print the machine form.
 Exit codes: 0 all checks passed, 1 a check failed or the solver did not
 converge, 2 usage or input errors.
 """
@@ -24,7 +26,7 @@ from .funcapprox import (
 )
 from .multipoly import poly_from_text, poly_to_text
 from .network import expand_network, load_network, load_dataset, save_network
-from .report import emit_report
+from .report import ReportDocument, emit_report
 from .synthesis import build_coefficient_system, build_data_system, compress_network, solve_system, with_weights
 
 
@@ -59,21 +61,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("expand", help="expand a network into explicit polynomials")
     p.add_argument("--net", required=True)
     p.add_argument("--out", required=True, help="output path; multi-output nets get .<k> inserted")
-    p.set_defaults(handler=_cmd_expand)
+    p.set_defaults(handler=_cmd_expand, machine=True)
 
     p = subs.add_parser("synth", help="solve for weights matching target polynomials")
     p.add_argument("--arch", required=True, help="architecture file; weight values are placeholders")
     p.add_argument("--targets", nargs="+", required=True, help="one polynomial file per output")
     p.add_argument("--out", default=None, help="write the solved network here")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_synth)
+    p.set_defaults(handler=_cmd_synth, machine=True)
 
     p = subs.add_parser("fit-data", help="solve for weights matching a dataset")
     p.add_argument("--arch", required=True)
     p.add_argument("--data", required=True, help="CSV with header f1,...,fd,y")
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_fit_data)
+    p.set_defaults(handler=_cmd_fit_data, machine=True)
 
     p = subs.add_parser("compress", help="fit a smaller network to a truncated expansion")
     p.add_argument("--teacher", required=True)
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True, help="truncation degree for the teacher")
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_compress)
+    p.set_defaults(handler=_cmd_compress, machine=True)
 
     for exp_id in (1, 2, 3, 4):
         p = subs.add_parser(f"verify-exp{exp_id}", help=f"run reference experiment {exp_id}")
@@ -95,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> ReportDocument:
     lo, hi = args.interval
     f = builtin(args.fn, lo, hi)
     if args.method == "fourier":
@@ -110,73 +112,70 @@ def _cmd_approx(args) -> int:
     line = unipoly_to_text(poly)
     if args.out:
         Path(args.out).write_text(line)
-    if args.machine:
-        sys.stdout.write(f"approx.degree={poly.degree}\n")
-        sys.stdout.write(f"approx.max_abs={err.max_abs:.17g}\n")
-        sys.stdout.write(f"approx.rmse={err.rmse:.17g}\n")
-        if not args.out:
-            sys.stdout.write(line)
     else:
         sys.stdout.write(line)
-        sys.stdout.write(f"degree={poly.degree}\n")
-        sys.stdout.write(f"max_abs={err.max_abs:.6e}\n")
-        sys.stdout.write(f"rmse={err.rmse:.6e}\n")
-    return 0
+    doc = ReportDocument(f"approx {args.fn} on [{lo:g}, {hi:g}] by {args.method}")
+    doc.info("approx.degree", "degree", poly.degree)
+    doc.info("approx.max_abs", "max_abs", err.max_abs)
+    doc.info("approx.rmse", "rmse", err.rmse)
+    return doc
 
 
 def _expand_out_path(base: str, k: int, n: int) -> Path:
-    if n == 1:
-        return Path(base)
     p = Path(base)
-    return p.with_name(f"{p.stem}.{k}{p.suffix}")
+    return p if n == 1 else p.with_name(f"{p.stem}.{k}{p.suffix}")
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> ReportDocument:
     net = load_network(args.net)
     polys = expand_network(net)
+    doc = ReportDocument("expand")
     for k, poly in enumerate(polys):
         path = _expand_out_path(args.out, k, len(polys))
         path.write_text(poly_to_text(poly))
-        sys.stdout.write(f"wrote {path} (terms={len(poly.terms)}, degree={poly.degree()})\n")
-    return 0
+        doc.info(f"expand.out{k}", f"out{k}", path)
+        doc.info(f"expand.out{k}.terms", "terms", len(poly.terms))
+        doc.info(f"expand.out{k}.degree", "degree", poly.degree())
+    return doc
 
 
-def _save_and_report(args, net, report) -> int:
+def _solver_document(args, net, report) -> ReportDocument:
+    """Write the solved net to `--out` if one is given, and report the solve."""
     if args.out:
         save_network(net, args.out)
-    sys.stdout.write(f"converged={report.converged}\n")
-    sys.stdout.write(f"residual_norm={report.final_residual_norm:.17g}\n")
-    sys.stdout.write(f"iterations={report.iterations}\n")
-    sys.stdout.write(f"restarts={report.restarts_used}\n")
-    return 0 if report.converged else 1
+    doc = ReportDocument(args.verb)
+    doc.check("converged", "converged", report.converged, 1, 0)
+    doc.info("residual_norm", "residual norm", report.final_residual_norm)
+    doc.info("iterations", "iterations", report.iterations)
+    doc.info("restarts", "restarts used", report.restarts_used)
+    return doc
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> ReportDocument:
     arch = load_network(args.arch)
     targets = [poly_from_text(Path(p).read_text()) for p in args.targets]
     system = build_coefficient_system(arch, targets)
     w, report = solve_system(system, args.seed, _trace(args))
-    return _save_and_report(args, with_weights(arch, w), report)
+    return _solver_document(args, with_weights(arch, w), report)
 
 
-def _cmd_fit_data(args) -> int:
+def _cmd_fit_data(args) -> ReportDocument:
     arch = load_network(args.arch)
     ds = load_dataset(args.data)
     system = build_data_system(arch, ds)
     w, report = solve_system(system, args.seed, _trace(args))
-    return _save_and_report(args, with_weights(arch, w), report)
+    return _solver_document(args, with_weights(arch, w), report)
 
 
-def _cmd_compress(args) -> int:
+def _cmd_compress(args) -> ReportDocument:
     teacher = load_network(args.teacher)
     student_arch = load_network(args.student_arch)
     student, report = compress_network(teacher, student_arch, args.degree, args.seed, _trace(args))
-    return _save_and_report(args, student, report)
+    return _solver_document(args, student, report)
 
 
-def _cmd_verify(args) -> int:
-    doc = run_experiment(args.exp_id, args.seed, _trace(args))
-    return emit_report(doc, args.machine)
+def _cmd_verify(args) -> ReportDocument:
+    return run_experiment(args.exp_id, args.seed, _trace(args))
 
 
 def main(argv=None) -> int:
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # before dispatch, so before any input is read
             raise ConfigurationError("seed must be non-negative")
-        return args.handler(args)
+        return emit_report(args.handler(args), args.machine)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1

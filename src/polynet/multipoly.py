@@ -67,6 +67,13 @@ def _kept(c) -> bool:
     raise _MixedZeros
 
 
+def _exponent(e) -> int:
+    """An exponent as an int; integral floats such as 2.0 pass, anything else is refused."""
+    if isinstance(e, (int, np.integer)) or (isinstance(e, (float, np.floating)) and float(e).is_integer()):
+        return int(e)
+    raise UsageError(f"exponent {e!r} is not an integer")
+
+
 def _as_coefficient(c):
     """A number as a float; an (m,) array of stacked coefficients as it is."""
     return c if getattr(c, "ndim", 0) == 1 else float(c)
@@ -82,11 +89,13 @@ class MultiPoly:
     __array_ufunc__ = None  # ndarray * MultiPoly and ndarray + MultiPoly defer to MultiPoly
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
+        if not isinstance(nvars, (int, np.integer)):
+            raise DimensionError(f"nvars must be an integer, got {nvars!r}")
         if nvars < 1:
             raise DimensionError("nvars must be at least 1")
         clean: dict[Exponents, float] = {}
         for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(_exponent(e) for e in exps)
             if len(key) != nvars:
                 raise DimensionError(f"exponent vector {key} has length {len(key)}, expected {nvars}")
             if any(e < 0 for e in key):
@@ -94,7 +103,7 @@ class MultiPoly:
             c = float(coeff)
             if c != 0.0:
                 clean[key] = c
-        self.nvars = nvars
+        self.nvars = int(nvars)
         self.terms = clean
         self._compiled = None
 

@@ -3,8 +3,8 @@
 A ReportDocument collects informational values plus measured-vs-expected
 checks; every check states measured value, expected value, tolerance and
 pass/fail.  Text format is for people; machine format is stable
-'key=value' lines meant for scripts and byte-identical across runs with
-equal inputs.
+'key=value' lines meant for scripts, with floats at %.17g, and
+byte-identical across runs with equal inputs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def emit_report(doc: ReportDocument, machine: bool) -> int:
                 out.write(f"{e.key}.tol={e.tol:.17g}\n")
                 out.write(f"{e.key}.status={'PASS' if e.passed else 'FAIL'}\n")
             else:
-                out.write(f"{e.key}={e.value}\n")
+                out.write(f"{e.key}={e.value:.17g}\n" if isinstance(e.value, float) else f"{e.key}={e.value}\n")
         out.write(f"result={'PASS' if doc.passed else 'FAIL'}\n")
     else:
         out.write(f"== {doc.title} ==\n")

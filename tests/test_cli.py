@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,8 +186,9 @@ def test_synth_round_trip(tmp_path, capsys):
                "--out", str(solved_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "converged=True" in out
+    assert "converged.status=PASS" in out.splitlines()
     assert "restarts=" in out
+    assert out.splitlines()[-1] == "result=PASS"
 
     net = load_network(solved_path)
     assert polynet.forward(net, [1.0, 1.0])[0] == pytest.approx(5.0, abs=1e-6)
@@ -200,7 +205,9 @@ def test_synth_zero_last_layer(tmp_path, capsys):
     rc = main(["synth", "--arch", str(arch_path), "--targets", str(target_path),
                "--out", str(tmp_path / "solved.json")])
     assert rc == 0
-    assert "converged=True" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "converged.status=PASS" in lines
+    assert lines[-1] == "result=PASS"
 
 
 def test_synth_trace_goes_to_stderr(tmp_path, capsys):
@@ -232,16 +239,32 @@ def test_fit_data_round_trip(tmp_path):
     assert polynet.forward(net, [1.0])[0] == pytest.approx(5.0, abs=1e-6)
 
 
-def test_fit_data_reports_nonconvergence(tmp_path, capsys):
+def unfittable_data_argv(tmp_path):
     arch_path = tmp_path / "arch.json"
     save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), arch_path)
     data_path = tmp_path / "data.csv"
     # two different labels for the same point: no exact fit exists
     data_path.write_text("f1,y\n0,0\n0,1\n")
+    return ["fit-data", "--arch", str(arch_path), "--data", str(data_path)]
 
-    rc = main(["fit-data", "--arch", str(arch_path), "--data", str(data_path)])
+
+def test_fit_data_reports_nonconvergence(tmp_path, capsys):
+    rc = main(unfittable_data_argv(tmp_path))
     assert rc == 1
-    assert "converged=False" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "converged.status=FAIL" in lines
+    assert lines[-1] == "result=FAIL"
+
+
+def test_python_m_polynet_exit_codes(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, rc, last in ((["verify-exp3", "--machine"], 0, "result=PASS"),
+                           (unfittable_data_argv(tmp_path), 1, "result=FAIL")):
+        done = subprocess.run([sys.executable, "-m", "polynet", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == rc, done.stderr
+        assert done.stdout.splitlines()[-1] == last
 
 
 def fit_power2(rows, tmp_path, capsys):
@@ -308,12 +331,41 @@ def test_verify_text_format(capsys):
     assert re.match(r"^checks: \d+/\d+ passed$", lines[-1])
 
 
-def test_machine_output_is_reproducible(capsys):
-    assert main(["verify-exp3", "--machine"]) == 0
+def verb_argv(verb, tmp_path):
+    """Small inputs for one run of `verb`, as the tests above use them."""
+    if verb == "expand":
+        save_network(square_arch(2, 2), tmp_path / "net.json")
+        return ["--net", str(tmp_path / "net.json"), "--out", str(tmp_path / "expanded.poly")]
+    if verb == "synth":
+        save_network(square_arch(4, 1), tmp_path / "arch.json")
+        (tmp_path / "target.poly").write_text(poly_to_text(regression_target()))
+        return ["--arch", str(tmp_path / "arch.json"), "--targets", str(tmp_path / "target.poly")]
+    if verb == "fit-data":
+        save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), tmp_path / "arch.json")
+        (tmp_path / "data.csv").write_text("f1,y\n0,3\n1,5\n")
+        return ["--arch", str(tmp_path / "arch.json"), "--data", str(tmp_path / "data.csv")]
+    if verb == "compress":
+        save_network(load_reference_network(2), tmp_path / "teacher.json")
+        save_network(square_arch(4, 1), tmp_path / "student.json")
+        return ["--teacher", str(tmp_path / "teacher.json"), "--student-arch", str(tmp_path / "student.json"),
+                "--degree", "2", "--out", str(tmp_path / "small.json")]
+    return {"approx": ["--fn", "tanh", "--interval", "-2", "2", "--method", "lsq", "--degree", "5"],
+            "verify-exp3": []}[verb]
+
+
+@pytest.mark.parametrize("argv", [["approx", "--machine"], ["approx"], ["expand"], ["synth"], ["fit-data"],
+                                  ["compress"], ["verify-exp3", "--machine"], ["verify-exp3"]],
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_machine_output_is_reproducible(argv, tmp_path, capsys):
+    # every verb prints through the one report path: a verdict last, and no timings that
+    # differ between runs; only approx and verify-exp* have a text form, printed without --machine
+    text_form = argv[0] in ("approx", "verify-exp3") and "--machine" not in argv
+    argv = [*argv, *verb_argv(argv[0], tmp_path)]
+    assert main(argv) == 0
     first = capsys.readouterr().out
-    assert main(["verify-exp3", "--machine"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert re.fullmatch(r"checks: (\d+)/\1 passed" if text_form else "result=PASS", first.splitlines()[-1])
 
 
 def test_missing_file_exits_2(capsys):

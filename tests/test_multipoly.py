@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ def test_constructor_validation():
         MultiPoly.variable(2, 5)
     with pytest.raises(DimensionError, match="out of range"):
         MultiPoly.variable(2, -1)
+    with pytest.raises(DimensionError, match="nvars must be an integer, got 2.5"):
+        MultiPoly(2.5)
+    # int() would truncate 1.5 to 1, so 2*x1^1.5 would read as 2*x1 and then lose to 3*x1
+    for bad in (1.5, float("nan"), float("inf"), "2", None):
+        with pytest.raises(UsageError, match=f"exponent {re.escape(repr(bad))} is not an integer"):
+            MultiPoly(1, {(bad,): 2.0, (1,): 3.0})
+    assert MultiPoly(2, {(2.0, np.int64(1)): 1.0}) == MultiPoly(2, {(2, 1): 1.0})
 
 
 def test_graded_lex_iteration_order():
