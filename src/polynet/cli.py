@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Every verb returns a ReportDocument and `main` alone prints it; `expand`,
-`synth`, `fit-data` and `compress` always print the machine form.
+Every verb returns a ReportDocument and `main` alone prints it; only
+`verify-exp*` have a text form.  `approx --degree` fits by least squares.
 Exit codes: 0 all checks passed, 1 a check failed or the solver did not
 converge, 2 usage or input errors.
 """
@@ -50,13 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("approx", help="fit a polynomial surrogate for an activation")
     p.add_argument("--fn", required=True, help="sigmoid, tanh, relu or square")
     p.add_argument("--interval", nargs=2, type=float, required=True, metavar=("LO", "HI"))
-    p.add_argument("--method", choices=("fourier", "lsq"), default="fourier")
-    p.add_argument("--fourier-n", type=int, default=8, help="harmonics for the fourier method")
-    p.add_argument("--terms", type=int, default=None, help="series terms substituted per harmonic")
-    p.add_argument("--degree", type=int, default=9, help="degree for the lsq method")
+    p.add_argument("--degree", type=int, help="fit by least squares at this degree")
+    p.add_argument("--fourier-n", type=int, help="harmonics of the trigonometric fit (default 8)")
+    p.add_argument("--terms", type=int, help="series terms substituted per harmonic")
     p.add_argument("--out", default=None, help="write the polynomial here")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(handler=_cmd_approx)
+    p.set_defaults(handler=_cmd_approx, machine=True)
 
     p = subs.add_parser("expand", help="expand a network into explicit polynomials")
     p.add_argument("--net", required=True)
@@ -88,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     for exp_id in (1, 2, 3, 4):
         p = subs.add_parser(f"verify-exp{exp_id}", help=f"run reference experiment {exp_id}")
         p.add_argument("--machine", action="store_true", help="stable key=value output")
-        if exp_id == 3:  # never solves
-            p.set_defaults(seed=0, trace=False)
-        else:
-            _add_solver_flags(p)
         p.set_defaults(handler=_cmd_verify, exp_id=exp_id)
 
     return parser
@@ -100,21 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_approx(args) -> ReportDocument:
     lo, hi = args.interval
     f = builtin(args.fn, lo, hi)
-    if args.method == "fourier":
-        if lo != -hi:
-            raise ConfigurationError("the fourier method needs a symmetric interval [-l, l]")
-        terms = args.terms if args.terms is not None else trig_term_budget(args.fourier_n)
-        check_trig_substitution(args.fourier_n, terms, hi)  # before the quadrature, which it does not need
-        poly = fourier_to_poly(fourier_fit(f, hi, args.fourier_n), terms)
-    else:
+    if args.degree is not None:
+        if args.fourier_n is not None or args.terms is not None:
+            raise ConfigurationError("--degree (least squares) takes no --fourier-n or --terms")
         poly = lsq_poly_fit(f, (lo, hi), args.degree)
+    else:
+        if lo != -hi:
+            raise ConfigurationError("without --degree, the interval must be symmetric, [-l, l]")
+        n = 8 if args.fourier_n is None else args.fourier_n
+        terms = args.terms if args.terms is not None else trig_term_budget(n)
+        check_trig_substitution(n, terms, hi)  # before the quadrature, which it does not need
+        poly = fourier_to_poly(fourier_fit(f, hi, n), terms)
     err = approx_error(f, poly, (lo, hi))
     line = unipoly_to_text(poly)
     if args.out:
         Path(args.out).write_text(line)
     else:
         sys.stdout.write(line)
-    doc = ReportDocument(f"approx {args.fn} on [{lo:g}, {hi:g}] by {args.method}")
+    doc = ReportDocument("approx")
     doc.info("approx.degree", "degree", poly.degree)
     doc.info("approx.max_abs", "max_abs", err.max_abs)
     doc.info("approx.rmse", "rmse", err.rmse)
@@ -130,12 +127,19 @@ def _cmd_expand(args) -> ReportDocument:
     net = load_network(args.net)
     polys = expand_network(net)
     doc = ReportDocument("expand")
-    for k, poly in enumerate(polys):
-        path = _expand_out_path(args.out, k, len(polys))
-        path.write_text(poly_to_text(poly))
-        doc.info(f"expand.out{k}", f"out{k}", path)
-        doc.info(f"expand.out{k}.terms", "terms", len(poly.terms))
-        doc.info(f"expand.out{k}.degree", "degree", poly.degree())
+    written = []
+    try:
+        for k, poly in enumerate(polys):
+            path = _expand_out_path(args.out, k, len(polys))
+            path.write_text(poly_to_text(poly))
+            written.append(path)
+            doc.info(f"expand.out{k}", f"out{k}", path)
+            doc.info(f"expand.out{k}.terms", "terms", len(poly.terms))
+            doc.info(f"expand.out{k}.degree", "degree", poly.degree())
+    except BaseException:  # leave no file of a failed run behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return doc
 
 
@@ -175,7 +179,7 @@ def _cmd_compress(args) -> ReportDocument:
 
 
 def _cmd_verify(args) -> ReportDocument:
-    return run_experiment(args.exp_id, args.seed, _trace(args))
+    return run_experiment(args.exp_id)
 
 
 def main(argv=None) -> int:

@@ -92,8 +92,7 @@ def two_class_points() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _match_coefficients(
-    doc: ReportDocument, exp_id: int, arch: NetworkSpec, targets, residuals: int, unknowns: int,
-    seed: int, trace,
+    doc: ReportDocument, exp_id: int, arch: NetworkSpec, targets, residuals: int, unknowns: int
 ) -> NetworkSpec:
     """Shared body of experiments 1 and 2: size the coefficient system, check
     the frozen reference weights against it, solve, and return the solved net."""
@@ -104,7 +103,7 @@ def _match_coefficients(
     ref = load_reference_network(exp_id)
     ref_norm = float(np.max(np.abs(system.residuals(network_weights(ref)))))
     doc.check(f"{key}.reference_residual", "residual norm at reference weights", ref_norm, 0.0, 5e-3)
-    w, rep = solve_system(system, seed, trace)
+    w, rep = solve_system(system)
     doc.check(f"{key}.converged", "solver converged", float(rep.converged), 1.0, 0.0)
     doc.check(f"{key}.solved_residual", "residual norm at solved weights", rep.final_residual_norm, 0.0, 1e-8)
     doc.info(f"{key}.iterations", "iterations", rep.iterations)
@@ -112,17 +111,17 @@ def _match_coefficients(
     return with_weights(arch, w)
 
 
-def _run_exp1(doc: ReportDocument, seed: int, trace) -> None:
+def _run_exp1(doc: ReportDocument) -> None:
     doc.note("classes generated from the lines x1 - x2 = 0 and x1 + x2 = 1")
-    net = _match_coefficients(doc, 1, _square_arch(4, 2), two_class_targets(), 12, 22, seed, trace)
+    net = _match_coefficients(doc, 1, _square_arch(4, 2), two_class_targets(), 12, 22)
     pts, labels = two_class_points()
     hits = np.count_nonzero(classify(net, pts) == labels)
     doc.check("exp1.accuracy", "classification accuracy on 40 points", hits / len(labels), 1.0, 0.0)
 
 
-def _run_exp2(doc: ReportDocument, seed: int, trace) -> None:
+def _run_exp2(doc: ReportDocument) -> None:
     doc.note("target r = 2*x1 + 2*x1*x2 + x2^2")
-    net = _match_coefficients(doc, 2, _square_arch(4, 1), [regression_target()], 6, 17, seed, trace)
+    net = _match_coefficients(doc, 2, _square_arch(4, 1), [regression_target()], 6, 17)
     doc.check("exp2.forward.1_1", "forward(1,1)", forward(net, (1.0, 1.0))[0], 5.0, 1e-6)
     doc.check("exp2.forward.2_1", "forward(2,1)", forward(net, (2.0, 1.0))[0], 9.0, 1e-6)
 
@@ -199,7 +198,7 @@ def _run_exp3(doc: ReportDocument) -> None:
         doc.check(f"exp3.classify.row{i}", f"classify(row {i})", predicted, ds.y[i - 1], 0.0)
 
 
-def _run_exp4(doc: ReportDocument, seed: int, trace) -> None:
+def _run_exp4(doc: ReportDocument) -> None:
     doc.note("dataset: 3x3 grid over [0,1]^2 (x in {0, 0.5, 1}), targets from r = 2*x1 + 2*x1*x2 + x2^2")
     target = regression_target()
     axis = (0.0, 0.5, 1.0)
@@ -209,7 +208,7 @@ def _run_exp4(doc: ReportDocument, seed: int, trace) -> None:
     arch = _square_arch(4, 1)
     system = build_data_system(arch, ds)
     doc.check("exp4.residuals", "residual count", system.arity, 9, 0)
-    w, rep = solve_system(system, seed, trace)
+    w, rep = solve_system(system)
     doc.check("exp4.converged", "solver converged", float(rep.converged), 1.0, 0.0)
     doc.info("exp4.iterations", "iterations", rep.iterations)
     doc.info("exp4.restarts", "restarts used", rep.restarts_used)
@@ -221,17 +220,16 @@ def _run_exp4(doc: ReportDocument, seed: int, trace) -> None:
 _EXPERIMENTS = {
     1: ("experiment 1: two-class synthesis by coefficient matching", _run_exp1),
     2: ("experiment 2: regression synthesis by coefficient matching", _run_exp2),
-    3: ("experiment 3: class polynomials and reference weights", lambda doc, seed, trace: _run_exp3(doc)),
+    3: ("experiment 3: class polynomials and reference weights", _run_exp3),
     4: ("experiment 4: regression synthesis by data matching", _run_exp4),
 }
 
 
-def run_experiment(exp_id: int, seed: int = 0, trace=None) -> ReportDocument:
-    """Run one reference experiment and return its report.  Experiment 3
-    solves nothing, so seed and trace do not reach it."""
+def run_experiment(exp_id: int) -> ReportDocument:
+    """Run one reference experiment, at the solver's default seed, and return its report."""
     if exp_id not in _EXPERIMENTS:
         raise UsageError(f"unknown experiment {exp_id}; choose 1, 2, 3 or 4")
     title, runner = _EXPERIMENTS[exp_id]
     doc = ReportDocument(title)
-    runner(doc, seed, trace)
+    runner(doc)
     return doc

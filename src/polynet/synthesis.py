@@ -296,9 +296,11 @@ def compress_network(
     teacher: NetworkSpec, student_arch: NetworkSpec, degree: int, seed: int = 0, trace=None
 ) -> tuple[NetworkSpec, SolveReport]:
     """Fit a smaller architecture to the degree-truncated expansion of a
-    trained network, by coefficient matching.  Mismatched inputs or outputs
-    and a negative degree are refused by truncate_degree and
-    build_coefficient_system."""
+    trained network, by coefficient matching.  A negative degree is refused
+    before the teacher is expanded; mismatched inputs or outputs are refused
+    by build_coefficient_system."""
+    if degree < 0:
+        raise UsageError(f"degree must be non-negative, got {degree}")
     if expansion_degree(student_arch) < degree:
         raise UsageError(
             f"student expands to degree {expansion_degree(student_arch)}, below the requested {degree}"

@@ -3,6 +3,7 @@
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -46,8 +47,7 @@ def machine_values(out):
 
 
 def test_approx_lsq_machine_output(capsys):
-    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8",
-               "--method", "lsq", "--degree", "9", "--machine"])
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", "--degree", "9"])
     assert rc == 0
     out = capsys.readouterr().out
     vals = machine_values(out)
@@ -80,8 +80,7 @@ def test_approx_fourier_needs_symmetric_interval(capsys):
 
 
 def test_approx_lsq_non_finite_fit_exits_1(capsys):
-    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8",
-               "--method", "lsq", "--degree", "1000", "--machine"])
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", "--degree", "1000"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -90,8 +89,7 @@ def test_approx_lsq_non_finite_fit_exits_1(capsys):
 
 def test_approx_lsq_fit_that_loses_its_digits_exits_1(capsys):
     # finite monomial coefficients, but max_abs was 9.2e+48 before the check
-    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8",
-               "--method", "lsq", "--degree", "200", "--machine"])
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", "--degree", "200"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -139,11 +137,27 @@ def test_approx_harmonic_count_beyond_the_double_range_exits_2(monkeypatch, caps
 
 
 def test_approx_infinite_interval_exits_2(capsys):
-    rc = main(["approx", "--fn", "sigmoid", "--interval", "0", "1e309", "--method", "lsq"])
+    rc = main(["approx", "--fn", "sigmoid", "--interval", "0", "1e309", "--degree", "9"])
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: domain must be finite and satisfy lo < hi\n"
+
+
+@pytest.mark.parametrize("flags, rc", [
+    pytest.param(["-2", "3", "--degree", "5"], 0, id="lsq-asymmetric"),  # least squares needs no symmetry
+    pytest.param(["-2", "2", "--degree", "3", "--fourier-n", "8"], 2, id="degree-fourier-n-default"),
+    pytest.param(["-2", "2", "--degree", "3", "--fourier-n", "9"], 2, id="degree-fourier-n"),
+    pytest.param(["-2", "2", "--degree", "3", "--terms", "5"], 2, id="degree-terms"),
+])
+def test_approx_flags_pick_the_fit(flags, rc, capsys):
+    assert main(["approx", "--fn", "tanh", "--interval", *flags]) == rc
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert "approx.degree=5" in out.splitlines()
+        assert out.splitlines()[-1] == "result=PASS"
+    else:
+        assert (out, err) == ("", "error: --degree (least squares) takes no --fourier-n or --terms\n")
 
 
 def test_approx_unknown_function(capsys):
@@ -173,6 +187,18 @@ def test_expand_multi_output_inserts_an_index(tmp_path):
     assert (tmp_path / "expanded.0.poly").exists()
     assert (tmp_path / "expanded.1.poly").exists()
     assert not (tmp_path / "expanded.poly").exists()
+
+
+def test_expand_failed_write_leaves_no_output_file(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_network(square_arch(2, 2), net_path)
+    (tmp_path / "e.1.poly").mkdir()  # the second output cannot be written
+    rc = main(["expand", "--net", str(net_path), "--out", str(tmp_path / "e.poly")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "e.0.poly").exists()
 
 
 def test_synth_round_trip(tmp_path, capsys):
@@ -314,6 +340,16 @@ def test_compress_command(tmp_path):
     assert small.layers[0].weights.shape == (4, 3)
 
 
+def test_compress_refuses_a_negative_degree_before_expanding(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(polynet.synthesis, "expand_network", lambda net: pytest.fail("teacher expanded"))
+    argv = verb_argv("compress", tmp_path)
+    argv[argv.index("--degree") + 1] = "-1"
+    assert main(["compress", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: degree must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
 def test_verify_commands_pass(exp_id, capsys):
     rc = main([f"verify-exp{exp_id}", "--machine"])
@@ -349,17 +385,17 @@ def verb_argv(verb, tmp_path):
         save_network(square_arch(4, 1), tmp_path / "student.json")
         return ["--teacher", str(tmp_path / "teacher.json"), "--student-arch", str(tmp_path / "student.json"),
                 "--degree", "2", "--out", str(tmp_path / "small.json")]
-    return {"approx": ["--fn", "tanh", "--interval", "-2", "2", "--method", "lsq", "--degree", "5"],
+    return {"approx": ["--fn", "tanh", "--interval", "-2", "2", "--degree", "5"],
             "verify-exp3": []}[verb]
 
 
-@pytest.mark.parametrize("argv", [["approx", "--machine"], ["approx"], ["expand"], ["synth"], ["fit-data"],
-                                  ["compress"], ["verify-exp3", "--machine"], ["verify-exp3"]],
+@pytest.mark.parametrize("argv", [["approx"], ["expand"], ["synth"], ["fit-data"], ["compress"],
+                                  ["verify-exp3", "--machine"], ["verify-exp3"]],
                          ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_machine_output_is_reproducible(argv, tmp_path, capsys):
     # every verb prints through the one report path: a verdict last, and no timings that
-    # differ between runs; only approx and verify-exp* have a text form, printed without --machine
-    text_form = argv[0] in ("approx", "verify-exp3") and "--machine" not in argv
+    # differ between runs; only verify-exp* have a text form, printed without --machine
+    text_form = argv == ["verify-exp3"]
     argv = [*argv, *verb_argv(argv[0], tmp_path)]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -501,8 +537,8 @@ SOLVER_VERB_INPUTS = {
 ])
 def test_bad_solver_settings_exit_2(argv, capsys):
     # refused before the verb runs, so the named files need not exist;
-    # verify-exp3 never solves and has no --seed
-    if "--seed" not in argv or argv[0] == "verify-exp3":
+    # verify-exp* run at the solver's default seed and have no --seed
+    if "--seed" not in argv or argv[0].startswith("verify-exp"):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -515,13 +551,12 @@ def test_bad_solver_settings_exit_2(argv, capsys):
 
 SOLVER_OPTIONS = ["--seed", "--trace"]
 VERB_OPTIONS = {
-    "approx": ["--fn", "--interval", "--method", "--fourier-n", "--terms", "--degree", "--out", "--machine"],
+    "approx": ["--fn", "--interval", "--degree", "--fourier-n", "--terms", "--out"],
     "expand": ["--net", "--out"],
     "synth": ["--arch", "--targets", "--out", *SOLVER_OPTIONS],
     "fit-data": ["--arch", "--data", "--out", *SOLVER_OPTIONS],
     "compress": ["--teacher", "--student-arch", "--degree", "--out", *SOLVER_OPTIONS],
-    **{f"verify-exp{i}": ["--machine", *SOLVER_OPTIONS] for i in (1, 2, 4)},
-    "verify-exp3": ["--machine"],  # never solves
+    **{f"verify-exp{i}": ["--machine"] for i in (1, 2, 3, 4)},  # fixed seed, untraced
 }
 
 
@@ -540,8 +575,19 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    # the quadrature panels and grid size are fixed, not flags
-    for flag in (["--panels", "4096"], ["--gridpoints", "2001"]):
+    # the quadrature panels and grid size are fixed, not flags; --degree picks the fit,
+    # and approx always prints the machine form
+    for flag in (["--panels", "4096"], ["--gridpoints", "2001"], ["--method", "lsq"], ["--machine"]):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--fn", "sigmoid", "--interval", "-8", "8", *flag])
         assert exc.value.code == 2
+
+
+def test_readme_examples_parse():
+    # argparse opens no files, so the example paths need not exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("polynet ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
