@@ -23,11 +23,9 @@ from .funcapprox import (
     UniPoly,
     approx_error,
     builtin,
-    fourier_eval,
     fourier_fit,
     fourier_to_poly,
     lsq_poly_fit,
-    maclaurin_trig,
     trig_term_budget,
     unipoly_from_text,
     unipoly_to_text,

@@ -62,10 +62,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def scaled_argument(self, s: float) -> "UniPoly":
-        """p(s*x) as a polynomial in x."""
-        return UniPoly(tuple(c * s**k for k, c in enumerate(self.coeffs)))
-
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -179,38 +175,6 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
     return FourierSeries(l, a0, tuple(a), tuple(b))
 
 
-def fourier_eval(fs: FourierSeries, x: float) -> float:
-    """Evaluate the series at one point."""
-    theta = math.pi * x / fs.half_period
-    total = 0.5 * fs.a0
-    for n in range(1, fs.n_terms + 1):
-        total += fs.a[n - 1] * math.cos(n * theta) + fs.b[n - 1] * math.sin(n * theta)
-    return total
-
-
-def maclaurin_trig(kind: str, terms: int) -> UniPoly:
-    """First `terms` nonzero Maclaurin terms of sin or cos.
-
-    sin: sum_m (-1)^m x^(2m+1)/(2m+1)!, degree 2*terms - 1
-    cos: sum_m (-1)^m x^(2m)/(2m)!,     degree 2*terms - 2
-    """
-    _check_term_count(terms)
-    if kind not in ("sin", "cos"):
-        raise UsageError(f"kind must be 'sin' or 'cos', got {kind!r}")
-    odd = 1 if kind == "sin" else 0
-    coeffs = [0.0] * (2 * terms - 1 + odd)
-    for m in range(terms):
-        coeffs[2 * m + odd] = (-1.0) ** m / math.factorial(2 * m + odd)
-    return UniPoly(tuple(coeffs))
-
-
-def _check_term_count(terms: int) -> None:
-    if terms < 1:
-        raise ConfigurationError("terms must be at least 1")
-    if terms > 85:  # from 86 terms on, (2*terms - 1)! does not fit in a double
-        raise ConfigurationError(f"{terms} series terms need factorials beyond the double range; use at most 85")
-
-
 def trig_term_budget(n_harmonics: int) -> int:
     """Smallest term count whose Maclaurin remainder bound beats TERM_TOL.
 
@@ -258,8 +222,11 @@ def check_trig_substitution(n_harmonics: int, terms: int, half_period: float) ->
             f"substituting {terms} series terms at {n_harmonics} harmonics needs intermediate "
             f"terms above {COEFF_MAGNITUDE_LIMIT:g}; use the least-squares fit for wide intervals"
         )
-    _check_term_count(terms)
-    s = u / half_period  # UniPoly.scaled_argument raises s to powers up to 2*terms - 1
+    if terms < 1:
+        raise ConfigurationError("terms must be at least 1")
+    if terms > 85:  # from 86 terms on, (2*terms - 1)! does not fit in a double
+        raise ConfigurationError(f"{terms} series terms need factorials beyond the double range; use at most 85")
+    s = u / half_period  # fourier_to_poly raises s to powers up to 2*terms - 1
     try:
         fits = math.isfinite(s ** (2 * terms - 1))
     except OverflowError:
@@ -279,19 +246,17 @@ def fourier_to_poly(fs: FourierSeries, terms: int) -> UniPoly:
     term count; fit with lsq_poly_fit instead in that regime.
     """
     check_trig_substitution(fs.n_terms, terms, fs.half_period)
-    sin_p = maclaurin_trig("sin", terms)
-    cos_p = maclaurin_trig("cos", terms)
+    # Maclaurin coefficient of x^k: cos takes the even k, sin the odd k
+    maclaurin = [(-1.0) ** (k // 2) / math.factorial(k) for k in range(2 * terms)]
     acc = np.zeros(2 * terms, dtype=float)
     acc[0] = 0.5 * fs.a0
-    for n in range(1, fs.n_terms + 1):
+    for n, (ca, cb) in enumerate(zip(fs.a, fs.b), start=1):
         s = n * math.pi / fs.half_period
-        ca, cb = fs.a[n - 1], fs.b[n - 1]
+        scaled = np.array([c * s**k for k, c in enumerate(maclaurin)])
         if ca:
-            cs = cos_p.scaled_argument(s).coeffs
-            acc[: len(cs)] += ca * np.array(cs)
+            acc[0::2] += ca * scaled[0::2]
         if cb:
-            cs = sin_p.scaled_argument(s).coeffs
-            acc[: len(cs)] += cb * np.array(cs)
+            acc[1::2] += cb * scaled[1::2]
     return UniPoly(tuple(acc))
 
 

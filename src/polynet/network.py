@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, ParseError, StructuralError, UsageError
+from .errors import ConfigurationError, DimensionError, NumericError, ParseError, StructuralError, UsageError
 from .funcapprox import UniPoly
 from .multipoly import MultiPoly
 
@@ -27,6 +27,11 @@ from .multipoly import MultiPoly
 # 12,870 terms (d=8, D=8), 4-6 s at 18,564 (d=6, D=12) and 72-81 s at
 # 74,613 (d=6, D=16); the limit keeps the first two and refuses the third.
 MAX_EXPANSION_TERMS = 20_000
+# Largest C(d + D, d) * d, the exponents those terms store per output.  A
+# one-layer linear net in d inputs stores (d + 1) * d: on a shared 2-vCPU machine
+# d = 2000 (4.0M) took 2.5 s and 117 MB, d = 3000 (9.0M) 6.1 s and 195 MB, and
+# d = 6000 (36M) 23 s and 608 MB; the limit keeps the first and refuses the others.
+MAX_EXPANSION_EXPONENTS = 5_000_000
 
 
 def _f17(x: float) -> str:
@@ -172,9 +177,16 @@ def _variables(d: int) -> np.ndarray:
 
 
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
-    """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node."""
+    """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node.
+
+    Raises NumericError when a coefficient overflows to inf or nan."""
     check_expansion_size(net)
-    return list(_run_layers(net._pairs, _variables(net.input_dim)))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        polys = list(_run_layers(net._pairs, _variables(net.input_dim)))
+    for k, p in enumerate(polys):
+        if not all(map(math.isfinite, p.terms.values())):
+            raise NumericError(f"output {k} of the expansion has a non-finite coefficient")
+    return polys
 
 
 def expansion_degree(net: NetworkSpec) -> int:
@@ -187,18 +199,24 @@ def expansion_degree(net: NetworkSpec) -> int:
 
 def check_expansion_size(net: NetworkSpec) -> None:
     """Raise ConfigurationError when a full expansion would allow more than
-    MAX_EXPANSION_TERMS monomials per output."""
+    MAX_EXPANSION_TERMS monomials or MAX_EXPANSION_EXPONENTS exponents per output."""
     check_term_count(net.input_dim, expansion_degree(net))
 
 
 def check_term_count(d: int, D: int) -> None:
     """Raise ConfigurationError when a degree-D polynomial in d variables
-    may hold more than MAX_EXPANSION_TERMS monomials."""
+    may hold more than MAX_EXPANSION_TERMS monomials, or more than
+    MAX_EXPANSION_EXPONENTS exponents in their d-long exponent tuples."""
     terms = math.comb(d + D, d)
     if terms > MAX_EXPANSION_TERMS:
         raise ConfigurationError(
             f"expanding to degree {D} in {d} inputs allows C({d + D}, {d}) = {terms} terms per output, "
             f"above the limit of {MAX_EXPANSION_TERMS}"
+        )
+    if terms * d > MAX_EXPANSION_EXPONENTS:
+        raise ConfigurationError(
+            f"expanding to degree {D} in {d} inputs stores C({d + D}, {d}) * {d} = {terms * d} exponents "
+            f"per output, above the limit of {MAX_EXPANSION_EXPONENTS}"
         )
 
 

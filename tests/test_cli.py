@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import argparse
+import inspect
 import os
 import re
 import shlex
@@ -116,7 +117,7 @@ def test_approx_term_budget_refused_before_the_quadrature(monkeypatch, capsys):
 
 
 def test_approx_narrow_interval_refuses_powers_beyond_the_double_range(capsys):
-    # s = pi / 0.04 = 78.5, and s**169 overflowed in UniPoly.scaled_argument
+    # s = pi / 0.04 = 78.5, and s**169, the top power fourier_to_poly takes, overflows
     rc = main(["approx", "--fn", "sigmoid", "--interval", "-0.04", "0.04", "--fourier-n", "1", "--terms", "85"])
     assert rc == 2
     out, err = capsys.readouterr()
@@ -307,6 +308,21 @@ def test_fit_data_overflow_is_reported_once(tmp_path, capsys):
     # (1 + 1e200)^2 overflows at the first start
     err = "numeric error: residuals are not finite at the initial point\n"
     assert fit_power2("1e200,0\n", tmp_path, capsys) == (1, "", err)
+
+
+def test_expansion_overflow_is_reported_once(tmp_path, capsys):
+    # (1e200 + 1e200 x)^2 has coefficients 1e400, 2e400 and 1e400
+    teacher = tmp_path / "teacher.json"
+    save_network(NetworkSpec(1, (LayerSpec(np.full((1, 2), 1e200), MonomialPower(2)),)), teacher)
+    student = tmp_path / "student.json"
+    save_network(NetworkSpec(1, (LayerSpec(np.zeros((1, 2)), MonomialPower(2)),)), student)
+    out = tmp_path / "e.poly"
+    err = "numeric error: output 0 of the expansion has a non-finite coefficient\n"
+    assert main(["expand", "--net", str(teacher), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+    assert main(["compress", "--teacher", str(teacher), "--student-arch", str(student), "--degree", "2"]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize(
@@ -566,6 +582,26 @@ def test_verb_options():
     found = {name: [opt for a in sub._actions for opt in a.option_strings if opt not in ("-h", "--help")]
              for name, sub in verbs.choices.items()}
     assert found == VERB_OPTIONS
+
+
+PUBLIC_NAMES = [
+    "ApproxError", "ConfigurationError", "Dataset", "DimensionError", "Error", "FourierSeries", "Identity",
+    "LayerSpec", "MonomialPower", "MultiPoly", "NetworkSpec", "NumericError", "ParseError", "PolyActivation",
+    "ResidualSystem", "SampledFunction", "SolveReport", "StructuralError", "UniPoly", "UsageError",
+    "approx_error", "build_coefficient_system", "build_data_system", "builtin", "class_target_poly",
+    "classify", "compress_network", "dataset_from_csv", "dataset_to_csv", "expand_network", "expansion_degree",
+    "forward", "fourier_fit", "fourier_to_poly", "load_dataset", "load_network", "lsq_poly_fit",
+    "network_from_json", "network_to_json", "network_weights", "poly_eval", "poly_from_text", "poly_to_text",
+    "residual_jacobian", "save_dataset", "save_network", "solve_system", "trig_term_budget", "truncate_degree",
+    "unipoly_from_text", "unipoly_to_text", "with_weights",
+]
+
+
+def test_public_names():
+    # every public name of the package; a new or deleted name is a deliberate edit here.
+    # Submodules are left out: which of them are attributes depends on what was imported.
+    found = sorted(n for n in dir(polynet) if not n.startswith("_") and not inspect.ismodule(getattr(polynet, n)))
+    assert found == PUBLIC_NAMES
 
 
 def test_bad_flags_exit_2():

@@ -12,6 +12,7 @@ from scipy.integrate import simpson
 
 from polynet import (
     ConfigurationError,
+    FourierSeries,
     NumericError,
     ParseError,
     SampledFunction,
@@ -19,11 +20,9 @@ from polynet import (
     UsageError,
     approx_error,
     builtin,
-    fourier_eval,
     fourier_fit,
     fourier_to_poly,
     lsq_poly_fit,
-    maclaurin_trig,
     trig_term_budget,
     unipoly_from_text,
     unipoly_to_text,
@@ -44,6 +43,15 @@ def sigmoid8():
     return builtin("sigmoid", -8.0, 8.0)
 
 
+def fourier_eval(fs, x):
+    """Reference: the series at one point, summed harmonic by harmonic."""
+    theta = math.pi * x / fs.half_period
+    total = 0.5 * fs.a0
+    for n in range(1, fs.n_terms + 1):
+        total += fs.a[n - 1] * math.cos(n * theta) + fs.b[n - 1] * math.sin(n * theta)
+    return total
+
+
 def test_unipoly_normalization():
     assert UniPoly((1.0, 2.0, 0.0, 0.0)).coeffs == (1.0, 2.0)
     assert UniPoly(()).coeffs == (0.0,)
@@ -57,14 +65,6 @@ def test_unipoly_evaluation():
     assert p(2.0) == 1.0 - 4.0 + 12.0
     got = p(np.array([0.0, 1.0, 2.0]))
     assert np.allclose(got, [1.0, 2.0, 9.0])
-
-
-def test_unipoly_scaled_argument():
-    p = UniPoly((1.0, 2.0, 3.0))
-    q = p.scaled_argument(2.0)
-    assert q.coeffs == (1.0, 4.0, 12.0)
-    xs = np.linspace(-2, 2, 9)
-    assert np.allclose(q(xs), p(2.0 * xs))
 
 
 def test_unipoly_text_round_trip():
@@ -208,13 +208,21 @@ def test_non_finite_samples_are_reported():
         lsq_poly_fit(bad, (-1.0, 1.0), 3)
 
 
-def test_maclaurin_trig_coefficients():
-    s = maclaurin_trig("sin", 3)
-    assert s.coeffs == (0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0)
-    c = maclaurin_trig("cos", 3)
-    assert c.coeffs == (1.0, 0.0, -0.5, 0.0, 1.0 / 24.0)
-    with pytest.raises(UsageError, match="sin.*cos"):
-        maclaurin_trig("tan", 3)
+SIN3 = (0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0)
+COS3 = (1.0, 0.0, -0.5, 0.0, 1.0 / 24.0)
+
+
+def test_fourier_to_poly_of_one_harmonic_is_the_maclaurin_series():
+    # on [-pi, pi] the first harmonic is cos(x) or sin(x) itself
+    assert fourier_to_poly(FourierSeries(math.pi, 0.0, (1.0,), (0.0,)), 3).coeffs == COS3
+    assert fourier_to_poly(FourierSeries(math.pi, 0.0, (0.0,), (1.0,)), 3).coeffs == SIN3
+
+
+def test_fourier_to_poly_scales_the_argument():
+    # on [-pi/2, pi/2] the first harmonic is cos(2x) or sin(2x): coefficient k gains 2^k
+    for a, b, series in (((1.0,), (0.0,), COS3), ((0.0,), (1.0,), SIN3)):
+        got = fourier_to_poly(FourierSeries(math.pi / 2, 0.0, a, b), 3).coeffs
+        assert got == tuple(c * 2.0**k for k, c in enumerate(series))
 
 
 def test_trig_term_budget():
@@ -256,10 +264,11 @@ def test_trig_substitution_refusal_matches_a_scan():
 
 
 def test_factorials_beyond_the_double_range_are_refused():
-    maclaurin_trig("sin", 85)
+    one_harmonic = FourierSeries(1.0, 0.0, (1.0,), (1.0,))
     check_trig_substitution(1, 85, 1.0)
-    for call in (lambda: maclaurin_trig("sin", 86), lambda: maclaurin_trig("cos", 86),
-                 lambda: check_trig_substitution(1, 86, 1.0), lambda: check_trig_substitution(1, 10**9, 1.0)):
+    assert fourier_to_poly(one_harmonic, 85).degree == 169
+    for call in (lambda: fourier_to_poly(one_harmonic, 86), lambda: check_trig_substitution(1, 86, 1.0),
+                 lambda: check_trig_substitution(1, 10**9, 1.0)):
         with pytest.raises(ConfigurationError, match="beyond the double range; use at most 85"):
             call()
 

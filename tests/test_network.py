@@ -320,6 +320,16 @@ def test_expansion_budget_refuses_at_once():
     check_expansion_size(NetworkSpec(6, (LayerSpec(np.ones((1, 7)), MonomialPower(12)),)))
     with pytest.raises(ConfigurationError, match="24310"):
         check_expansion_size(NetworkSpec(8, (LayerSpec(np.ones((1, 9)), MonomialPower(9)),)))
+    # a linear net in d inputs stores (d + 1) * d exponents: 4,997,460 at d = 2235 is
+    # allowed, 5,001,932 at d = 2236 is not, and d = 6000 is refused before any product
+    check_expansion_size(NetworkSpec(2235, (LayerSpec(np.ones((1, 2236))),)))
+    with pytest.raises(ConfigurationError, match="5001932 exponents"):
+        check_expansion_size(NetworkSpec(2236, (LayerSpec(np.ones((1, 2237))),)))
+    wide = NetworkSpec(6000, (LayerSpec(np.ones((1, 6001))),))
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match=r"C\(6001, 6000\) \* 6000 = 36006000 exponents"):
+        expand_network(wide)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_classify_rules():

@@ -1,6 +1,7 @@
 """Weight synthesis: target construction, residual systems, the damped solver."""
 
 import io
+import math
 import re
 import warnings
 
@@ -249,6 +250,21 @@ def test_forward_difference_jacobian_matches_central():
     assert np.max(np.abs(fwd - central)) <= 1e-4
 
 
+def test_coefficient_jacobian_rank_is_the_neurovariety_dimension():
+    # d = 2, 4 power-4 hidden units, 2 outputs: 22 weights, 30 coefficients.  Scaling a
+    # hidden unit's weights by t and its output weights by t^-4 leaves the expansion
+    # alone, so the rank is 22 - 4 (Kileel, Trager and Bruna, arXiv:1905.12207).
+    # Forward differences leave the null directions near 1e-8 of the largest
+    # singular value, and the smallest kept one is above 1e-3 of it.
+    arch = NetworkSpec(2, (LayerSpec(np.zeros((4, 3)), MonomialPower(4)), LayerSpec(np.zeros((2, 5)))))
+    system = build_coefficient_system(arch, [MultiPoly(2), MultiPoly(2)])
+    assert (system.unknowns, system.arity) == (22, 30)
+    for seed in range(3):
+        w = np.random.default_rng(seed).uniform(-1.0, 1.0, 22)
+        sv = np.linalg.svd(residual_jacobian(system, w, system.residuals(w)), compute_uv=False)
+        assert np.count_nonzero(sv > 1e-6 * sv[0]) == 18
+
+
 def test_solver_stops_immediately_at_a_root():
     arch = square_arch(4, 1)
     w_star = np.ones(17)  # the first start
@@ -305,6 +321,32 @@ def test_solver_is_deterministic():
     w2, r2 = solve_system(system)
     assert w1.tobytes() == w2.tobytes()
     assert r1 == r2
+
+
+def test_converged_data_fit_expands_to_the_least_squares_polynomial():
+    # With n rows whose Vandermonde matrix over the C(d + 2, d) monomials of degree
+    # <= 2 has full column rank, a square net that fits the rows exactly expands to
+    # the one polynomial of degree <= 2 through them, the least-squares solution.
+    # Experiment 4's grid comes first, then seeded square teachers in 2 and 3 inputs.
+    axis = (0.0, 0.5, 1.0)
+    grid = np.array([(u, v) for u in axis for v in axis])
+    cases = [(square_arch(4, 1), grid, poly_eval(regression_target(), grid))]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        arch = NetworkSpec(d, (LayerSpec(np.zeros((d + 2, d + 1)), MonomialPower(2)), LayerSpec(np.zeros((1, d + 3)))))
+        teacher = with_weights(arch, rng.uniform(-1.0, 1.0, network_weights(arch).size))
+        X = rng.uniform(-1.0, 1.0, (math.comb(d + 2, d) + 4, d))
+        cases.append((arch, X, forward(teacher, X)[:, 0]))
+    for arch, X, y in cases:
+        monomials = grlex_monomials(arch.input_dim, 2)
+        V = np.array([[math.prod(x**k for x, k in zip(row, e)) for e in monomials] for row in X])
+        assert np.linalg.matrix_rank(V) == len(monomials)
+        w, report = solve_system(build_data_system(arch, Dataset(X, y)))
+        assert report.converged
+        (poly,) = expand_network(with_weights(arch, w))
+        got = np.array([poly.terms.get(e, 0.0) for e in monomials])
+        assert np.max(np.abs(got - np.linalg.lstsq(V, y, rcond=None)[0])) <= 1e-9  # measured 2.8e-11
 
 
 def test_data_solve_golden_bits():
