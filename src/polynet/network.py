@@ -155,7 +155,8 @@ class NetworkSpec:
 def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     """The forward pass over (weights, activation) pairs.  Weights are (r, c),
     or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once;
-    on MultiPoly inputs, (r, c) objects holding (m,) arrays do the same."""
+    on MultiPoly inputs, (r, c) objects holding recorded coefficients write
+    the pass onto a tape (see multipoly._Recorded)."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:

@@ -11,6 +11,14 @@ system for the weights:
 Systems are solved by a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with forward-difference Jacobians.  Underdetermined systems are
 fine; the damped normal matrix stays positive definite.
+
+Data residuals run the forward pass on stacks of weight sets.  Coefficient
+residuals replay a tape: build_coefficient_system runs expand_network's
+ring pass once, on recording coefficients at fixed weights, which writes
+down every float operation of the pass (_CoefficientTape).  A residual
+call replays those operations with numpy on a stack of weight sets, and a
+set whose exact zeros differ from the recording's runs the dict ring alone,
+so every residual has the bits of its own expansion.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
-from .multipoly import MultiPoly, _MixedZeros, grlex_monomials, truncate_degree
+from .multipoly import MultiPoly, _Tape, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
                       check_term_count, expand_network, expansion_degree)
 
@@ -36,9 +44,10 @@ MAX_ITERS = 500     # accepted steps per attempt
 STALL_WINDOW = 50   # an attempt whose cost fell by less than STALL_DROP
 STALL_DROP = 0.02   # over the last STALL_WINDOW accepted steps has stalled
 TOL_RESIDUAL = 1e-10  # on the residual infinity norm: an attempt at or below it has converged
-# Largest stacked layer intermediate (m weight sets x residuals x widest
-# layer input) of one batched residual call, in float64 elements (1 MiB);
-# a coefficient residual is a monomial whose coefficient holds m floats.
+# Largest buffer of one batched residual call, in float64 elements (1 MiB):
+# m weight sets times, for the data system, the stacked layer intermediate
+# of one set (example rows x widest layer input), or, for the coefficient
+# system, the slots of its tape.
 CHUNK_ELEMENTS = 1 << 17
 
 
@@ -135,21 +144,76 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
             )
     monomials = grlex_monomials(arch.input_dim, attainable)
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
-    x = _variables(arch.input_dim)
+    tape = _CoefficientTape.record(arch, monomials)
+    return _stacked_system(arch, wanted, tape, _chunk(arch, tape.slots))
 
-    def run(Ws: np.ndarray) -> np.ndarray:
-        """Coefficients (k, arity) at weight sets Ws (k, unknowns) by one ring
-        pass, in which weight j enters as a float when k = 1 and as the (k,)
-        array of every set's weight j otherwise."""
-        w = Ws[0] if len(Ws) == 1 else np.fromiter(Ws.T.copy(), dtype=object)
-        try:
-            outputs = _run_layers(_layer_weights(arch, w), x)
-        except _MixedZeros:  # a term some sets drop on their own: run each set alone
-            return np.concatenate([run(v[None]) for v in Ws])
+
+@dataclass(frozen=True, eq=False)
+class _CoefficientTape:
+    """The float operations of one ring pass (_run_layers on the input
+    variables), recorded once and replayed on stacks of weight sets.
+
+    Slots 0..unknowns-1 hold the weights, the next len(consts) the constants,
+    and each group (ufunc, lo, hi, operands) writes slots lo..hi-1 from slots
+    of lower dependency depth.  The ring drops the terms whose coefficient is
+    exactly 0, which changes its later dict order and sums; so a weight set
+    whose zero pattern over the slots is not the recording's (zero) runs the
+    float dict ring instead (ring), and every set keeps the bits of its own
+    dict-ring evaluation."""
+
+    arch: NetworkSpec
+    monomials: list
+    slots: int
+    consts: np.ndarray
+    groups: tuple
+    zero: np.ndarray  # (slots,) bool: the slot was 0.0 at the record point
+    outputs: np.ndarray  # (arity,) slot of each residual's coefficient
+
+    @classmethod
+    def record(cls, arch: NetworkSpec, monomials: list) -> "_CoefficientTape":
+        # the record point has a generator of its own, so the solver's draws do not move
+        tape = _Tape(np.random.default_rng(0).uniform(-1.0, 1.0, network_weights(arch).size).tolist())
+        polys = _run_layers(_layer_weights(arch, np.array(tape.weights, dtype=object)), _variables(arch.input_dim))
+        outputs = [tape.entry(p.terms.get(e, 0.0)) for p in polys for e in monomials]
+        op, a, b, depth = (np.frombuffer(col, dtype=col.typecode) for col in (tape.op, tape.a, tape.b, tape.depth))
+        # slots by (depth, op), ties in tape order: the weights, the constants, then one block per group
+        order = np.lexsort((op, depth))
+        slot = np.argsort(order)  # of each tape entry
+        # group bounds, the first of them after the leaves (depth 0, op 0)
+        bounds = [*(np.flatnonzero(np.diff(depth[order] * len(_Tape.OPS) + op[order])) + 1), order.size]
+        groups = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            ufunc = _Tape.OPS[op[order[lo]]]
+            groups.append((ufunc, lo, hi, [slot[x[order[lo:hi]]] for x in (a, b)[: ufunc.nin]]))
+        values = np.frombuffer(tape.value)[order]
+        return cls(arch, monomials, order.size, values[len(tape.weights) : bounds[0]], tuple(groups),
+                   values == 0.0, slot[outputs])
+
+    def replay(self, Ws: np.ndarray) -> np.ndarray:
+        """Every slot (slots, k) at weight sets Ws (k, unknowns)."""
+        buf = np.empty((self.slots, len(Ws)))
+        p = Ws.shape[1]
+        buf[:p] = Ws.T
+        buf[p : p + len(self.consts)] = self.consts[:, None]
+        for ufunc, lo, hi, operands in self.groups:
+            ufunc(*(buf.take(a, 0) for a in operands), out=buf[lo:hi])
+        return buf
+
+    def ring(self, w: np.ndarray) -> np.ndarray:
+        """Coefficients (arity,) at one weight set w (unknowns,) by the float dict ring."""
+        polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
         zero = 0.0 * w[0]
-        return np.array([zero + p.terms.get(e, 0.0) for p in outputs for e in monomials]).reshape(-1, len(Ws)).T
+        return np.array([zero + p.terms.get(e, 0.0) for p in polys for e in self.monomials])
 
-    return _stacked_system(arch, wanted, run)
+    def __call__(self, Ws: np.ndarray) -> np.ndarray:
+        """Coefficients (k, arity) at weight sets Ws (k, unknowns)."""
+        buf = self.replay(Ws)
+        C = 0.0 * Ws[:, :1] + buf.take(self.outputs, 0).T
+        # one row per set: the transpose's contiguous rows reduce fast
+        strays = (np.ascontiguousarray((buf == 0.0).T) != self.zero).any(axis=1)
+        for j in np.flatnonzero(strays):
+            C[j] = self.ring(Ws[j])
+        return C
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -160,25 +224,25 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         raise DimensionError(f"dataset has {ds.X.shape[1]} features, architecture expects {arch.input_dim}")
     # Rows are copied per set: a broadcast view makes concatenate lay [1, x]
     # out column-major, and a strided dot rounds differently.
-    X = np.broadcast_to(ds.X, (_chunk(arch, len(ds)),) + ds.X.shape).copy()
+    widest = max(layer.weights.shape[1] for layer in arch.layers)
+    chunk = _chunk(arch, len(ds) * widest)
+    X = np.broadcast_to(ds.X, (chunk,) + ds.X.shape).copy()
 
     def run(Ws: np.ndarray) -> np.ndarray:
         return _run_layers(_layer_weights(arch, Ws[:, None]), X[: len(Ws)])[..., 0]
 
-    return _stacked_system(arch, ds.y, run)
+    return _stacked_system(arch, ds.y, run, chunk)
 
 
-def _chunk(arch: NetworkSpec, arity: int) -> int:
-    """Weight sets per stacked call, from CHUNK_ELEMENTS."""
-    widest = max(layer.weights.shape[1] for layer in arch.layers)
-    return max(1, min(network_weights(arch).size, CHUNK_ELEMENTS // (arity * widest)))
+def _chunk(arch: NetworkSpec, per_set: int) -> int:
+    """Weight sets per stacked call: CHUNK_ELEMENTS over the elements one set takes."""
+    return max(1, min(network_weights(arch).size, CHUNK_ELEMENTS // per_set))
 
 
-def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run) -> ResidualSystem:
-    """Residuals run(Ws) - targets, where run maps up to _chunk weight sets
+def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run, chunk: int) -> ResidualSystem:
+    """Residuals run(Ws) - targets, where run maps up to chunk weight sets
     (k, unknowns) to outputs (k, arity).  Overflow to inf or nan is silent:
     the solver's finiteness checks report it."""
-    chunk = _chunk(arch, targets.size)
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(Ws)):
@@ -215,7 +279,7 @@ def _finite(value, name: str):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, or rejects a trial step
-def _lm(system: ResidualSystem, w: np.ndarray, trace) -> tuple[np.ndarray, bool, int, float]:
+def _lm(system: ResidualSystem, w: np.ndarray, attempt: int, trace) -> tuple[np.ndarray, bool, int, float]:
     r = system.residuals(w)
     if not np.all(np.isfinite(r)):
         raise NumericError("residuals are not finite at the initial point")
@@ -254,7 +318,7 @@ def _lm(system: ResidualSystem, w: np.ndarray, trace) -> tuple[np.ndarray, bool,
         norm = float(np.max(np.abs(r)))
         step_norm = float(np.linalg.norm(step))
         if trace is not None:
-            print(f"{iterations}, {norm:.9e}, {lam:.3e}, {step_norm:.9e}", file=trace)
+            print(f"{attempt}, {iterations}, {norm:.9e}, {lam:.3e}, {step_norm:.9e}", file=trace)
         if step_norm < STEP_EPS or cost > (1.0 - STALL_DROP) * costs[-STALL_WINDOW - 1]:
             break
     return w, norm <= TOL_RESIDUAL, iterations, norm
@@ -274,6 +338,8 @@ def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.
     from uniform(-1, 1) draws seeded by seed.  The first converged attempt
     wins, deterministically for a fixed seed.  When no attempt converges the
     best attempt (lowest residual norm) is returned with converged=False.
+    With a trace stream, each accepted step prints one line to it:
+    attempt, iteration, residual infinity norm, damping, step norm.
 
     Returns (weights, SolveReport).
     """
@@ -283,7 +349,7 @@ def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.
     best: tuple[np.ndarray, int, float] | None = None
     for attempt in range(RESTARTS + 1):
         w0 = np.ones(system.unknowns) if attempt == 0 else rng.uniform(-1.0, 1.0, system.unknowns)
-        w, converged, iters, norm = _lm(system, w0, trace)
+        w, converged, iters, norm = _lm(system, w0, attempt, trace)
         if converged:
             return w, SolveReport(True, iters, norm, attempt)
         if best is None or norm < best[2]:

@@ -248,7 +248,7 @@ def test_synth_trace_goes_to_stderr(tmp_path, capsys):
     assert rc == 0
     err = capsys.readouterr().err
     first = err.splitlines()[0]
-    assert re.match(r"^\d+, \d\.\d{9}e[+-]\d{2,3}, ", first), first
+    assert re.match(r"^\d+, \d+, \d\.\d{9}e[+-]\d{2,3}, ", first), first
 
 
 def test_fit_data_round_trip(tmp_path):

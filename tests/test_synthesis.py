@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polynet import multipoly, synthesis
+from polynet import multipoly, network, synthesis
 from polynet import (
     ConfigurationError,
     Dataset,
@@ -44,7 +44,7 @@ from polynet.experiments import (
     two_class_points,
     two_class_targets,
 )
-from polynet.multipoly import _MixedZeros, grlex_monomials
+from polynet.multipoly import grlex_monomials
 
 # Class polynomials for the 4-example table, derived independently with pencil
 # and paper from the product-of-negated-squared-distances construction.
@@ -60,7 +60,7 @@ CLASS8_TARGET = {
 }
 
 TRACE_LINE = re.compile(
-    r"^\d+, \d\.\d{9}e[+-]\d{2,3}, \d\.\d{3}e[+-]\d{2,3}, \d\.\d{9}e[+-]\d{2,3}$"
+    r"^\d+, \d+, \d\.\d{9}e[+-]\d{2,3}, \d\.\d{3}e[+-]\d{2,3}, \d\.\d{9}e[+-]\d{2,3}$"
 )
 
 
@@ -453,11 +453,32 @@ def test_batched_jacobian_matches_per_column_coefficient_residuals():
         assert_same_bits(J, per_column_jacobian(lambda v: coefficient_residuals(arch, targets, v), w, r0))
 
 
-def test_coefficient_jacobian_keeps_its_bits_at_exact_zero_weights():
+def spy_on_the_tape(monkeypatch):
+    """Lists that fill with the weight sets of each tape replay (one (k, unknowns)
+    stack per call) and of each set run alone on the dict ring instead."""
+    replays, fallbacks = [], []
+    replay, ring = synthesis._CoefficientTape.replay, synthesis._CoefficientTape.ring
+
+    def spy_replay(tape, Ws):
+        replays.append(Ws.copy())
+        return replay(tape, Ws)
+
+    def spy_ring(tape, w):
+        fallbacks.append(w.copy())
+        return ring(tape, w)
+
+    monkeypatch.setattr(synthesis._CoefficientTape, "replay", spy_replay)
+    monkeypatch.setattr(synthesis._CoefficientTape, "ring", spy_ring)
+    return replays, fallbacks
+
+
+def test_coefficient_jacobian_keeps_its_bits_at_exact_zero_weights(monkeypatch):
     # A coefficient that is exactly 0 drops its term from that weight set's own
-    # expansion, which changes the order of its later sums; the stacked ring must
-    # give every set the bits of its own evaluation all the same.
+    # expansion, which changes the order of its later sums; the tape was recorded
+    # at nonzero weights, so every set holding a zero weight must run on the dict
+    # ring alone, and keep the bits of its own evaluation.
     rng = np.random.default_rng(12)
+    replays, fallbacks = spy_on_the_tape(monkeypatch)
     for _ in range(150):
         d = int(rng.integers(1, 3))
         arch = random_arch(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
@@ -465,15 +486,69 @@ def test_coefficient_jacobian_keeps_its_bits_at_exact_zero_weights():
         system = build_coefficient_system(arch, targets)
         w = rng.uniform(-1.0, 1.0, system.unknowns)
         w[rng.random(w.size) < 0.2] = 0.0
+        replays.clear()
+        fallbacks.clear()
         r0 = system.residuals(w)
-        assert_same_bits(residual_jacobian(system, w, r0), per_column_jacobian(system.residuals, w, r0))
+        assert_same_bits(r0, coefficient_residuals(arch, targets, w))
+        J = residual_jacobian(system, w, r0)
+        assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+        assert_same_bits(J, per_column_jacobian(lambda v: coefficient_residuals(arch, targets, v), w, r0))
+        # the sets that fell back are the replayed sets that hold a zero, in order
+        replayed = np.concatenate(replays)
+        assert_same_bits(np.array(fallbacks).reshape(-1, w.size), replayed[(replayed == 0.0).any(axis=1)])
+
+
+def dict_ring_residuals(arch, targets, w):
+    """coefficient_residuals without expand_network's finiteness check, so that
+    inf and nan coefficients come through as the dict ring computes them."""
+    net = with_weights(arch, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = network._run_layers(net._pairs, network._variables(arch.input_dim))
+    monomials = grlex_monomials(arch.input_dim, expansion_degree(arch))
+    return np.array([p.terms.get(e, 0.0) - t.terms.get(e, 0.0) for p, t in zip(polys, targets) for e in monomials])
+
+
+def constant_output_archs():
+    """Architectures with a degree-0 poly activation: its output coefficient
+    holds no weight, and every weight before it is multiplied by 0.0."""
+    constant = PolyActivation(UniPoly((0.625,)))
+    return [
+        NetworkSpec(2, (LayerSpec(np.zeros((3, 3)), MonomialPower(2)), LayerSpec(np.zeros((2, 4)), constant))),
+        NetworkSpec(1, (LayerSpec(np.zeros((2, 2)), constant), LayerSpec(np.zeros((1, 3))))),
+        NetworkSpec(2, (LayerSpec(np.zeros((2, 3)), constant), LayerSpec(np.zeros((1, 3)), MonomialPower(3)))),
+    ]
+
+
+def test_tape_replay_is_the_dict_ring_bit_for_bit():
+    # batch_fn replays the recorded tape on stacks of weight sets; each set's
+    # residuals must have the bits of an expansion of the rebuilt network
+    rng = np.random.default_rng(14)
+    archs = [random_arch(rng, int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 3)), 2)
+             for _ in range(40)]
+    overflowed = []
+    for arch in archs + constant_output_archs():
+        p = network_weights(arch).size
+        targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, p)))
+        system = build_coefficient_system(arch, targets)
+        Ws = rng.uniform(-1.0, 1.0, (6, p))
+        Ws[3:][rng.random((3, p)) < 0.3] = 0.0  # three sets with exact-zero weights
+        R = system.batch_fn(Ws)
+        assert_same_bits(R, np.array([coefficient_residuals(arch, targets, w) for w in Ws]))
+        assert_same_bits(R[0], system.residuals(Ws[0]))
+        # at 1e120 squares overflow to inf and sums of opposite infs give nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = system.batch_fn(1e120 * Ws)
+        assert_same_bits(R, np.array([dict_ring_residuals(arch, targets, w) for w in 1e120 * Ws]))
+        overflowed.append((np.isinf(R).any(), np.isnan(R).any()))
+    assert np.all(np.any(overflowed, axis=0))
 
 
 def test_stacked_coefficients_overflow_as_floats_do():
     # Squares of 1e120 weights overflow to inf, and sums of opposite infs give nan,
-    # in the float path's object loops and in the stacked arrays' own operations.
-    # Both stay silent (the solver's finiteness checks report them), and the
-    # values agree bit for bit.
+    # in one stacked tape replay and in replays of one set each.  Both stay
+    # silent (the solver's finiteness checks report them), and the values agree
+    # bit for bit.
     system = build_coefficient_system(square_arch(4, 1), [regression_target()])
     Ws = 1e120 * np.random.default_rng(13).uniform(-1.0, 1.0, (5, system.unknowns))
     with warnings.catch_warnings():
@@ -485,23 +560,35 @@ def test_stacked_coefficients_overflow_as_floats_do():
 
 
 def chunk_test_system(kind):
-    """(builder, weights) of a system whose weight sets cost 28 (data) or
-    120 (coefficient) elements of CHUNK_ELEMENTS each."""
+    """(builder, weights, elements one weight set takes of CHUNK_ELEMENTS) of a
+    data system (28 elements a set) or a coefficient system (its tape's slots)."""
     if kind == "data":
         rng = np.random.default_rng(10)
         arch = random_arch(rng, 2, 3, 1, 3)  # 15 unknowns, widest layer input 4
         ds = Dataset(rng.uniform(-1.0, 1.0, (7, 2)), rng.uniform(-1.0, 1.0, 7))
-        return lambda: build_data_system(arch, ds), rng.uniform(-1.0, 1.0, network_weights(arch).size)
+        return lambda: build_data_system(arch, ds), rng.uniform(-1.0, 1.0, network_weights(arch).size), 28
     rng = np.random.default_rng(11)
     first = LayerSpec(np.zeros((3, 3)), PolyActivation(UniPoly((0.5, -1.0, 0.25))))
     arch = NetworkSpec(2, (first, LayerSpec(np.zeros((2, 4)), MonomialPower(2))))  # 2 x 15 residuals, 17 unknowns
     targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, 17)))
-    return lambda: build_coefficient_system(arch, targets), rng.uniform(-1.0, 1.0, 17)
+    slots = synthesis._CoefficientTape.record(arch, grlex_monomials(2, 4)).slots
+    return lambda: build_coefficient_system(arch, targets), rng.uniform(-1.0, 1.0, 17), slots
 
 
-# budgets that give chunks of 1, 2 and 5 weight sets; "zero" sets weight 5 to
-# exactly 0, which every perturbed set but set 5 shares, so the one chunk that
-# holds set 5 runs set by set while the chunks around it stack
+def step_lands_on_zero():
+    """A weight w whose forward-difference step leads exactly to 0:
+    w + FD_STEP * (1 + |w|) == 0."""
+    w = 0.0
+    while w + synthesis.FD_STEP * (1.0 + abs(w)) != 0.0:
+        w = -synthesis.FD_STEP * (1.0 + abs(w))
+    return w
+
+
+# budgets that give chunks of 1, 2 and 5 weight sets, for a data set of 28
+# elements and, scaled by slots / 120, for a coefficient set of the tape's
+# slots; "zero" puts weight 5 where its Jacobian step lands exactly on 0, so
+# that set 5 alone holds a zero, and only the chunk holding it runs one set
+# on the dict ring while every chunk replays the tape stacked
 @pytest.mark.parametrize(
     "kind, budget, sets, zero",
     [pytest.param("data", b, n, False, id=str(b)) for b, n in ((1, 1), (60, 2), (150, 5))]
@@ -509,30 +596,30 @@ def chunk_test_system(kind):
     + [pytest.param("coefficient", b, n, True, id=f"coefficient-zero-{b}") for b, n in ((1, 1), (240, 2), (600, 5))],
 )
 def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, zero):
-    build, w = chunk_test_system(kind)
+    build, w, per_set = chunk_test_system(kind)
     if zero:
-        w[5] = 0.0
+        w[5] = step_lands_on_zero()
     whole = build()
     J = residual_jacobian(whole, w, whole.residuals(w))
-    monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget if kind == "data" else budget * per_set // 120)
     chunked = build()
-    stacked, fallbacks = [], []
-    run_layers = synthesis._run_layers
+    if kind == "data":
+        stacks, fallbacks = [], []
+        run_layers = synthesis._run_layers
 
-    def spy(layers, h):
-        try:
-            out = run_layers(layers, h)
-        except _MixedZeros:
-            fallbacks.append(h)
-            raise
-        # weight sets per call: stacked input rows (data), or entries of stacked coefficients
-        stacked.append(len(h) if kind == "data" else max(np.size(c) for p in out for c in p.terms.values()))
-        return out
+        def spy(layers, h):
+            stacks.append(h)  # stacked input rows, one (n, d) block per weight set
+            return run_layers(layers, h)
 
-    monkeypatch.setattr(synthesis, "_run_layers", spy)
+        monkeypatch.setattr(synthesis, "_run_layers", spy)
+    else:
+        stacks, fallbacks = spy_on_the_tape(monkeypatch)
     assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
-    assert max(stacked) == sets
-    assert len(fallbacks) == (zero and sets > 1)
+    assert max(len(s) for s in stacks) == sets
+    # the set holding the zero, in one chunk, is the only one run on the dict ring
+    holding = [v for s in stacks if kind == "coefficient" for v in s if (v == 0.0).any()]
+    assert len(fallbacks) == len(holding) == zero
+    assert all(np.array_equal(a, b) for a, b in zip(fallbacks, holding))
 
 
 def test_non_finite_weights_raise_in_both_system_kinds():
@@ -576,8 +663,10 @@ def lm_from_ones(system):
 
     trace = io.StringIO()
     counted = ResidualSystem(system.unknowns, system.arity, batch_fn)
-    _, converged, iterations, _ = synthesis._lm(counted, np.ones(system.unknowns), trace)
-    steps = [float(line.split(", ")[3]) for line in trace.getvalue().splitlines()]
+    _, converged, iterations, _ = synthesis._lm(counted, np.ones(system.unknowns), 0, trace)
+    lines = [line.split(", ") for line in trace.getvalue().splitlines()]
+    assert all(line[0] == "0" for line in lines)  # the attempt index
+    steps = [float(line[4]) for line in lines]
     return converged, iterations, sum(jacobians), steps
 
 
@@ -658,7 +747,20 @@ def test_trace_stream_format():
     assert len(lines) == report.iterations
     for line in lines:
         assert TRACE_LINE.match(line), line
-    assert lines[0].startswith("1, ")
+    assert lines[0].startswith("0, 1, ")
+
+
+def test_trace_lines_carry_the_attempt_index():
+    # experiment 1 stalls from all ones and converges from a later start
+    system = build_coefficient_system(square_arch(4, 2), list(two_class_targets()))
+    buf = io.StringIO()
+    _, report = solve_system(system, trace=buf)
+    fields = [tuple(map(int, line.split(", ")[:2])) for line in buf.getvalue().splitlines()]
+    assert report.converged and report.restarts_used >= 1
+    assert {a for a, _ in fields} <= set(range(report.restarts_used + 1))
+    # each attempt's lines count its accepted steps from 1, in attempt order
+    assert fields == sorted(fields)
+    assert [i for a, i in fields if a == report.restarts_used] == list(range(1, report.iterations + 1))
 
 
 def duplicated_teacher():
