@@ -757,9 +757,9 @@ def test_trace_lines_carry_the_attempt_index():
     _, report = solve_system(system, trace=buf)
     fields = [tuple(map(int, line.split(", ")[:2])) for line in buf.getvalue().splitlines()]
     assert report.converged and report.restarts_used >= 1
-    assert {a for a, _ in fields} <= set(range(report.restarts_used + 1))
-    # each attempt's lines count its accepted steps from 1, in attempt order
+    # attempt by attempt from the all-ones start to the winner, whose lines count its steps from 1
     assert fields == sorted(fields)
+    assert fields[0] == (0, 1)
     assert [i for a, i in fields if a == report.restarts_used] == list(range(1, report.iterations + 1))
 
 
