@@ -6,15 +6,11 @@ zeros and nothing else, so every nonzero term an operation produces is
 kept, however small.  Term order everywhere is graded lexicographic
 (total degree ascending, then tuple order on the exponents), which pins
 down serialization and the ordering of downstream equation systems.
-
-A coefficient may also be a _Recorded float, which writes every ring
-operation it takes part in onto a _Tape (see synthesis).
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
@@ -50,79 +46,6 @@ def monomial_label(e: Exponents) -> str:
     return "*".join(parts) if parts else "1"
 
 
-class _Tape:
-    """The float operations of a recorded ring pass, one entry each, in columns:
-    entry i applies OPS[op[i]] to entries a[i] and b[i] (a alone for negative),
-    has value[i] at the record point, and lies depth[i] ops above the leaves.
-    Leaves (op 0) are the weights, appended first, and then each constant the
-    pass meets, once per bit pattern."""
-
-    OPS = (None, np.add, np.multiply, np.negative)
-
-    def __init__(self, weights):
-        self.op, self.a, self.b, self.depth, self.value = (array(t) for t in "bqqqd")
-        self._consts: dict[str, int] = {}  # by bits, so that 0.0 and -0.0 differ
-        self.weights = [self.append(0, 0, 0, v) for v in weights]
-
-    def append(self, op: int, a: int, b: int, value: float) -> "_Recorded":
-        c = float.__new__(_Recorded, value)
-        c.tape, c.index = self, len(self.op)
-        self.op.append(op)
-        self.a.append(a)
-        self.b.append(b)
-        self.depth.append(1 + max(self.depth[a], self.depth[b]) if op else 0)
-        self.value.append(value)
-        return c
-
-    def entry(self, c) -> int:
-        """The entry of a recorded coefficient, or the leaf of a constant."""
-        if type(c) is _Recorded:
-            return c.index
-        key = float(c).hex()
-        if key not in self._consts:
-            self._consts[key] = self.append(0, 0, 0, float(c)).index
-        return self._consts[key]
-
-
-class _Recorded(float):
-    """A coefficient of a recorded ring pass: a float holding its value at the
-    record point, whose every *, + and unary - appends one entry to its tape
-    and gives the result as a _Recorded float of that entry.  0 + c and 1 * c
-    give c itself: they have c's bits but for 0.0 + -0.0, and the sign of a
-    zero coefficient reaches no term the ring keeps."""
-
-    __slots__ = ("tape", "index")
-
-    def __add__(self, other):
-        return _record(1, self, other)
-
-    def __radd__(self, other):
-        return _record(1, other, self)
-
-    def __mul__(self, other):
-        return _record(2, self, other)
-
-    def __rmul__(self, other):
-        return _record(2, other, self)
-
-    def __neg__(self) -> "_Recorded":
-        return self.tape.append(3, self.index, self.index, -float(self))
-
-
-def _record(op: int, a, b):
-    """a + b (op 1) or a * b (op 2) of two coefficients, one of them recorded."""
-    if not (isinstance(a, float) and isinstance(b, float)):
-        return NotImplemented  # a polynomial or an array: its own operator applies
-    unit = 0.0 if op == 1 else 1.0
-    if type(a) is not _Recorded and a == unit:
-        return b
-    if type(b) is not _Recorded and b == unit:
-        return a
-    tape = a.tape if type(a) is _Recorded else b.tape
-    value = float(a) + float(b) if op == 1 else float(a) * float(b)
-    return tape.append(op, tape.entry(a), tape.entry(b), value)
-
-
 def _exponent(e) -> int:
     """An exponent as an int; integral floats such as 2.0 pass, anything else is refused."""
     if isinstance(e, (int, np.integer)) or (isinstance(e, (float, np.floating)) and float(e).is_integer()):
@@ -131,8 +54,9 @@ def _exponent(e) -> int:
 
 
 def _as_coefficient(c):
-    """A number as a float; a recorded coefficient as it is."""
-    return c if type(c) is _Recorded else float(c)
+    """A number as a float; a float subclass other than numpy's as it is, so
+    that its own operators apply."""
+    return c if isinstance(c, float) and not isinstance(c, np.floating) else float(c)
 
 
 class MultiPoly:
@@ -185,8 +109,7 @@ class MultiPoly:
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
         if not 0 <= index < nvars:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
-        e = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(nvars, {e: 1.0})
+        return cls._trusted(int(nvars), {tuple(1 if j == index else 0 for j in range(nvars)): 1.0})
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""

@@ -29,8 +29,9 @@ from .multipoly import MultiPoly
 MAX_EXPANSION_TERMS = 20_000
 # Largest C(d + D, d) * d, the exponents those terms store per output.  A
 # one-layer linear net in d inputs stores (d + 1) * d: on a shared 2-vCPU machine
-# d = 2000 (4.0M) took 2.5 s and 117 MB, d = 3000 (9.0M) 6.1 s and 195 MB, and
-# d = 6000 (36M) 23 s and 608 MB; the limit keeps the first and refuses the others.
+# d = 2000 (4.0M) took 0.5-0.6 s and 88 MB, d = 3000 (9.0M) 1.3-1.4 s and 127 MB,
+# and d = 6000 (36M) 5.1-5.4 s and 334 MB; the limit (d = 2235: 0.6-0.7 s and
+# 95 MB) keeps the first and refuses the others.
 MAX_EXPANSION_EXPONENTS = 5_000_000
 
 
@@ -156,7 +157,7 @@ def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     """The forward pass over (weights, activation) pairs.  Weights are (r, c),
     or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once;
     on MultiPoly inputs, (r, c) objects holding recorded coefficients write
-    the pass onto a tape (see multipoly._Recorded)."""
+    the pass onto a tape (see synthesis._Recorded)."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:

@@ -14,15 +14,17 @@ fine; the damped normal matrix stays positive definite.
 
 Data residuals run the forward pass on stacks of weight sets.  Coefficient
 residuals replay a tape: build_coefficient_system runs expand_network's
-ring pass once, on recording coefficients at fixed weights, which writes
-down every float operation of the pass (_CoefficientTape).  A residual
-call replays those operations with numpy on a stack of weight sets, and a
-set whose exact zeros differ from the recording's runs the dict ring alone,
-so every residual has the bits of its own expansion.
+ring pass once, at fixed weights that are _Recorded floats, and each *, +
+and unary - the ring performs on them writes one float operation onto the
+tape (_CoefficientTape).  A residual call replays those operations with
+numpy on a stack of weight sets, and a set whose exact zeros differ from
+the recording's runs the dict ring alone, so every residual has the bits
+of its own expansion.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
-from .multipoly import MultiPoly, _Tape, grlex_monomials, truncate_degree
+from .multipoly import MultiPoly, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
                       check_term_count, expand_network, expansion_degree)
 
@@ -144,50 +146,110 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
             )
     monomials = grlex_monomials(arch.input_dim, attainable)
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
-    tape = _CoefficientTape.record(arch, monomials)
+    tape = _CoefficientTape(arch, monomials)
     return _stacked_system(arch, wanted, tape, _chunk(arch, tape.slots))
 
 
-@dataclass(frozen=True, eq=False)
+class _Recorded(float):
+    """A coefficient of the recording ring pass: a float holding its value at
+    the record point, whose every *, + and unary - appends one entry to its
+    tape and gives the result as a _Recorded float of that entry.  0 + c and
+    1 * c give c itself: they have c's bits but for 0.0 + -0.0, and the sign
+    of a zero coefficient reaches no term the ring keeps."""
+
+    __slots__ = ("tape", "index")
+
+    def __add__(self, other):
+        return _record(1, self, other)
+
+    def __radd__(self, other):
+        return _record(1, other, self)
+
+    def __mul__(self, other):
+        return _record(2, self, other)
+
+    def __rmul__(self, other):
+        return _record(2, other, self)
+
+    def __neg__(self) -> "_Recorded":
+        return self.tape.append(3, self.index, self.index, -float(self))
+
+
+def _record(op: int, a, b):
+    """a + b (op 1) or a * b (op 2) of two coefficients, one of them recorded."""
+    if not (isinstance(a, float) and isinstance(b, float)):
+        return NotImplemented  # a polynomial or an array: its own operator applies
+    unit = 0.0 if op == 1 else 1.0
+    if type(a) is not _Recorded and a == unit:
+        return b
+    if type(b) is not _Recorded and b == unit:
+        return a
+    tape = a.tape if type(a) is _Recorded else b.tape
+    value = float(a) + float(b) if op == 1 else float(a) * float(b)
+    return tape.append(op, tape.entry(a), tape.entry(b), value)
+
+
 class _CoefficientTape:
     """The float operations of one ring pass (_run_layers on the input
-    variables), recorded once and replayed on stacks of weight sets.
+    variables), recorded once on _Recorded weights and replayed on stacks of
+    weight sets.
 
-    Slots 0..unknowns-1 hold the weights, the next len(consts) the constants,
-    and each group (ufunc, lo, hi, operands) writes slots lo..hi-1 from slots
-    of lower dependency depth.  The ring drops the terms whose coefficient is
-    exactly 0, which changes its later dict order and sums; so a weight set
-    whose zero pattern over the slots is not the recording's (zero) runs the
-    float dict ring instead (ring), and every set keeps the bits of its own
-    dict-ring evaluation."""
+    While recording, entry i applies OPS[op[i]] to entries a[i] and b[i]
+    (a alone for negative), has value[i] at the record point, and lies
+    depth[i] ops above the leaves: the weights, then each constant the pass
+    meets, once per bit pattern.  The entries are laid out as slots by
+    (depth, op): the weights, the constants (consts), then one block per
+    group (ufunc, lo, hi, operands) that writes slots lo..hi-1 from slots of
+    lower depth.  The ring drops the terms whose coefficient is exactly 0,
+    which changes its later dict order and sums; so a weight set whose zero
+    pattern over the slots is not the recording's (zero) runs the float dict
+    ring instead (ring), and every set keeps the bits of its own expansion."""
 
-    arch: NetworkSpec
-    monomials: list
-    slots: int
-    consts: np.ndarray
-    groups: tuple
-    zero: np.ndarray  # (slots,) bool: the slot was 0.0 at the record point
-    outputs: np.ndarray  # (arity,) slot of each residual's coefficient
+    OPS = (None, np.add, np.multiply, np.negative)
 
-    @classmethod
-    def record(cls, arch: NetworkSpec, monomials: list) -> "_CoefficientTape":
+    def __init__(self, arch: NetworkSpec, monomials: list):
+        self.arch, self.monomials = arch, monomials
+        self.op, self.a, self.b, self.depth, self.value = (array(t) for t in "bqqqd")
+        self._consts: dict[str, int] = {}  # by bits, so that 0.0 and -0.0 differ
         # the record point has a generator of its own, so the solver's draws do not move
-        tape = _Tape(np.random.default_rng(0).uniform(-1.0, 1.0, network_weights(arch).size).tolist())
-        polys = _run_layers(_layer_weights(arch, np.array(tape.weights, dtype=object)), _variables(arch.input_dim))
-        outputs = [tape.entry(p.terms.get(e, 0.0)) for p in polys for e in monomials]
-        op, a, b, depth = (np.frombuffer(col, dtype=col.typecode) for col in (tape.op, tape.a, tape.b, tape.depth))
+        point = np.random.default_rng(0).uniform(-1.0, 1.0, network_weights(arch).size).tolist()
+        weights = [self.append(0, 0, 0, v) for v in point]
+        outputs = [self.entry(c) for c in self.ring(np.array(weights, dtype=object))]
+        op, a, b, depth = (np.frombuffer(col, dtype=col.typecode) for col in (self.op, self.a, self.b, self.depth))
         # slots by (depth, op), ties in tape order: the weights, the constants, then one block per group
         order = np.lexsort((op, depth))
         slot = np.argsort(order)  # of each tape entry
         # group bounds, the first of them after the leaves (depth 0, op 0)
-        bounds = [*(np.flatnonzero(np.diff(depth[order] * len(_Tape.OPS) + op[order])) + 1), order.size]
-        groups = []
+        bounds = [*(np.flatnonzero(np.diff(depth[order] * len(self.OPS) + op[order])) + 1), order.size]
+        self.groups = []
         for lo, hi in zip(bounds, bounds[1:]):
-            ufunc = _Tape.OPS[op[order[lo]]]
-            groups.append((ufunc, lo, hi, [slot[x[order[lo:hi]]] for x in (a, b)[: ufunc.nin]]))
-        values = np.frombuffer(tape.value)[order]
-        return cls(arch, monomials, order.size, values[len(tape.weights) : bounds[0]], tuple(groups),
-                   values == 0.0, slot[outputs])
+            ufunc = self.OPS[op[order[lo]]]
+            self.groups.append((ufunc, lo, hi, [slot[x[order[lo:hi]]] for x in (a, b)[: ufunc.nin]]))
+        values = np.frombuffer(self.value)[order]
+        self.slots = order.size
+        self.consts = values[len(weights) : bounds[0]]
+        self.zero = values == 0.0  # (slots,) bool: the slot was 0.0 at the record point
+        self.outputs = slot[outputs]  # (arity,) slot of each residual's coefficient
+        del self.op, self.a, self.b, self.depth, self.value, self._consts  # the replay needs none of them
+
+    def append(self, op: int, a: int, b: int, value: float) -> _Recorded:
+        c = float.__new__(_Recorded, value)
+        c.tape, c.index = self, len(self.op)
+        self.op.append(op)
+        self.a.append(a)
+        self.b.append(b)
+        self.depth.append(1 + max(self.depth[a], self.depth[b]) if op else 0)
+        self.value.append(value)
+        return c
+
+    def entry(self, c) -> int:
+        """The entry of a recorded coefficient, or the leaf of a constant."""
+        if type(c) is _Recorded:
+            return c.index
+        key = float(c).hex()
+        if key not in self._consts:
+            self._consts[key] = self.append(0, 0, 0, float(c)).index
+        return self._consts[key]
 
     def replay(self, Ws: np.ndarray) -> np.ndarray:
         """Every slot (slots, k) at weight sets Ws (k, unknowns)."""
@@ -199,16 +261,16 @@ class _CoefficientTape:
             ufunc(*(buf.take(a, 0) for a in operands), out=buf[lo:hi])
         return buf
 
-    def ring(self, w: np.ndarray) -> np.ndarray:
-        """Coefficients (arity,) at one weight set w (unknowns,) by the float dict ring."""
+    def ring(self, w: np.ndarray) -> list:
+        """Coefficients (arity,) at one weight set w (unknowns,) by the dict ring:
+        floats, or _Recorded floats at the recording's weights."""
         polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
-        zero = 0.0 * w[0]
-        return np.array([zero + p.terms.get(e, 0.0) for p in polys for e in self.monomials])
+        return [p.terms.get(e, 0.0) for p in polys for e in self.monomials]
 
     def __call__(self, Ws: np.ndarray) -> np.ndarray:
         """Coefficients (k, arity) at weight sets Ws (k, unknowns)."""
         buf = self.replay(Ws)
-        C = 0.0 * Ws[:, :1] + buf.take(self.outputs, 0).T
+        C = buf.take(self.outputs, 0).T
         # one row per set: the transpose's contiguous rows reduce fast
         strays = (np.ascontiguousarray((buf == 0.0).T) != self.zero).any(axis=1)
         for j in np.flatnonzero(strays):

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, file round trips."""
 
 import argparse
+import hashlib
 import inspect
 import os
 import re
@@ -366,12 +367,22 @@ def test_compress_refuses_a_negative_degree_before_expanding(monkeypatch, tmp_pa
     assert err == "error: degree must be non-negative, got -1\n"
 
 
+# SHA-256 of each experiment's --machine output: every reported value keeps its bits
+VERIFY_DIGESTS = {
+    1: "85b394a3b8d94e8352c1f0f5af014aec061c997388ec710334441990f71dec10",
+    2: "43741a96340a9cb775d3720925e4031f28725bc140362dc0bf3e80ce2b8c6fb6",
+    3: "31950ce34c14b06f82c3fb9b3a37020bd27da4e9fbbb3f038376fed92cb1a64b",
+    4: "1dde7a8fbb229fbf2c725230b809fdf04a63736d495088032c52935843245918",
+}
+
+
 @pytest.mark.parametrize("exp_id", [1, 2, 3, 4])
 def test_verify_commands_pass(exp_id, capsys):
     rc = main([f"verify-exp{exp_id}", "--machine"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.rstrip().splitlines()[-1] == "result=PASS"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[exp_id]
 
 
 def test_verify_text_format(capsys):

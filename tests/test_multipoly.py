@@ -50,6 +50,8 @@ def test_constructors():
     x2 = MultiPoly.variable(3, 1)
     assert dict(x2.terms) == {(0, 1, 0): 1.0}
     assert x2.degree() == 1
+    x2 = MultiPoly.variable(np.int64(3), 1)
+    assert x2 == MultiPoly(3, {(0, 1, 0): 1.0}) and type(x2.nvars) is int
 
 
 def test_constructor_validation():
@@ -124,6 +126,51 @@ def test_function_aliases_match_operators():
     assert list((a - 2.0).terms.items()) == list(poly_add(a, -two).terms.items())
     for k in range(5):
         assert list((a**k).terms.items()) == list(poly_pow(a, k).terms.items())
+
+
+def test_float_subclass_coefficients_keep_their_operators():
+    # a float subclass other than numpy's enters the ring as it is, so that its
+    # own operators run (a recording coefficient relies on this); any other
+    # number enters as a plain float
+    calls = []
+
+    class Logged(float):
+        def _apply(self, name, other, op):
+            if not isinstance(other, float):
+                return NotImplemented  # a polynomial: its own operator applies
+            calls.append(name)
+            return Logged(op(float(self), float(other)))
+
+        def __add__(self, other):
+            return self._apply("add", other, float.__add__)
+
+        def __radd__(self, other):
+            return self._apply("radd", other, float.__radd__)
+
+        def __mul__(self, other):
+            return self._apply("mul", other, float.__mul__)
+
+        def __rmul__(self, other):
+            return self._apply("rmul", other, float.__rmul__)
+
+    p = MultiPoly(2, {(0, 0): 1.5, (1, 0): -2.0})
+    s = Logged(3.0)
+    cases = [
+        (lambda: p * s, ["rmul", "rmul"], {(0, 0): 4.5, (1, 0): -6.0}),
+        (lambda: s * p, ["rmul", "rmul"], {(0, 0): 4.5, (1, 0): -6.0}),
+        (lambda: p + s, ["radd"], {(0, 0): 4.5, (1, 0): -2.0}),
+        (lambda: s + p, ["add"], {(0, 0): 4.5, (1, 0): -2.0}),
+    ]
+    for op, want_calls, want_terms in cases:
+        calls.clear()
+        result = op()
+        assert calls == want_calls
+        assert result.terms == want_terms
+        assert type(result.terms[(0, 0)]) is Logged
+    for number in (np.float64(3.0), 3, True):
+        for result in (p * number, number * p, p + number, number + p):
+            assert all(type(c) is float for c in result.terms.values())
+        assert (p * number).terms == (p * float(number)).terms
 
 
 def test_eval_is_a_ring_homomorphism():

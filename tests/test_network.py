@@ -292,7 +292,7 @@ def test_expansion_golden_bits_and_order():
 
 def test_wide_linear_expansion_is_fast_and_exact():
     # d + 1 terms, but each ring sum used to rehash every d-long key: 2000
-    # inputs took 23 s, and take about 1 s on a shared 2-vCPU machine
+    # inputs took 23 s, and take about 0.5 s on a shared 2-vCPU machine
     d = 2000
     w = np.random.default_rng(3).uniform(-1.0, 1.0, (1, d + 1))
     net = NetworkSpec(d, (LayerSpec(w),))

@@ -571,7 +571,7 @@ def chunk_test_system(kind):
     first = LayerSpec(np.zeros((3, 3)), PolyActivation(UniPoly((0.5, -1.0, 0.25))))
     arch = NetworkSpec(2, (first, LayerSpec(np.zeros((2, 4)), MonomialPower(2))))  # 2 x 15 residuals, 17 unknowns
     targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, 17)))
-    slots = synthesis._CoefficientTape.record(arch, grlex_monomials(2, 4)).slots
+    slots = synthesis._CoefficientTape(arch, grlex_monomials(2, 4)).slots
     return lambda: build_coefficient_system(arch, targets), rng.uniform(-1.0, 1.0, 17), slots
 
 
