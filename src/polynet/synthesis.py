@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
 from .multipoly import MultiPoly, grlex_monomials, truncate_degree
@@ -307,9 +307,11 @@ def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run, chunk: int) -> 
     the solver's finiteness checks report it."""
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(Ws)):
+        if not np.isfinite(Ws).all():
             raise StructuralError("weights must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
+            if len(Ws) <= chunk:
+                return run(Ws) - targets
             return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
 
     return ResidualSystem(network_weights(arch).size, targets.size, batch_fn)
@@ -326,7 +328,7 @@ def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     _check_weights(w, system.unknowns)
     steps = FD_STEP * (1.0 + np.abs(w))
-    Ws = np.tile(w, (w.size, 1))
+    Ws = np.broadcast_to(w, (w.size, w.size)).copy()
     np.fill_diagonal(Ws, w + steps)
     J = np.subtract(system.batch_fn(Ws).T, r0[:, None], order="C")  # J.T @ J rounds differently in F order
     J /= steps
@@ -335,15 +337,34 @@ def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
 
 def _finite(value, name: str):
     """value, or NumericError naming it when any entry overflowed."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericError(f"{name} is not finite")
     return value
+
+
+def cho_factor(M: np.ndarray) -> np.ndarray:
+    """The upper Cholesky factor of a symmetric matrix, from LAPACK's dpotrf
+    as scipy.linalg.cho_factor calls it, without scipy's checks: LinAlgError
+    when M is not positive definite."""
+    c, info = dpotrf(M, lower=0, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with M x = b, where c = cho_factor(M), from LAPACK's dpotrs as
+    scipy.linalg.cho_solve calls it."""
+    x, info = dpotrs(c, b, lower=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrs failed with info {info}")
+    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, or rejects a trial step
 def _lm(system: ResidualSystem, w: np.ndarray, attempt: int, trace) -> tuple[np.ndarray, bool, int, float]:
     r = system.residuals(w)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise NumericError("residuals are not finite at the initial point")
     lam = DAMPING
     norm = float(np.max(np.abs(r)))
@@ -365,7 +386,7 @@ def _lm(system: ResidualSystem, w: np.ndarray, attempt: int, trace) -> tuple[np.
                 continue
             r_try = system.residuals(w + delta)
             cost_try = 0.5 * float(r_try @ r_try)
-            if np.all(np.isfinite(r_try)) and cost_try < cost:
+            if np.isfinite(r_try).all() and cost_try < cost:
                 step = delta
                 w = w + delta
                 r = r_try

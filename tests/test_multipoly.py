@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from polynet import (
     poly_to_text,
     truncate_degree,
 )
+from polynet import multipoly
 from polynet.multipoly import apply_univariate, grlex_monomials, monomial_label, poly_add, poly_mul, poly_pow
 
 
@@ -70,6 +73,12 @@ def test_constructor_validation():
         with pytest.raises(UsageError, match=f"exponent {re.escape(repr(bad))} is not an integer"):
             MultiPoly(1, {(bad,): 2.0, (1,): 3.0})
     assert MultiPoly(2, {(2.0, np.int64(1)): 1.0}) == MultiPoly(2, {(2, 1): 1.0})
+    # an index of 1.5 used to give the constant polynomial 1
+    for bad in (1.5, float("nan"), float("inf"), "1", None):
+        with pytest.raises(UsageError, match=f"variable index {re.escape(repr(bad))} is not an integer"):
+            MultiPoly.variable(3, bad)
+    for index in (1, np.int64(1), np.int32(1), 1.0):
+        assert MultiPoly.variable(3, index) == MultiPoly(3, {(0, 1, 0): 1.0})
 
 
 def test_graded_lex_iteration_order():
@@ -128,6 +137,101 @@ def test_function_aliases_match_operators():
         assert list((a**k).terms.items()) == list(poly_pow(a, k).terms.items())
 
 
+def dict_loop_terms(p, q):
+    """The product's terms as the plain dict loop forms them, in dict order,
+    each coefficient as its 8 bytes (so that a nan's sign counts too)."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return [(e, struct.pack("<d", c)) for e, c in out.items() if c != 0.0]
+
+
+def product_terms(p, q):
+    """poly_mul's terms in dict order, with no RuntimeWarning allowed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = poly_mul(p, q)
+    assert all(type(c) is float for c in r.terms.values())
+    return [(e, struct.pack("<d", c)) for e, c in r.terms.items()]
+
+
+def special_poly(rng, nvars, terms, values):
+    """Random exponents up to 3 with coefficients drawn from values."""
+    out = {}
+    while len(out) < terms:
+        out[tuple(int(v) for v in rng.integers(0, 4, nvars))] = float(rng.choice(values))
+    return MultiPoly(nvars, out)
+
+
+def test_products_are_the_dict_loop_on_both_sides_of_the_array_threshold():
+    rng = np.random.default_rng(22)
+    below = above = 0
+    for _ in range(60):
+        nvars = int(rng.integers(1, 5))
+        p = random_poly(rng, nvars, max_degree=int(rng.integers(1, 6)), max_terms=40)
+        q = random_poly(rng, nvars, max_degree=int(rng.integers(1, 6)), max_terms=40)
+        assert product_terms(p, q) == dict_loop_terms(p, q)
+        pairs = len(p.terms) * len(q.terms)
+        below += pairs < multipoly.MUL_ARRAY_PAIRS
+        above += pairs >= multipoly.MUL_ARRAY_PAIRS
+    assert below >= 10 and above >= 10
+
+
+@pytest.mark.parametrize("block", [1, 7, 150, 1 << 16])
+def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, block):
+    # every product takes the array path, in blocks of `block` pairs
+    monkeypatch.setattr(multipoly, "MUL_ARRAY_PAIRS", 1)
+    monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    # exact cancellation: the x*y terms sum to 0.0 and are dropped
+    assert product_terms(x + y, x - y) == dict_loop_terms(x + y, x - y)
+    assert list(poly_mul(x + y, x - y).terms) == [(2, 0), (0, 2)]
+    # products that underflow to -0.0 (0.0 + -0.0 is 0.0), overflow to inf,
+    # and inf - inf = nan, all silent
+    tiny, huge = 1e-200, 1e200
+    values = [1.0, -1.0, 0.5, 3.0, tiny, -tiny, huge, -huge]
+    rng = np.random.default_rng(block)
+    for _ in range(40):
+        nvars = int(rng.integers(1, 4))
+        p = special_poly(rng, nvars, int(rng.integers(1, 4**nvars // 2 + 2)), values)
+        q = special_poly(rng, nvars, int(rng.integers(1, 4**nvars // 2 + 2)), values)
+        assert product_terms(p, q) == dict_loop_terms(p, q)
+    under = poly_mul(MultiPoly(1, {(0,): tiny, (1,): 1.0}), MultiPoly(1, {(0,): -tiny, (1,): 2.0}))
+    assert list(under.terms.items()) == [((1,), tiny), ((2,), 2.0)]  # the -0.0 constant is dropped
+    over = poly_mul(MultiPoly(1, {(0,): huge, (1,): huge}), MultiPoly(1, {(0,): huge, (1,): -huge}))
+    assert over.terms[(0,)] == math.inf and over.terms[(2,)] == -math.inf and math.isnan(over.terms[(1,)])
+
+
+def test_array_products_fall_back_when_keys_would_not_fit_int64():
+    # a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
+    rng = np.random.default_rng(5)
+    nvars = 64
+    p = MultiPoly(nvars, {tuple(int(v) for v in rng.integers(0, 2, nvars)): float(rng.uniform(-1, 1)) for _ in range(20)})
+    assert len(p.terms) ** 2 >= multipoly.MUL_ARRAY_PAIRS
+    assert multipoly._mul_arrays(p, p) is None
+    assert product_terms(p, p) == dict_loop_terms(p, p)
+    # exponents past int64 themselves
+    big = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
+    assert multipoly._mul_arrays(big, big) is None
+    assert product_terms(big, big) == dict_loop_terms(big, big)
+    # a radix of 2^63 still runs the array path, one more falls back
+    p = MultiPoly(1, {(2**62 - k,): float(k + 1) for k in range(15)})
+    for top, runs in ((2**62 - 1, True), (2**62, False)):
+        q = MultiPoly(1, {(top - k,): 0.5 - k for k in range(15)})
+        assert (multipoly._mul_arrays(p, q) is not None) is runs
+        assert product_terms(p, q) == dict_loop_terms(p, q)
+
+
+def test_a_product_over_several_blocks_is_the_dict_loop():
+    # 455 x 455 dense terms: four blocks of the default size
+    rng = np.random.default_rng(8)
+    p, q = (MultiPoly(3, {e: float(rng.uniform(-1, 1)) for e in grlex_monomials(3, 12)}) for _ in range(2))
+    assert len(p.terms) * len(q.terms) > 3 * multipoly.MUL_BLOCK_PAIRS
+    assert product_terms(p, q) == dict_loop_terms(p, q)
+
+
 def test_float_subclass_coefficients_keep_their_operators():
     # a float subclass other than numpy's enters the ring as it is, so that its
     # own operators run (a recording coefficient relies on this); any other
@@ -171,6 +275,15 @@ def test_float_subclass_coefficients_keep_their_operators():
         for result in (p * number, number * p, p + number, number + p):
             assert all(type(c) is float for c in result.terms.values())
         assert (p * number).terms == (p * float(number)).terms
+    # a product above the array threshold runs the subclass's own operators too
+    big = MultiPoly(2, {e: float(k + 1) for k, e in enumerate(grlex_monomials(2, 5))})
+    logged = big * s
+    assert len(logged.terms) * len(big.terms) >= multipoly.MUL_ARRAY_PAIRS
+    calls.clear()
+    result = logged * big
+    assert calls.count("mul") == len(logged.terms) * len(big.terms)
+    assert all(type(c) is Logged for c in result.terms.values())
+    assert result.terms == (big * 3.0 * big).terms
 
 
 def test_eval_is_a_ring_homomorphism():

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from polynet import multipoly, network, synthesis
 from polynet import (
@@ -636,6 +637,27 @@ def bias_only_system(rows):
     """Data system of y = w0 + w1 * x on (x, y) rows."""
     X, y = np.array(rows).T
     return build_data_system(NetworkSpec(1, (LayerSpec(np.zeros((1, 2))),)), Dataset(X[:, None], y))
+
+
+def test_linear_solve_has_the_bits_of_scipys_cholesky():
+    # the LM step's damped systems: J'J + lam I, J tall or wide
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n = int(rng.integers(5, 61))
+        J = rng.standard_normal((int(rng.integers(1, 2 * n)), n)) * 10.0 ** rng.uniform(-3, 3)
+        A = J.T @ J + 10.0 ** rng.uniform(-12, 3) * np.eye(n)
+        b = rng.standard_normal(n)
+        try:
+            want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                synthesis.cho_factor(A)
+            continue
+        got = synthesis.cho_solve(synthesis.cho_factor(A), b)
+        assert got.tobytes() == want.tobytes()
+    for not_pd in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]], [[-1.0]]):
+        with pytest.raises(np.linalg.LinAlgError):
+            synthesis.cho_factor(np.array(not_pd))
 
 
 def test_solver_reports_failure_honestly():
