@@ -205,7 +205,7 @@ def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, 
 
 
 def test_array_products_fall_back_when_keys_would_not_fit_int64():
-    # a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
+    # as in a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
     rng = np.random.default_rng(5)
     nvars = 64
     p = MultiPoly(nvars, {tuple(int(v) for v in rng.integers(0, 2, nvars)): float(rng.uniform(-1, 1)) for _ in range(20)})
