@@ -299,14 +299,29 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
     return phi(p)
 
 
-def _compile(p: MultiPoly) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
     """p's evaluation plan, built once: the coefficients in dict order behind a
-    leading 0.0, and one (j, mask of terms with e_j >= s) step per power s of x_j."""
+    leading 0.0, and one factor row per position k < D, p's total degree.
+    Row k names the variable of each term's k-th factor, x_j repeated e_j
+    times with j ascending, and d, which points at an appended 1.0, past the
+    term's degree.  The plan takes 8 * D * (T + 1) bytes for T terms: below
+    the d * D * T of one bool mask per power of each x_j once d > 8, and 8x
+    them at d = 1."""
+    # Dense random polynomials, masks against this plan: medians over 5
+    # alternated pairs of processes of the min of 7 passes, per single point
+    # of 200 / per (200, d) batch, on a shared 2-vCPU machine.  (d, D) = (1, 40):
+    # 0.083 -> 0.089 / 1.04 -> 0.34 ms; (1, 400): 1.19 -> 1.01 / 42.8 -> 26.0 ms;
+    # (2, 60): 0.59 -> 0.31 / 56.9 -> 38.7 ms; (6, 8): 0.32 -> 0.085 / 42.9 -> 14.3 ms.
     if p._compiled is None:
-        exps = np.array([(0,) * p.nvars, *p.terms], dtype=np.int64)
         coeffs = np.array([0.0, *p.terms.values()])
-        steps = [(j, exps[:, j] >= s) for j in range(p.nvars) for s in range(1, exps[:, j].max() + 1)]
-        p._compiled = (coeffs, steps)
+        exps = np.array([(0,) * p.nvars, *p.terms], dtype=np.intp)
+        degrees = exps.sum(axis=1)
+        plan = np.full((int(degrees.max()), len(coeffs)), p.nvars, dtype=np.intp)
+        # every factor of every term, term by term, x_j repeated e_j times within one
+        term = np.repeat(np.arange(len(coeffs)), degrees)
+        k = np.arange(term.size) - np.repeat(degrees.cumsum() - degrees, degrees)
+        plan[k, term] = np.repeat(np.tile(np.arange(p.nvars), len(coeffs)), exps.ravel())
+        p._compiled = (coeffs, plan)
     return p._compiled
 
 
@@ -316,21 +331,25 @@ def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
 
     Each term is its coefficient times x_j once per unit of e_j, j ascending,
     and the terms are summed left to right in dict order from 0.0, so every
-    value has the bits of that plain per-term loop.
+    value has the bits of that plain per-term loop: the plan's padding
+    multiplies by 1.0, which keeps every float as it is.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise DimensionError(f"points have shape {x.shape}, expected ({p.nvars},) or (n, {p.nvars})")
     if x.shape[-1] != p.nvars:
         raise DimensionError(f"point has length {x.shape[-1]}, expected {p.nvars}")
-    coeffs, steps = _compile(p)
-    terms = np.tile(coeffs, x.shape[:-1] + (1,))
+    coeffs, plan = _compile(p)
+    points = x.reshape(-1, p.nvars)
+    xe = np.ones((p.nvars + 1, len(points)))  # (d + 1, n): x_j per row, then 1.0
+    xe[:-1] = points.T
+    terms = np.repeat(coeffs[:, None], len(points), axis=1)  # (T + 1, n)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        for j, mask in steps:
-            np.multiply(terms, x[..., j, None], out=terms, where=mask)
-        # accumulate adds strictly left to right; np.sum would add pairwise
-        np.add.accumulate(terms, axis=-1, out=terms)
-    return float(terms[-1]) if x.ndim == 1 else terms[:, -1].copy()
+        for row in plan:
+            terms *= xe.take(row, axis=0)
+        # accumulate adds strictly top to bottom; np.sum would add pairwise
+        np.add.accumulate(terms, axis=0, out=terms)
+    return float(terms[-1, 0]) if x.ndim == 1 else terms[-1].copy()
 
 
 def truncate_degree(p: MultiPoly, max_degree: int) -> MultiPoly:

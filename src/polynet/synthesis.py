@@ -51,6 +51,15 @@ TOL_RESIDUAL = 1e-10  # on the residual infinity norm: an attempt at or below it
 # of one set (example rows x widest layer input), or, for the coefficient
 # system, the slots of its tape.
 CHUNK_ELEMENTS = 1 << 17
+# Most slots a coefficient system's tape may record.  Recording takes about
+# 4 us and 90 bytes a slot.  Nets of d inputs, h hidden MonomialPower(k)
+# units and one output, in separate processes on a shared 2-vCPU machine
+# (d, h, k: slots, seconds, peak RSS above the interpreter's 56 MB):
+# 6, 8, 4: 14,640, 0.07 s, 3 MB; 4, 4, 8: 42,371, 0.17 s, 5 MB; 5, 4, 8:
+# 134,127, 0.52 s, 12 MB; 8, 4, 6: 201,939, 0.87 s, 20 MB; 6, 4, 8: 367,555,
+# 1.5 s, 31 MB; 8, 4, 8: 2,013,540, 8.3 s, 151 MB.  The limit keeps the
+# first four and refuses the last two after 0.9-1.1 s.
+MAX_TAPE_SLOTS = 250_000
 
 
 @dataclass(frozen=True)
@@ -233,8 +242,13 @@ class _CoefficientTape:
         del self.op, self.a, self.b, self.depth, self.value, self._consts  # the replay needs none of them
 
     def append(self, op: int, a: int, b: int, value: float) -> _Recorded:
+        index = len(self.op)
+        if index == MAX_TAPE_SLOTS:
+            raise ConfigurationError(
+                f"recording the coefficient system reached {index + 1} tape slots, above the limit of {MAX_TAPE_SLOTS}"
+            )
         c = float.__new__(_Recorded, value)
-        c.tape, c.index = self, len(self.op)
+        c.tape, c.index = self, index
         self.op.append(op)
         self.a.append(a)
         self.b.append(b)
