@@ -364,6 +364,36 @@ def test_eval_edge_cases_have_the_loop_bits():
     assert trusted._compiled is plan
 
 
+def test_eval_has_the_loop_bits_at_high_degree_and_sparse_powers():
+    rng = np.random.default_rng(41)
+    # dense in one variable: the plan pads the low-degree terms with 1.0 factors
+    for degree in (40, 400):
+        p = MultiPoly(1, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(1, degree)})
+        assert_loop_bits(p, [(0.3,), (-0.97,), (1.01,), (-1.5,), (0.0,), (-0.0,)])
+        assert_loop_bits(p, rng.uniform(-1.2, 1.2, (5, 1)))
+    # one term of degree 300 among two of degree 5 and 0
+    sparse = poly_from_text("poly nvars=2\n1 300 0\n1 0 5\n-1 0 0\n")
+    assert_loop_bits(sparse, [(1.0, 1.0), (0.999, -1.2), (-1.001, 2.0), (1.5, 0.5), (-0.0, 0.0), (1e-3, 0.0)])
+    # the plan is one row of T + 1 intp factor indices per factor position
+    coeffs, plan = multipoly._compile(sparse)
+    assert coeffs.shape == (4,) and plan.shape == (300, 4) and plan.dtype == np.intp
+
+
+def test_eval_batches_of_no_rows_one_row_and_special_rows():
+    rng = np.random.default_rng(43)
+    for d, degree in ((1, 6), (3, 4)):
+        p = MultiPoly(d, {e: float(rng.uniform(-2.0, 2.0)) for e in grlex_monomials(d, degree)})
+        assert_loop_bits(p, np.empty((0, d)))
+        assert poly_eval(p, np.empty((0, d))).shape == (0,)
+        assert_loop_bits(p, rng.uniform(-1.0, 1.0, (1, d)))
+        assert poly_eval(p, np.ones((1, d))).shape == (1,)
+        # inf, nan and -0.0 rows, and rows holding one of them, among ordinary rows
+        X = rng.uniform(-1.0, 1.0, (10, d))
+        X[1], X[3], X[4], X[8] = np.inf, np.nan, -0.0, -np.inf
+        X[6, 0], X[7, -1], X[9, 0] = np.nan, -0.0, 1e300
+        assert_loop_bits(p, X)
+
+
 def test_eval_refuses_wrong_shapes():
     p = MultiPoly(2, {(2, 1): 3.0, (0, 0): -1.0})
     with pytest.raises(DimensionError, match="length 3, expected 2"):

@@ -330,6 +330,14 @@ def test_expansion_budget_refuses_at_once():
     with pytest.raises(ConfigurationError, match=r"C\(6001, 6000\) \* 6000 = 36006000 exponents"):
         expand_network(wide)
     assert time.perf_counter() - start < 0.1
+    # d 8, 4 hidden, power 8 is inside the term limits (12,870 terms) but its
+    # coefficient tape would hold 2,013,540 slots (8.3 s, 151 MB to record);
+    # recording stops at MAX_TAPE_SLOTS, after 0.9-1.1 s on a shared 2-vCPU machine
+    deep = NetworkSpec(8, (LayerSpec(np.ones((4, 9)), MonomialPower(8)), LayerSpec(np.ones((1, 5)), Identity())))
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="250001 tape slots, above the limit of 250000"):
+        build_coefficient_system(deep, [MultiPoly.constant(8, 1.0)])
+    assert time.perf_counter() - start < 4.0
 
 
 def test_classify_rules():
