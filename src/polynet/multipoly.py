@@ -11,7 +11,9 @@ A product adds c1 * c2 into out[e1 + e2] over the pairs of terms in dict
 order, which fixes both its coefficients' bits and its own dict order.
 Products of at least MUL_ARRAY_PAIRS pairs of plain floats run with numpy
 in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, so they
-give the dict loop's polynomial bit for bit and term for term.
+give the dict loop's polynomial bit for bit and term for term.  A
+univariate polynomial composed with a large enough argument
+(apply_univariate) runs its whole Horner chain the same way, on arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, UsageError
+from .errors import ConfigurationError, DimensionError, ParseError, UsageError
 
 Exponents = tuple[int, ...]
 
@@ -39,6 +41,15 @@ MUL_ARRAY_PAIRS = 150
 # pairs in 0.33-0.39 s at 62.0-62.4 MB, of 2^17 in 0.40 s at 65-67 MB, and
 # in one block in 0.70 s at 173 MB.
 MUL_BLOCK_PAIRS = 1 << 16
+# Most factors, D * (T + 1) for T terms of total degree D, that poly_eval's
+# plan may hold (8 bytes each).  Univariate polynomials in separate processes
+# on a shared 2-vCPU machine (D, T: factors, compile and first point, 200
+# points, peak RSS above the interpreter's): dense 1000: 1.0M, 0.02 s, 0.28 s,
+# 20 MB; dense 2000: 4.0M, 0.08 s, 2.3 s, 78 MB; dense 3000: 9.0M, 0.23 s,
+# 9.3 s, 174 MB; x^(10^6) + 1: 3.0M, 2.2 s, 6.0 s, 47 MB; x^(3 * 10^6) + 1:
+# 9.0M, 5.0 s, 17 s, 138 MB.  The limit keeps every polynomial in two or
+# more variables that network.MAX_EXPANSION_TERMS allows (d 2, D 198: 3,940,398).
+MAX_PLAN_FACTORS = 4_000_000
 
 
 def grlex_key(e: Exponents) -> tuple[int, Exponents]:
@@ -224,34 +235,48 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._trusted(p.nvars, out)
 
 
-def _mul_arrays(p: MultiPoly, q: MultiPoly) -> dict | None:
-    """poly_mul's terms by numpy, or None to leave the product to the dict
-    loop: when a coefficient is not exactly a float (a subclass keeps its own
-    operators) or a mixed-radix key of the exponents would not fit int64.
-
-    Each exponent vector becomes one int64 key, with radix max_p + max_q + 1
-    per variable, so a product's key is the sum of its factors' keys.  p's
-    rows go in blocks of at most MUL_BLOCK_PAIRS pairs; a block's new keys
-    take the next slots in first-appearance order, and np.add.at adds its
-    products one at a time in index order, so each slot sums its products
-    in (i, j) order from 0.0, as the dict loop does.
-    """
-    c1, c2 = list(p.terms.values()), list(q.terms.values())
-    if not all(type(c) is float for c in c1) or not all(type(c) is float for c in c2):
+def _arrays(p: MultiPoly) -> tuple[np.ndarray, np.ndarray] | None:
+    """p's exponents (T, d) as int64 and its coefficients (T,) as float64, in
+    dict order, or None when a coefficient is not exactly a float (a subclass
+    keeps its own operators) or an exponent does not fit int64."""
+    c = list(p.terms.values())
+    if not all(type(v) is float for v in c):
         return None
     try:
-        E1, E2 = np.array(list(p.terms), dtype=np.int64), np.array(list(q.terms), dtype=np.int64)
+        return np.array(list(p.terms), dtype=np.int64), np.array(c)
     except OverflowError:
         return None
-    radix = [a + b + 1 for a, b in zip(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())]
-    if math.prod(radix) > 1 << 63:
+
+
+def _strides(radix: list[int]) -> np.ndarray | None:
+    """The int64 place values of mixed-radix keys, or None when a key or a
+    place value would not fit int64."""
+    if math.prod(radix) > 1 << 63 or math.prod(radix[1:]) == 1 << 63:
         return None
-    stride = np.array([math.prod(radix[j + 1 :]) for j in range(len(radix))], dtype=np.int64)
-    k1, k2 = E1 @ stride, E2 @ stride
-    c1, c2 = np.array(c1), np.array(c2)
+    return np.cumprod([1, *reversed(radix[1:])], dtype=np.int64)[::-1]
+
+
+def _terms(keys: np.ndarray, coeffs: np.ndarray, radix: list[int], stride: np.ndarray) -> dict:
+    """A term dict from mixed-radix keys and their coefficients, in array order."""
+    exps = keys[:, None] // stride
+    # the first place needs no remainder: every key is below the radices' product
+    exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
+    return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
+
+
+def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The product of two polynomials given as int64 keys and float64
+    coefficients in term order, as keys and coefficients in the dict loop's
+    term order with its bits, exact zeros dropped.  Keys must add without
+    carry: the radix of each variable exceeds the largest exponent sum.
+
+    The first factor's rows go in blocks of at most MUL_BLOCK_PAIRS pairs; a
+    block's new keys take the next slots in first-appearance order, and
+    np.add.at adds its products one at a time in index order, so each slot
+    sums its products in (i, j) order from 0.0, as the dict loop does.
+    """
     rows = max(1, MUL_BLOCK_PAIRS // len(c2))
     met = np.empty(0, dtype=np.int64)  # the keys of the slots so far, in slot order
-    first = np.empty(0, dtype=np.int64)  # per slot, the pair i * len(q) + j that first hit it
     sums = np.zeros(0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         for lo in range(0, len(c1), rows):
@@ -267,16 +292,31 @@ def _mul_arrays(p: MultiPoly, q: MultiPoly) -> dict | None:
             by_at = at.argsort()
             slot = np.empty_like(at)  # per run, in first-appearance order
             slot[by_at] = np.arange(at.size)
-            at = at[by_at]
-            met = keys[at]
-            first = np.concatenate((first, lo * len(c2) + at[old:] - old))
+            met = keys[at[by_at]]
             sums = np.concatenate((sums, np.zeros(at.size - old)))
             np.cumsum(head, out=run)  # run's buffer, reused: 1 + the run of each sorted key
             run -= 1
             keys[order] = slot[run]  # keys' buffer, reused: the slot of each key
             np.add.at(sums, keys[old:], (c1[lo : lo + rows, None] * c2).ravel())
-    exps = (E1[first // len(c2)] + E2[first % len(c2)]).tolist()
-    return dict(zip(map(tuple, exps), sums.tolist()))
+    kept = sums != 0.0
+    return met[kept], sums[kept]
+
+
+def _mul_arrays(p: MultiPoly, q: MultiPoly) -> dict | None:
+    """poly_mul's terms by numpy, or None to leave the product to the dict
+    loop: when _arrays refuses a factor or a mixed-radix key would not fit
+    int64.  Each exponent vector becomes one int64 key, with radix
+    max_p + max_q + 1 per variable, so a product's key is the sum of its
+    factors' keys."""
+    a, b = _arrays(p), _arrays(q)
+    if a is None or b is None:
+        return None
+    (E1, c1), (E2, c2) = a, b
+    radix = [x + y + 1 for x, y in zip(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())]
+    stride = _strides(radix)
+    if stride is None:
+        return None
+    return _terms(*_mul_keys(E1 @ stride, c1, E2 @ stride, c2), radix, stride)
 
 
 def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
@@ -295,8 +335,44 @@ def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
 
 
 def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
-    """A UniPoly phi composed with an arbitrary polynomial argument (phi's own Horner)."""
-    return phi(p)
+    """phi(p) for a UniPoly phi: phi's Horner from acc = 0.0, acc = acc * p + c
+    for each coefficient c from the top, with the ring's terms, term order and
+    bits.  When the chain's largest product, at most C(d + (D - 1) deg p, d)
+    |p| pairs for phi of degree D, reaches MUL_ARRAY_PAIRS, the chain runs on
+    int64 mixed-radix keys and float64 coefficients kept in term order,
+    decoded to exponent tuples once; otherwise, and wherever poly_mul keeps
+    its dict loop, it is phi(p)."""
+    D = len(phi.coeffs) - 1
+    if D < 1 or math.comb(p.nvars + (D - 1) * p.degree(), p.nvars) * len(p.terms) < MUL_ARRAY_PAIRS:
+        return phi(p)
+    arrays = _arrays(p)
+    if arrays is None:
+        return phi(p)
+    E, c = arrays
+    with np.errstate(invalid="ignore"):
+        acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
+    kept = acc != 0.0
+    # D products by p follow, so x_j reaches D * max_j, or (D + 1) * max_j from those nan terms
+    radix = [(D + bool(kept.any())) * m + 1 for m in E.max(axis=0).tolist()]
+    stride = _strides(radix)
+    if stride is None:
+        return phi(p)
+    k = E @ stride  # the constant term's key is 0
+    keys, acc = k[kept], acc[kept]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
+        for i, a in enumerate(reversed(phi.coeffs)):
+            if i:
+                keys, acc = _mul_keys(keys, acc, k, c)
+            if a == 0.0:
+                continue  # the ring's constant 0.0 or -0.0 has no terms
+            at = np.flatnonzero(keys == 0)
+            if not at.size:  # a new constant term goes last
+                keys, acc = np.append(keys, 0), np.append(acc, a)
+                continue
+            acc[at[0]] += a
+            if acc[at[0]] == 0.0:  # a constant term that cancels is dropped
+                keys, acc = np.delete(keys, at[0]), np.delete(acc, at[0])
+    return MultiPoly._trusted(p.nvars, _terms(keys, acc, radix, stride))
 
 
 def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -306,17 +382,24 @@ def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
     times with j ascending, and d, which points at an appended 1.0, past the
     term's degree.  The plan takes 8 * D * (T + 1) bytes for T terms: below
     the d * D * T of one bool mask per power of each x_j once d > 8, and 8x
-    them at d = 1."""
+    them at d = 1; a plan past MAX_PLAN_FACTORS is refused."""
     # Dense random polynomials, masks against this plan: medians over 5
     # alternated pairs of processes of the min of 7 passes, per single point
     # of 200 / per (200, d) batch, on a shared 2-vCPU machine.  (d, D) = (1, 40):
     # 0.083 -> 0.089 / 1.04 -> 0.34 ms; (1, 400): 1.19 -> 1.01 / 42.8 -> 26.0 ms;
     # (2, 60): 0.59 -> 0.31 / 56.9 -> 38.7 ms; (6, 8): 0.32 -> 0.085 / 42.9 -> 14.3 ms.
     if p._compiled is None:
+        degree = p.degree()
+        factors = degree * (len(p.terms) + 1)
+        if factors > MAX_PLAN_FACTORS:
+            raise ConfigurationError(
+                f"evaluating a polynomial of degree {degree} with {len(p.terms)} terms takes a plan of "
+                f"{factors} factors, above the limit of {MAX_PLAN_FACTORS}"
+            )
         coeffs = np.array([0.0, *p.terms.values()])
         exps = np.array([(0,) * p.nvars, *p.terms], dtype=np.intp)
         degrees = exps.sum(axis=1)
-        plan = np.full((int(degrees.max()), len(coeffs)), p.nvars, dtype=np.intp)
+        plan = np.full((degree, len(coeffs)), p.nvars, dtype=np.intp)
         # every factor of every term, term by term, x_j repeated e_j times within one
         term = np.repeat(np.arange(len(coeffs)), degrees)
         k = np.arange(term.size) - np.repeat(degrees.cumsum() - degrees, degrees)

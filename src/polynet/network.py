@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError, ParseError, StructuralError, UsageError
 from .funcapprox import UniPoly
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, apply_univariate
 
 # Largest C(d + D, d), the monomial count of a degree-D expansion in d
 # inputs.  Width-4 power nets on a shared 2-vCPU machine took 2-3 s at
@@ -88,7 +88,10 @@ class PolyActivation:
         return self.poly.degree
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.poly(values)
+        if values.dtype != object:
+            return self.poly(values)
+        # the name is looked up per call, so that a wrapper set on this module is used
+        return np.frompyfunc(lambda p: apply_univariate(self.poly, p), 1, 1)(values)
 
     def to_json(self) -> str:
         coeffs = ", ".join(_f17(c) for c in self.poly.coeffs)

@@ -4,12 +4,14 @@ import itertools
 import math
 import re
 import struct
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from polynet import (
+    ConfigurationError,
     DimensionError,
     Identity,
     LayerSpec,
@@ -404,6 +406,25 @@ def test_eval_refuses_wrong_shapes():
         poly_eval(p, 1.0)
 
 
+def test_eval_refuses_a_plan_past_the_limit_at_once(monkeypatch):
+    # an exponent past int64, and a sparse x1^(10^8) + 1 whose plan would take 2.4 GB
+    cases = (
+        (MultiPoly(1, {(2**70,): 1.0}), rf"degree {2**70} with 1 terms takes a plan of {2**71} factors"),
+        (MultiPoly(1, {(10**8,): 1.0, (0,): 1.0}), "degree 100000000 with 2 terms takes a plan of 300000000 factors"),
+    )
+    for p, match in cases:
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match=match + ", above the limit of 4000000"):
+            poly_eval(p, [0.5])
+        assert time.perf_counter() - start < 0.1
+    # D * (T + 1) at the limit is kept, one term more is refused
+    monkeypatch.setattr(multipoly, "MAX_PLAN_FACTORS", 12)
+    p = MultiPoly(2, {(2, 2): 1.0, (1, 0): 2.0})
+    assert poly_eval(p, [1.5, 2.0]) == 12.0
+    with pytest.raises(ConfigurationError, match="degree 4 with 3 terms takes a plan of 16 factors"):
+        poly_eval(p + 1.0, [1.5, 2.0])
+
+
 def test_pow_matches_repeated_multiplication():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -446,6 +467,144 @@ def test_apply_univariate_matches_horner_by_hand():
         for j, cj in enumerate(phi.coeffs):
             direct = direct + cj * poly_pow(p, j)
         assert coeff_gap(apply_univariate(phi, p), direct) <= 1e-10
+
+
+@pytest.fixture
+def ring_products(monkeypatch):
+    """The poly_mul calls made since the last clear(): phi(p) makes them, and
+    apply_univariate's chain on keys makes none."""
+    calls = []
+    mul = multipoly.poly_mul
+    monkeypatch.setattr(multipoly, "poly_mul", lambda p, q: calls.append(1) or mul(p, q))
+    return calls
+
+
+def composed(phi, p, ring_products):
+    """apply_univariate(phi, p) and phi(p), each as its terms in dict order
+    with each coefficient in float hex, and whether the composition ran its
+    chain on keys.  Hex leaves out a nan's sign, which neither numpy nor
+    CPython fixes where two nans are added."""
+    ring_products.clear()
+    got = apply_univariate(phi, p)
+    keyed = not ring_products
+    want = phi(p)
+    return [(e, c.hex()) for e, c in got.terms.items()], [(e, c.hex()) for e, c in want.terms.items()], keyed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_composition_is_the_rings_horner_on_both_sides_of_the_crossover(ring_products):
+    rng = np.random.default_rng(24)
+    sides = {True: 0, False: 0}
+    for _ in range(80):
+        nvars = int(rng.integers(1, 5))
+        p = random_poly(rng, nvars, max_degree=int(rng.integers(1, 4)), max_terms=int(rng.integers(1, 12)))
+        phi = UniPoly(tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 9)))))
+        got, want, keyed = composed(phi, p, ring_products)
+        assert got == want
+        sides[keyed] += 1
+    assert sides[True] >= 15 and sides[False] >= 15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_composition_keeps_the_rings_bits_at_special_values(monkeypatch, ring_products, block):
+    monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
+    x = [MultiPoly.variable(3, j) for j in range(3)]
+    linear = 1.0 + x[0] + x[1] + x[2]  # C(3 + 5, 3) * 4 = 224 pairs for degree 6
+    # the first step is 0.0 * p, which keeps only the nan terms of inf and nan coefficients
+    for bad in (math.inf, -math.inf, math.nan):
+        p = linear + MultiPoly(3, {(1, 1, 0): bad, (0, 0, 2): 0.5})
+        phi = UniPoly((0.5, -1.0, 0.25, 2.0, -0.125, 1e-3, 0.75))
+        got, want, keyed = composed(phi, p, ring_products)
+        assert keyed and got == want
+    # a 0.0 or -0.0 coefficient adds nothing: the ring's constant drops it,
+    # so no 0.0 * inf = nan term follows from it
+    phi = UniPoly((0.0, -0.0, 1.5, 0.0, -0.0, -0.5, 2.0))
+    for p in (x[0] + x[1] + x[2] + x[0] * x[2], x[0] + x[1] + x[2] + math.inf * x[0] * x[2]):
+        got, want, keyed = composed(phi, p, ring_products)
+        assert keyed and got == want and (0, 0, 0) not in dict(got)
+    # adding a coefficient to the constant term overflows silently
+    got, want, keyed = composed(UniPoly((1.5e308,) * 7), linear, ring_products)
+    assert keyed and got == want and dict(got)[(0, 0, 0)] == "inf"
+    # nan coefficients of phi
+    phi = UniPoly((math.nan, 1.0, 0.5, -1.0, 2.0, 0.25, math.nan))
+    got, want, keyed = composed(phi, linear, ring_products)
+    assert keyed and got == want
+    # the constant term cancels to exactly 0.0 in the second step (2.0 * 1.0
+    # - 2.0) and is deleted; the third step appends a new one last
+    phi = UniPoly((0.25, 3.0, -0.75, 0.5, 1.5, -2.0, 2.0))
+    got, want, keyed = composed(phi, linear, ring_products)
+    assert keyed and got == want
+    assert (0, 0, 0) not in UniPoly((-2.0, 2.0))(linear).terms
+    assert list(UniPoly((1.5, -2.0, 2.0))(linear).terms)[-1] == (0, 0, 0)
+    # products that underflow, overflow to inf and cancel to nan, all silent
+    tiny, huge = 1e-200, 1e200
+    values = [1.0, -1.0, 0.5, 3.0, tiny, -tiny, huge, -huge]
+    rng = np.random.default_rng(block)
+    for _ in range(20):
+        p = special_poly(rng, 2, int(rng.integers(8, 14)), values)
+        phi = UniPoly(tuple(float(v) for v in rng.choice(values, int(rng.integers(3, 7)))))
+        got, want, keyed = composed(phi, p, ring_products)
+        assert keyed and got == want
+
+
+def test_composition_degrees_zero_and_one_and_the_zero_polynomial(ring_products):
+    rng = np.random.default_rng(25)
+    p120, p165 = (MultiPoly(3, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(3, D)}) for D in (7, 8))
+    for p in (p120, p165, random_poly(rng, 3), MultiPoly(3), p165 * math.inf):
+        for coeffs in ((0.0,), (-0.0,), (2.5,), (0.5, -1.0), (0.0, 1.0), (-3.0, 0.0, 0.0), (1.0, 2.0, 3.0)):
+            got, want, keyed = composed(UniPoly(coeffs), p, ring_products)
+            assert got == want
+    # degree 1 is one product of |p| pairs: 120 stay with the ring, 165 run on keys
+    assert not composed(UniPoly((0.5, -1.0)), p120, ring_products)[2]
+    assert composed(UniPoly((0.5, -1.0)), p165, ring_products)[2]
+    assert composed(UniPoly((0.5, -1.0)), p165 * math.inf, ring_products)[2]
+
+
+def test_composition_falls_back_where_products_keep_the_dict_loop(ring_products):
+    phi = UniPoly((0.5, -1.0, 0.25, 2.0))
+    # radix 3 * 1 + 1 per variable on 64 variables is past 2^63
+    rng = np.random.default_rng(26)
+    wide = MultiPoly(64, {tuple(int(v) for v in rng.integers(0, 2, 64)): float(rng.uniform(-1, 1)) for _ in range(20)})
+    # exponents past int64, and a radix product of exactly 2^63 and just past it
+    past = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
+    edge = MultiPoly(1, {(k,): float(k + 1) for k in range(20)})
+    for p, keyed in ((wide, False), (past, False)):
+        got, want, was_keyed = composed(phi, p, ring_products)
+        assert got == want and was_keyed is keyed
+    for top, keyed in (((2**63 - 1) // 3, True), ((2**63 - 1) // 3 + 1, False)):
+        p = edge + MultiPoly(1, {(top,): 1.0})
+        got, want, was_keyed = composed(phi, p, ring_products)
+        assert got == want and was_keyed is keyed
+
+    # a float subclass keeps its own operators through phi(p)
+    class Tagged(float):
+        def __mul__(self, other):
+            return Tagged(float(self) * other) if isinstance(other, float) else NotImplemented
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Tagged(float(self) + other) if isinstance(other, float) else NotImplemented
+
+        __radd__ = __add__
+
+    p = MultiPoly._trusted(3, {e: Tagged(1.0 + k / 8) for k, e in enumerate(grlex_monomials(3, 3))})
+    ring_products.clear()
+    got = apply_univariate(phi, p)
+    assert ring_products and all(type(c) is Tagged for c in got.terms.values())
+    assert [(e, c.hex()) for e, c in got.terms.items()] == [(e, c.hex()) for e, c in phi(p).terms.items()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_composition_over_several_blocks_is_the_rings_horner(ring_products):
+    # 35 dense terms under a degree-9 phi: the last product is 6545 x 35 pairs
+    rng = np.random.default_rng(27)
+    p = MultiPoly(3, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(3, 4)})
+    phi = UniPoly(tuple(rng.uniform(-1.0, 1.0, 10)))
+    assert math.comb(3 + 8 * 4, 3) * len(p.terms) > 3 * multipoly.MUL_BLOCK_PAIRS
+    got, want, keyed = composed(phi, p, ring_products)
+    assert keyed and got == want and len(got) == math.comb(3 + 36, 3)
 
 
 def test_truncate_degree():

@@ -1,5 +1,6 @@
 """Network model: validation, forward pass, symbolic expansion, serialization."""
 
+import hashlib
 import re
 import time
 
@@ -288,6 +289,24 @@ def test_expansion_golden_bits_and_order():
     ))
     (poly,) = expand_network(net)
     assert [(e, c.hex()) for e, c in poly.terms.items()] == GOLDEN_TERMS
+
+
+def test_expansion_through_large_poly_activations_keeps_its_pinned_bits():
+    # The golden net above composes its poly activation with 4-pair products
+    # only.  Here the degree-8 layer's largest Horner product is C(4 + 7, 4) * 5
+    # = 1650 pairs and the output layer's 495 * 495 spans several product
+    # blocks; the digest of the (exponents, hex) list was frozen from the
+    # expansion before either composition ran on arrays.
+    rng = np.random.default_rng(24)
+    surrogate = UniPoly((0.5, 0.25, 0.0, -0.0208, -0.0, 0.0021, 0.0, -0.00022, 1.5e-5))
+    net = NetworkSpec(4, (
+        LayerSpec(rng.uniform(-1.0, 1.0, (4, 5)), PolyActivation(surrogate)),
+        LayerSpec(rng.uniform(-1.0, 1.0, (1, 5)), PolyActivation(UniPoly((0.1, -0.5, 0.25)))),
+    ))
+    (poly,) = expand_network(net)
+    assert len(poly.terms) == 4845
+    digest = hashlib.sha256(repr([(e, c.hex()) for e, c in poly.terms.items()]).encode()).hexdigest()
+    assert digest == "c6d3986cb4eadf52686015b06cd0e6d8622ddc27722b6c961248dea4260e4ab2"
 
 
 def test_wide_linear_expansion_is_fast_and_exact():

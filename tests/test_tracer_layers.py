@@ -1,6 +1,7 @@
-"""The benchmark tracer counts ring calls by wrapping poly_mul, poly_add and
-poly_pow; the operators must still reach those names, or a fold of a
-function into its operator would leave its layer reading 0 calls."""
+"""The benchmark tracer counts ring calls by wrapping poly_mul, poly_add,
+poly_pow and apply_univariate; the operators and activations must still
+reach those names, or a fold of a function into its caller would leave its
+layer reading 0 calls."""
 
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 
 import polynet
 import polynet.cli  # noqa: F401  (the tracer wraps polynet.cli.main)
-from polynet import LayerSpec, MonomialPower, MultiPoly, NetworkSpec
+from polynet import LayerSpec, MonomialPower, MultiPoly, NetworkSpec, PolyActivation, UniPoly
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer  # noqa: E402
@@ -40,3 +41,30 @@ def test_ring_operators_reach_the_traced_layers():
     assert expanded["network.expand.calls"] == 1
     for layer in ("multipoly.mul", "multipoly.add", "multipoly.pow"):
         assert expanded.get(f"{layer}.calls", 0) > 0, layer
+
+
+def test_poly_activations_reach_the_composition_layer():
+    surrogate = PolyActivation(UniPoly((0.5, 0.25, 0.0, -0.02, 0.0, 2e-3, 0.0, -2e-4, 1e-5)))
+    # 4 inputs at degree 8: products up to C(4 + 7, 4) * 5 = 1650 pairs, run on keys
+    large = NetworkSpec(4, (LayerSpec(np.full((4, 5), 0.5), surrogate), LayerSpec(np.ones((1, 5)))))
+    # 2 inputs at degree 2: products of at most 3 pairs, left to the ring
+    small = NetworkSpec(2, (LayerSpec(np.ones((2, 3)), PolyActivation(UniPoly((0.25, 0.0, -1.5)))),
+                            LayerSpec(np.ones((1, 3)))))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        counts = []
+        for net in (large, small):
+            tracer.reset()
+            tracer.begin()
+            polynet.expand_network(net)
+            tracer.end()
+            counts.append(tracer.snapshot())
+    finally:
+        tracer.uninstall()
+    large_counts, small_counts = counts
+    assert large_counts["multipoly.apply_univariate.calls"] == 4
+    assert large_counts.get("multipoly.mul.calls", 0) == 0
+    assert small_counts["multipoly.apply_univariate.calls"] == 2
+    for layer in ("multipoly.mul", "multipoly.add"):
+        assert small_counts.get(f"{layer}.calls", 0) > 0, layer
