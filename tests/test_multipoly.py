@@ -483,7 +483,7 @@ def composed(phi, p, ring_products):
     """apply_univariate(phi, p) and phi(p), each as its terms in dict order
     with each coefficient in float hex, and whether the composition ran its
     chain on keys.  Hex leaves out a nan's sign, which neither numpy nor
-    CPython fixes where two nans are added."""
+    CPython pins where two nans are added."""
     ring_products.clear()
     got = apply_univariate(phi, p)
     keyed = not ring_products
@@ -566,15 +566,19 @@ def test_composition_falls_back_where_products_keep_the_dict_loop(ring_products)
     # radix 3 * 1 + 1 per variable on 64 variables is past 2^63
     rng = np.random.default_rng(26)
     wide = MultiPoly(64, {tuple(int(v) for v in rng.integers(0, 2, 64)): float(rng.uniform(-1, 1)) for _ in range(20)})
-    # exponents past int64, and a radix product of exactly 2^63 and just past it
+    # exponents past int64
     past = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
-    edge = MultiPoly(1, {(k,): float(k + 1) for k in range(20)})
-    for p, keyed in ((wide, False), (past, False)):
-        got, want, was_keyed = composed(phi, p, ring_products)
-        assert got == want and was_keyed is keyed
-    for top, keyed in (((2**63 - 1) // 3, True), ((2**63 - 1) // 3 + 1, False)):
-        p = edge + MultiPoly(1, {(top,): 1.0})
-        got, want, was_keyed = composed(phi, p, ring_products)
+    for p in (wide, past):
+        got, want, keyed = composed(phi, p, ring_products)
+        assert got == want and not keyed
+    # degree 7 and a top exponent of (2^63 - 1) / 7 give a radix of exactly
+    # 2^63, which runs on keys; one more falls back, and so does the same
+    # radix behind an unused x1, whose place value 2^63 is past int64
+    phi7 = UniPoly((0.5, -1.0, 0.25, 2.0, 1.0, -0.5, 0.75, 1.5))
+    top = (2**63 - 1) // 7
+    for nvars, t, keyed in ((1, top, True), (1, top + 1, False), (2, top, False)):
+        p = MultiPoly(nvars, {(0,) * (nvars - 1) + (k,): float(k + 1) for k in (*range(20), t)})
+        got, want, was_keyed = composed(phi7, p, ring_products)
         assert got == want and was_keyed is keyed
 
     # a float subclass keeps its own operators through phi(p)
