@@ -10,10 +10,13 @@ down serialization and the ordering of downstream equation systems.
 A product adds c1 * c2 into out[e1 + e2] over the pairs of terms in dict
 order, which fixes both its coefficients' bits and its own dict order.
 Products of at least MUL_ARRAY_PAIRS pairs of plain floats run with numpy
-in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, so they
-give the dict loop's polynomial bit for bit and term for term.  A
+in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, and a
 univariate polynomial composed with a large enough argument
-(apply_univariate) runs its whole Horner chain the same way, on arrays.
+(apply_univariate) runs its whole Horner chain the same way, both on
+int64 mixed-radix keys that _encode alone builds and decodes.  Both give
+the ring's terms in its order with its bits, but for a nan's sign where
+two nans are added: np.add.at and CPython's float addition may each keep
+either operand's sign there.
 """
 
 from __future__ import annotations
@@ -219,12 +222,14 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     in (i, j) dict order, starting from 0.0, which also fixes the result's
     term order (first appearance).  Large products of plain floats take the
     array path, which gives the same terms in the same order with the same
-    bits."""
+    bits, a nan's sign aside."""
     _check_same_vars(p, q)
     if len(p.terms) * len(q.terms) >= MUL_ARRAY_PAIRS:
-        out = _mul_arrays(p, q)
-        if out is not None:
-            return MultiPoly._trusted(p.nvars, out)
+        # radix max_p + max_q + 1 per variable, so a product's key is the sum of its factors' keys
+        encoded = _encode(p, q, lambda m1, m2: [x + y + 1 for x, y in zip(m1, m2)])
+        if encoded is not None:
+            k1, c1, k2, c2, decode = encoded
+            return decode(*_mul_keys(k1, c1, k2, c2))
     out: dict[Exponents, float] = {}
     get = out.get
     pairs = list(q.terms.items())
@@ -235,33 +240,32 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._trusted(p.nvars, out)
 
 
-def _arrays(p: MultiPoly) -> tuple[np.ndarray, np.ndarray] | None:
-    """p's exponents (T, d) as int64 and its coefficients (T,) as float64, in
-    dict order, or None when a coefficient is not exactly a float (a subclass
-    keeps its own operators) or an exponent does not fit int64."""
-    c = list(p.terms.values())
-    if not all(type(v) is float for v in c):
+def _encode(p: MultiPoly, q: MultiPoly, radix_of):
+    """p and q as int64 mixed-radix keys and float64 coefficients in dict
+    order, with a decoder from keys and coefficients back to a MultiPoly, as
+    (k1, c1, k2, c2, decode); radix_of maps the largest exponent of each
+    variable in p and in q to the radices.  None when a coefficient is not
+    exactly a float (a subclass keeps its own operators), or an exponent, a
+    key or a place value would not fit int64."""
+    c1, c2 = list(p.terms.values()), list(q.terms.values())
+    if not all(type(v) is float for v in (*c1, *c2)):
         return None
     try:
-        return np.array(list(p.terms), dtype=np.int64), np.array(c)
+        E1, E2 = np.array(list(p.terms), dtype=np.int64), np.array(list(q.terms), dtype=np.int64)
     except OverflowError:
         return None
-
-
-def _strides(radix: list[int]) -> np.ndarray | None:
-    """The int64 place values of mixed-radix keys, or None when a key or a
-    place value would not fit int64."""
+    radix = radix_of(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())
     if math.prod(radix) > 1 << 63 or math.prod(radix[1:]) == 1 << 63:
         return None
-    return np.cumprod([1, *reversed(radix[1:])], dtype=np.int64)[::-1]
+    stride = np.cumprod([1, *reversed(radix[1:])], dtype=np.int64)[::-1]
 
+    def decode(keys: np.ndarray, coeffs: np.ndarray) -> MultiPoly:
+        exps = keys[:, None] // stride
+        # the first place needs no remainder: every key is below the radices' product
+        exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
+        return MultiPoly._trusted(p.nvars, dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
-def _terms(keys: np.ndarray, coeffs: np.ndarray, radix: list[int], stride: np.ndarray) -> dict:
-    """A term dict from mixed-radix keys and their coefficients, in array order."""
-    exps = keys[:, None] // stride
-    # the first place needs no remainder: every key is below the radices' product
-    exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
-    return dict(zip(zip(*exps.T.tolist()), coeffs.tolist()))
+    return E1 @ stride, np.array(c1), E2 @ stride, np.array(c2), decode
 
 
 def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,25 +306,9 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) ->
     return met[kept], sums[kept]
 
 
-def _mul_arrays(p: MultiPoly, q: MultiPoly) -> dict | None:
-    """poly_mul's terms by numpy, or None to leave the product to the dict
-    loop: when _arrays refuses a factor or a mixed-radix key would not fit
-    int64.  Each exponent vector becomes one int64 key, with radix
-    max_p + max_q + 1 per variable, so a product's key is the sum of its
-    factors' keys."""
-    a, b = _arrays(p), _arrays(q)
-    if a is None or b is None:
-        return None
-    (E1, c1), (E2, c2) = a, b
-    radix = [x + y + 1 for x, y in zip(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())]
-    stride = _strides(radix)
-    if stride is None:
-        return None
-    return _terms(*_mul_keys(E1 @ stride, c1, E2 @ stride, c2), radix, stride)
-
-
 def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
     """p**k for integer k >= 0, by square and multiply."""
+    k = _integer(k, "power")
     if k < 0:
         raise UsageError("exponent must be non-negative")
     result = None  # the constant 1, never multiplied out: 1.0 * c is c
@@ -345,20 +333,16 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
     D = len(phi.coeffs) - 1
     if D < 1 or math.comb(p.nvars + (D - 1) * p.degree(), p.nvars) * len(p.terms) < MUL_ARRAY_PAIRS:
         return phi(p)
-    arrays = _arrays(p)
-    if arrays is None:
+    # D products by p follow, so x_j reaches D * max_j, or (D + 1) * max_j from the nan terms of 0.0 * p
+    grow = D + (not all(map(math.isfinite, p.terms.values())))
+    encoded = _encode(p, p, lambda m, _: [grow * x + 1 for x in m])
+    if encoded is None:
         return phi(p)
-    E, c = arrays
+    k, c, _, _, decode = encoded
     with np.errstate(invalid="ignore"):
         acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
     kept = acc != 0.0
-    # D products by p follow, so x_j reaches D * max_j, or (D + 1) * max_j from those nan terms
-    radix = [(D + bool(kept.any())) * m + 1 for m in E.max(axis=0).tolist()]
-    stride = _strides(radix)
-    if stride is None:
-        return phi(p)
-    k = E @ stride  # the constant term's key is 0
-    keys, acc = k[kept], acc[kept]
+    keys, acc = k[kept], acc[kept]  # the constant term's key is 0
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         for i, a in enumerate(reversed(phi.coeffs)):
             if i:
@@ -372,7 +356,7 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
             acc[at[0]] += a
             if acc[at[0]] == 0.0:  # a constant term that cancels is dropped
                 keys, acc = np.delete(keys, at[0]), np.delete(acc, at[0])
-    return MultiPoly._trusted(p.nvars, _terms(keys, acc, radix, stride))
+    return decode(keys, acc)
 
 
 def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:

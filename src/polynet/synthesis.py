@@ -440,6 +440,8 @@ def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.
 
     Returns (weights, SolveReport).
     """
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")
     rng = np.random.default_rng(seed)

@@ -81,6 +81,11 @@ def test_constructor_validation():
             MultiPoly.variable(3, bad)
     for index in (1, np.int64(1), np.int32(1), 1.0):
         assert MultiPoly.variable(3, index) == MultiPoly(3, {(0, 1, 0): 1.0})
+    # a power is an exponent too: 2.0 is 2, and 2.5 used to raise a bare TypeError from k & 1
+    p = MultiPoly(2, {(1, 0): 1.0, (0, 1): -2.0, (0, 0): 0.5})
+    assert list((p**2.0).terms.items()) == list((p**2).terms.items())
+    with pytest.raises(UsageError, match="power 2.5 is not an integer"):
+        p**2.5
 
 
 def test_graded_lex_iteration_order():
@@ -206,23 +211,32 @@ def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, 
     assert over.terms[(0,)] == math.inf and over.terms[(2,)] == -math.inf and math.isnan(over.terms[(1,)])
 
 
-def test_array_products_fall_back_when_keys_would_not_fit_int64():
+def test_array_products_fall_back_when_keys_would_not_fit_int64(monkeypatch):
+    encoded = []  # what the key encoder gave each product
+    encode = multipoly._encode
+    monkeypatch.setattr(multipoly, "_encode", lambda *args: encoded.append(encode(*args)) or encoded[-1])
+
+    def keyed(p, q):
+        encoded.clear()
+        poly_mul(p, q)
+        return encoded[-1] is not None
+
     # as in a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
     rng = np.random.default_rng(5)
     nvars = 64
     p = MultiPoly(nvars, {tuple(int(v) for v in rng.integers(0, 2, nvars)): float(rng.uniform(-1, 1)) for _ in range(20)})
     assert len(p.terms) ** 2 >= multipoly.MUL_ARRAY_PAIRS
-    assert multipoly._mul_arrays(p, p) is None
+    assert not keyed(p, p)
     assert product_terms(p, p) == dict_loop_terms(p, p)
     # exponents past int64 themselves
     big = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
-    assert multipoly._mul_arrays(big, big) is None
+    assert not keyed(big, big)
     assert product_terms(big, big) == dict_loop_terms(big, big)
     # a radix of 2^63 still runs the array path, one more falls back
     p = MultiPoly(1, {(2**62 - k,): float(k + 1) for k in range(15)})
     for top, runs in ((2**62 - 1, True), (2**62, False)):
         q = MultiPoly(1, {(top - k,): 0.5 - k for k in range(15)})
-        assert (multipoly._mul_arrays(p, q) is not None) is runs
+        assert keyed(p, q) is runs
         assert product_terms(p, q) == dict_loop_terms(p, q)
 
 

@@ -674,6 +674,12 @@ def test_negative_seed_is_refused():
         solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]), seed=-1)
 
 
+def test_non_integer_seed_is_refused():
+    # numpy's own TypeError would escape `except polynet.Error`
+    with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
+        solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]), seed=1.5)
+
+
 def lm_from_ones(system):
     """One solver attempt from all ones: (converged, iterations, Jacobians
     evaluated, step norm of each iteration)."""
