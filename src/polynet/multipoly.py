@@ -240,7 +240,7 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._trusted(p.nvars, out)
 
 
-def _encode(p: MultiPoly, q: MultiPoly, radix_of):
+def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
     """p and q as int64 mixed-radix keys and float64 coefficients in dict
     order, with a decoder from keys and coefficients back to a MultiPoly, as
     (k1, c1, k2, c2, decode); radix_of maps the largest exponent of each

@@ -81,7 +81,7 @@ def test_constructor_validation():
             MultiPoly.variable(3, bad)
     for index in (1, np.int64(1), np.int32(1), 1.0):
         assert MultiPoly.variable(3, index) == MultiPoly(3, {(0, 1, 0): 1.0})
-    # a power is an exponent too: 2.0 is 2, and 2.5 used to raise a bare TypeError from k & 1
+    # a power is an exponent too: an integral float passes, any other number is refused
     p = MultiPoly(2, {(1, 0): 1.0, (0, 1): -2.0, (0, 0): 0.5})
     assert list((p**2.0).terms.items()) == list((p**2).terms.items())
     with pytest.raises(UsageError, match="power 2.5 is not an integer"):
