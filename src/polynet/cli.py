@@ -3,13 +3,15 @@
 Every verb returns a ReportDocument and `main` alone prints it; only
 `verify-exp*` have a text form.  `approx --degree` fits by least squares.
 Exit codes: 0 all checks passed, 1 a check failed or the solver did not
-converge, 2 usage or input errors.
+converge, 2 usage or input errors.  The argument parser is built once per
+process; every parse_args call fills a namespace of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigurationError, Error, NumericError
@@ -39,6 +41,7 @@ def _trace(args):
     return sys.stderr if args.trace else None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polynet",

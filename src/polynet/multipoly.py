@@ -246,14 +246,23 @@ def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
     (k1, c1, k2, c2, decode); radix_of maps the largest exponent of each
     variable in p and in q to the radices.  None when a coefficient is not
     exactly a float (a subclass keeps its own operators), or an exponent, a
-    key or a place value would not fit int64."""
-    c1, c2 = list(p.terms.values()), list(q.terms.values())
-    if not all(type(v) is float for v in (*c1, *c2)):
+    key or a place value would not fit int64.  When q is p, p is converted
+    once and both factors share its arrays."""
+
+    def arrays(r: MultiPoly) -> tuple[np.ndarray, np.ndarray] | None:
+        c = list(r.terms.values())
+        if not all(type(v) is float for v in c):
+            return None
+        try:
+            return np.array(list(r.terms), dtype=np.int64), np.array(c)
+        except OverflowError:
+            return None
+
+    first = arrays(p)
+    second = first if q is p else arrays(q)
+    if first is None or second is None:
         return None
-    try:
-        E1, E2 = np.array(list(p.terms), dtype=np.int64), np.array(list(q.terms), dtype=np.int64)
-    except OverflowError:
-        return None
+    (E1, c1), (E2, c2) = first, second
     radix = radix_of(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())
     if math.prod(radix) > 1 << 63 or math.prod(radix[1:]) == 1 << 63:
         return None
@@ -265,7 +274,8 @@ def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
         exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
         return MultiPoly._trusted(p.nvars, dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
-    return E1 @ stride, np.array(c1), E2 @ stride, np.array(c2), decode
+    k1 = E1 @ stride
+    return k1, c1, k1 if q is p else E2 @ stride, c2, decode
 
 
 def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,15 +17,19 @@ residuals replay a tape: build_coefficient_system runs expand_network's
 ring pass once, at fixed weights that are _Recorded floats, and each *, +
 and unary - the ring performs on them writes one float operation onto the
 tape (_CoefficientTape).  A residual call replays those operations with
-numpy on a stack of weight sets, and a set whose exact zeros differ from
-the recording's runs the dict ring alone, so every residual has the bits
-of its own expansion.
+numpy on a stack of weight sets (every Jacobian), or, for one set on a tape
+of at most FLOAT_REPLAY_SLOTS slots, in plain Python floats, which are the
+same IEEE operations.  A set whose exact zeros differ from the recording's
+runs the dict ring alone, so every residual has the bits of its own
+expansion.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
+from operator import add, itemgetter, mul, neg, sub
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -60,6 +64,13 @@ CHUNK_ELEMENTS = 1 << 17
 # 1.5 s, 31 MB; 8, 4, 8: 2,013,540, 8.3 s, 151 MB.  The limit keeps the
 # first four and refuses the last two after 0.9-1.1 s.
 MAX_TAPE_SLOTS = 250_000
+# A residual call of one weight set replays a tape of at most this many slots
+# in Python floats; a larger tape, and a stack of sets, replay with numpy.
+# One set per batch_fn call, power nets, min of 5x2000 calls in each of four
+# processes on a shared 2-vCPU machine, float loop / numpy replay: 108 slots
+# 13 / 34 us, 240 25 / 42 us, 490 46 / 43 us, 1015 89 / 58 us, 2176 177 /
+# 59 us.  The paths cross between 240 and 490 slots.
+FLOAT_REPLAY_SLOTS = 400
 
 
 @dataclass(frozen=True)
@@ -156,7 +167,21 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     monomials = grlex_monomials(arch.input_dim, attainable)
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
     tape = _CoefficientTape(arch, monomials)
-    return _stacked_system(arch, wanted, tape, _chunk(arch, tape.slots))
+    system = _stacked_system(arch, wanted, tape, _chunk(arch, tape.slots))
+    if tape.slots > FLOAT_REPLAY_SLOTS:
+        return system
+    stacked, minus = system.batch_fn, wanted.tolist()
+
+    def batch_fn(Ws: np.ndarray) -> np.ndarray:
+        if len(Ws) != 1:
+            return stacked(Ws)
+        # Python's float + * - overflow to inf and nan silently, as the stacked replay does
+        w = Ws[0].tolist()
+        if not all(map(math.isfinite, w)):
+            raise StructuralError("weights must be finite")
+        return np.fromiter(map(sub, tape.coefficients(w), minus), float, len(minus))[None]
+
+    return ResidualSystem(system.unknowns, system.arity, batch_fn)
 
 
 class _Recorded(float):
@@ -212,9 +237,12 @@ class _CoefficientTape:
     lower depth.  The ring drops the terms whose coefficient is exactly 0,
     which changes its later dict order and sums; so a weight set whose zero
     pattern over the slots is not the recording's (zero) runs the float dict
-    ring instead (ring), and every set keeps the bits of its own expansion."""
+    ring instead (ring), and every set keeps the bits of its own expansion.
+    The same groups, as a program of (operator, getter a, getter b) over a
+    list of slots, replay one set in Python floats (coefficients)."""
 
     OPS = (None, np.add, np.multiply, np.negative)
+    FLOAT_OPS = (None, add, mul, neg)
 
     def __init__(self, arch: NetworkSpec, monomials: list):
         self.arch, self.monomials = arch, monomials
@@ -230,16 +258,22 @@ class _CoefficientTape:
         slot = np.argsort(order)  # of each tape entry
         # group bounds, the first of them after the leaves (depth 0, op 0)
         bounds = [*(np.flatnonzero(np.diff(depth[order] * len(self.OPS) + op[order])) + 1), order.size]
-        self.groups = []
+        self.groups, self.program = [], []
         for lo, hi in zip(bounds, bounds[1:]):
-            ufunc = self.OPS[op[order[lo]]]
-            self.groups.append((ufunc, lo, hi, [slot[x[order[lo:hi]]] for x in (a, b)[: ufunc.nin]]))
+            code = op[order[lo]]
+            operands = [slot[x[order[lo:hi]]] for x in (a, b)[: self.OPS[code].nin]]
+            self.groups.append((self.OPS[code], lo, hi, operands))
+            getters = [_getter(x) for x in operands] + [None]  # b is None for a negation
+            self.program.append((self.FLOAT_OPS[code], getters[0], getters[1]))
         values = np.frombuffer(self.value)[order]
         self.slots = order.size
         self.consts = values[len(weights) : bounds[0]]
         self.zero = values == 0.0  # (slots,) bool: the slot was 0.0 at the record point
         self.outputs = slot[outputs]  # (arity,) slot of each residual's coefficient
         del self.op, self.a, self.b, self.depth, self.value, self._consts  # the replay needs none of them
+        # the one-set replay's constants, zero slots and outputs
+        self._float_consts, self._zeros = self.consts.tolist(), int(self.zero.sum())
+        self._at_zeros, self._at_outputs = _getter(np.flatnonzero(self.zero)), _getter(self.outputs)
 
     def append(self, op: int, a: int, b: int, value: float) -> _Recorded:
         index = len(self.op)
@@ -277,9 +311,21 @@ class _CoefficientTape:
 
     def ring(self, w: np.ndarray) -> list:
         """Coefficients (arity,) at one weight set w (unknowns,) by the dict ring:
-        floats, or _Recorded floats at the recording's weights."""
-        polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
+        floats, or _Recorded floats at the recording's weights.  Overflow is
+        silent: numpy's object matvec would warn of it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
         return [p.terms.get(e, 0.0) for p in polys for e in self.monomials]
+
+    def coefficients(self, w: list) -> Sequence[float]:
+        """Coefficients (arity,) at one weight set w, a list of unknowns floats,
+        replayed in Python floats, or by the dict ring when its zeros stray."""
+        v = w + self._float_consts
+        for op, a, b in self.program:
+            v += map(op, a(v), b(v)) if b else map(op, a(v))
+        if v.count(0.0) != self._zeros or any(self._at_zeros(v)):
+            return self.ring(np.array(w))
+        return self._at_outputs(v)
 
     def __call__(self, Ws: np.ndarray) -> np.ndarray:
         """Coefficients (k, arity) at weight sets Ws (k, unknowns)."""
@@ -290,6 +336,15 @@ class _CoefficientTape:
         for j in np.flatnonzero(strays):
             C[j] = self.ring(Ws[j])
         return C
+
+
+def _getter(indices: np.ndarray) -> Callable[[list], Sequence]:
+    """The items of a list at indices, as a sequence even for one index or
+    none, where itemgetter alone would give the item or fail."""
+    indices = indices.tolist()
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:

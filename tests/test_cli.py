@@ -295,6 +295,40 @@ def test_python_m_polynet_exit_codes(tmp_path):
         assert done.stdout.splitlines()[-1] == last
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # Back-to-back calls in one process share the parser; each must give the exit
+    # code, stdout and stderr of a fresh process.  Attempt 0 stalls on this target
+    # and the seeded restarts converge, so --seed changes the report.
+    arch = NetworkSpec(2, (LayerSpec(np.zeros((2, 3)), MonomialPower(2)), LayerSpec(np.zeros((1, 3)))))
+    save_network(arch, tmp_path / "arch.json")
+    teacher = polynet.with_weights(arch, [0.0, 0.8, 0.9, -0.3, 0.1, -0.4, 0.2, -0.3, -0.2])
+    (tmp_path / "target.poly").write_text(poly_to_text(polynet.expand_network(teacher)[0]))
+    synth = ["synth", "--arch", str(tmp_path / "arch.json"), "--targets", str(tmp_path / "target.poly")]
+    calls = [[*synth, "--seed", "3", "--trace"], synth, synth[:3]]  # the last lacks --targets
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    procs = [subprocess.Popen([sys.executable, "-m", "polynet", *argv], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) for argv in calls]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        fresh.append((proc.returncode, out, err))
+    in_process = []
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        in_process.append((rc, *capsys.readouterr()))
+    assert in_process == fresh
+    assert [rc for rc, _, _ in fresh] == [0, 0, 2]
+    assert fresh[0][1] != fresh[1][1] and fresh[0][2] and not fresh[1][2]
+
+
 def fit_power2(rows, tmp_path, capsys):
     """fit-data of y = (w0 + w1 * x)^2 on CSV rows: (exit code, stdout, stderr)."""
     arch_path = tmp_path / "arch.json"

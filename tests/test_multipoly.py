@@ -240,6 +240,21 @@ def test_array_products_fall_back_when_keys_would_not_fit_int64(monkeypatch):
         assert product_terms(p, q) == dict_loop_terms(p, q)
 
 
+def test_a_polynomial_times_itself_is_encoded_once():
+    # a squaring (poly_pow) and a composition (apply_univariate) pass one object
+    # twice; its keys and coefficients are converted once and shared, with the
+    # bytes of an encoding of two equal copies
+    rng = np.random.default_rng(6)
+    p = MultiPoly(3, {e: float(rng.uniform(-1, 1)) for e in grlex_monomials(3, 3)})
+    radix_of = lambda m1, m2: [x + y + 1 for x, y in zip(m1, m2)]  # noqa: E731
+    k1, c1, k2, c2, decode = multipoly._encode(p, p, radix_of)
+    assert k2 is k1 and c2 is c1
+    copy = MultiPoly(3, dict(p.terms))
+    for got, want in zip((k1, c1, k2, c2), multipoly._encode(p, copy, radix_of)[:4]):
+        assert got.tobytes() == want.tobytes()
+    assert decode(k1, c1).terms == p.terms
+
+
 def test_a_product_over_several_blocks_is_the_dict_loop():
     # 455 x 455 dense terms: four blocks of the default size
     rng = np.random.default_rng(8)

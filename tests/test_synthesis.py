@@ -455,21 +455,28 @@ def test_batched_jacobian_matches_per_column_coefficient_residuals():
 
 
 def spy_on_the_tape(monkeypatch):
-    """Lists that fill with the weight sets of each tape replay (one (k, unknowns)
-    stack per call) and of each set run alone on the dict ring instead."""
+    """Lists that fill with the weight sets of each tape replay, one (k, unknowns)
+    stack per call of either route (numpy on a stack, Python floats on one
+    set), and of each set run alone on the dict ring instead."""
     replays, fallbacks = [], []
-    replay, ring = synthesis._CoefficientTape.replay, synthesis._CoefficientTape.ring
+    tape_class = synthesis._CoefficientTape
+    replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
 
     def spy_replay(tape, Ws):
         replays.append(Ws.copy())
         return replay(tape, Ws)
 
+    def spy_coefficients(tape, w):
+        replays.append(np.array([w]))
+        return coefficients(tape, w)
+
     def spy_ring(tape, w):
         fallbacks.append(w.copy())
         return ring(tape, w)
 
-    monkeypatch.setattr(synthesis._CoefficientTape, "replay", spy_replay)
-    monkeypatch.setattr(synthesis._CoefficientTape, "ring", spy_ring)
+    monkeypatch.setattr(tape_class, "replay", spy_replay)
+    monkeypatch.setattr(tape_class, "coefficients", spy_coefficients)
+    monkeypatch.setattr(tape_class, "ring", spy_ring)
     return replays, fallbacks
 
 
@@ -558,6 +565,81 @@ def test_stacked_coefficients_overflow_as_floats_do():
         single = np.array([system.residuals(w) for w in Ws])
     assert np.isinf(R).any() and np.isnan(R).any()
     assert_same_bits(R, single)
+
+
+def one_set_archs():
+    """Power nets whose tapes hold 108, 240, 490 and 1015 slots, on both sides
+    of FLOAT_REPLAY_SLOTS, and the constant-output architectures, whose
+    recordings hold 0.0 slots."""
+    nets = [NetworkSpec(d, (LayerSpec(np.zeros((4, d + 1)), MonomialPower(k)), LayerSpec(np.zeros((1, 5)))))
+            for d, k in ((2, 2), (2, 3), (3, 3), (3, 4))]
+    return nets + constant_output_archs()
+
+
+def one_set_cases(rng, arch):
+    """(system, tape, weight sets): six random sets, three of them holding exact
+    0.0 or -0.0 weights."""
+    p = network_weights(arch).size
+    system = build_coefficient_system(arch, expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, p))))
+    tape = synthesis._CoefficientTape(arch, grlex_monomials(arch.input_dim, expansion_degree(arch)))
+    Ws = rng.uniform(-1.0, 1.0, (6, p))
+    Ws[2][rng.random(p) < 0.3] = 0.0
+    Ws[3][rng.random(p) < 0.3] = -0.0
+    Ws[4, 0] = -0.0
+    return system, tape, Ws
+
+
+def test_one_set_float_replay_is_the_numpy_replay_bit_for_bit():
+    # One weight set replays the tape in Python floats; it must give the bytes of
+    # the numpy replay of a stack, fall back to the dict ring on the same sets,
+    # and overflow to inf and nan as silently: at 1e120 squares overflow
+    rng = np.random.default_rng(15)
+    slots, overflowed = [], []
+    for arch in one_set_archs():
+        system, tape, Ws = one_set_cases(rng, arch)
+        Ws = np.concatenate((Ws, 1e120 * Ws))
+        slots.append(tape.slots)
+        with np.errstate(over="ignore", invalid="ignore"):
+            C = tape(Ws)
+        R = system.batch_fn(Ws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w, c, r in zip(Ws, C, R):
+                assert_same_bits(np.array(tape.coefficients(w.tolist())), c)
+                assert_same_bits(system.residuals(w), r)
+        overflowed.append((np.isinf(R).any(), np.isnan(R).any()))
+        for bad in (np.nan, np.inf, -np.inf):
+            w = Ws[0].copy()
+            w[-1] = bad
+            with pytest.raises(StructuralError, match="weights must be finite"):
+                system.residuals(w)
+    assert np.all(np.any(overflowed, axis=0))
+    assert min(slots) <= synthesis.FLOAT_REPLAY_SLOTS < max(slots)
+
+
+def test_one_set_takes_the_float_replay_on_small_tapes_only(monkeypatch):
+    # a stack, and one set on a tape past FLOAT_REPLAY_SLOTS, replay with numpy;
+    # either route runs a set holding an exact zero weight on the dict ring
+    routes, fallbacks = [], []
+    tape_class = synthesis._CoefficientTape
+    replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
+    monkeypatch.setattr(tape_class, "replay", lambda tape, Ws: routes.append(("numpy", len(Ws))) or replay(tape, Ws))
+    monkeypatch.setattr(tape_class, "coefficients", lambda tape, w: routes.append(("floats", 1)) or coefficients(tape, w))
+    monkeypatch.setattr(tape_class, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
+    rng = np.random.default_rng(16)
+    for arch in one_set_archs():
+        system, tape, Ws = one_set_cases(rng, arch)
+        one = "floats" if tape.slots <= synthesis.FLOAT_REPLAY_SLOTS else "numpy"
+        for w in Ws:
+            routes.clear()
+            fallbacks.clear()
+            system.residuals(w)
+            assert routes == [(one, 1)]
+            assert len(fallbacks) == (w == 0.0).any()
+            assert all(f.tobytes() == w.tobytes() for f in fallbacks)
+        routes.clear()
+        system.batch_fn(Ws)
+        assert routes == [("numpy", len(Ws))]
 
 
 def chunk_test_system(kind):
