@@ -43,6 +43,8 @@ def _trace(args):
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built on the first call and shared by every
+    later one: parse with it, change nothing on it."""
     parser = argparse.ArgumentParser(
         prog="polynet",
         description="expand polynomial-activation networks, approximate activations, "

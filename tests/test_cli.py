@@ -302,13 +302,15 @@ def test_parser_is_built_once():
 def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
     # Back-to-back calls in one process share the parser; each must give the exit
     # code, stdout and stderr of a fresh process.  Attempt 0 stalls on this target
-    # and the seeded restarts converge, so --seed changes the report.
+    # and the seeded restarts converge, so --seed changes the report; verify-exp3
+    # has no --seed, so a seed left over from the call before it would refuse it.
     arch = NetworkSpec(2, (LayerSpec(np.zeros((2, 3)), MonomialPower(2)), LayerSpec(np.zeros((1, 3)))))
     save_network(arch, tmp_path / "arch.json")
     teacher = polynet.with_weights(arch, [0.0, 0.8, 0.9, -0.3, 0.1, -0.4, 0.2, -0.3, -0.2])
     (tmp_path / "target.poly").write_text(poly_to_text(polynet.expand_network(teacher)[0]))
     synth = ["synth", "--arch", str(tmp_path / "arch.json"), "--targets", str(tmp_path / "target.poly")]
-    calls = [[*synth, "--seed", "3", "--trace"], synth, synth[:3]]  # the last lacks --targets
+    calls = [[*synth, "--seed", "3", "--trace"], synth, synth[:3], [*synth, "--seed", "-1"],
+             ["verify-exp3", "--machine"]]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     procs = [subprocess.Popen([sys.executable, "-m", "polynet", *argv], env=env, stdout=subprocess.PIPE,
@@ -325,7 +327,7 @@ def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
             rc = exc.code
         in_process.append((rc, *capsys.readouterr()))
     assert in_process == fresh
-    assert [rc for rc, _, _ in fresh] == [0, 0, 2]
+    assert [rc for rc, _, _ in fresh] == [0, 0, 2, 2, 0]  # synth[:3] lacks --targets
     assert fresh[0][1] != fresh[1][1] and fresh[0][2] and not fresh[1][2]
 
 

@@ -624,7 +624,8 @@ def test_one_set_takes_the_float_replay_on_small_tapes_only(monkeypatch):
     tape_class = synthesis._CoefficientTape
     replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
     monkeypatch.setattr(tape_class, "replay", lambda tape, Ws: routes.append(("numpy", len(Ws))) or replay(tape, Ws))
-    monkeypatch.setattr(tape_class, "coefficients", lambda tape, w: routes.append(("floats", 1)) or coefficients(tape, w))
+    monkeypatch.setattr(tape_class, "coefficients",
+                        lambda tape, w: routes.append(("floats", 1)) or coefficients(tape, w))
     monkeypatch.setattr(tape_class, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
     rng = np.random.default_rng(16)
     for arch in one_set_archs():
