@@ -264,18 +264,27 @@ def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
         return None
     (E1, c1), (E2, c2) = first, second
     radix = radix_of(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())
+    stride = _places(radix)
+    if stride is None:
+        return None
+    k1 = E1 @ stride
+    return k1, c1, k1 if q is p else E2 @ stride, c2, lambda keys, coeffs: _decode(keys, coeffs, radix, stride)
+
+
+def _places(radix: list[int]) -> np.ndarray | None:
+    """The place value of each digit of mixed radices, the first digit on top,
+    or None when a key or a place value would not fit int64."""
     if math.prod(radix) > 1 << 63 or math.prod(radix[1:]) == 1 << 63:
         return None
-    stride = np.cumprod([1, *reversed(radix[1:])], dtype=np.int64)[::-1]
+    return np.cumprod([1, *reversed(radix[1:])], dtype=np.int64)[::-1]
 
-    def decode(keys: np.ndarray, coeffs: np.ndarray) -> MultiPoly:
-        exps = keys[:, None] // stride
-        # the first place needs no remainder: every key is below the radices' product
-        exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
-        return MultiPoly._trusted(p.nvars, dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
-    k1 = E1 @ stride
-    return k1, c1, k1 if q is p else E2 @ stride, c2, decode
+def _decode(keys: np.ndarray, coeffs: np.ndarray, radix: list[int], stride: np.ndarray) -> MultiPoly:
+    """The MultiPoly of keys (below the radices' product) and coefficients, in their order."""
+    exps = keys[:, None] // stride
+    # the first place needs no remainder: every key is below the radices' product
+    exps[:, 1:] %= np.array(radix[1:], dtype=np.int64)
+    return MultiPoly._trusted(len(radix), dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
 
 def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,6 +298,8 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) ->
     np.add.at adds its products one at a time in index order, so each slot
     sums its products in (i, j) order from 0.0, as the dict loop does.
     """
+    if not (c1.size and c2.size):  # a product with the zero polynomial
+        return k1[:0], c1[:0]
     rows = max(1, MUL_BLOCK_PAIRS // len(c2))
     met = np.empty(0, dtype=np.int64)  # the keys of the slots so far, in slot order
     sums = np.zeros(0)
@@ -316,20 +327,59 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) ->
     return met[kept], sums[kept]
 
 
+def _sum_keys(keys: np.ndarray, addends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chain of poly_add calls, each adding at most one addend per key, as
+    int64 keys and float64 nonzero addends in the chain's order: each key's
+    addends summed left to right, the keys in the order of their first
+    addend, and a key summing to exactly 0.0 dropped.  A key whose partial
+    sum is 0.0 before its last addend leaves the dict there and its next
+    addend inserts it again, last, as poly_add's dict does."""
+    if not keys.size:
+        return keys, addends
+    order = keys.argsort(kind="stable")  # each key's run in chain order
+    run = keys[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[0] = True
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=keys.size)
+    vals = addends[order]
+    sums = vals[starts]
+    stamp = order[starts]  # each key's place: the chain position of the addend that last inserted it
+    live = np.flatnonzero(counts > 1)
+    r = 1
+    while live.size:  # the r-th addend of every key that has one, in a single step
+        at = starts[live] + r
+        again = sums[live] == 0.0
+        if again.any():
+            stamp[live[again]] = order[at[again]]
+        sums[live] += vals[at]
+        r += 1
+        live = live[counts[live] > r]
+    kept = np.flatnonzero(sums != 0.0)
+    kept = kept[stamp[kept].argsort()]
+    return run[starts[kept]], sums[kept]
+
+
 def poly_pow(p: MultiPoly, k: int) -> MultiPoly:
     """p**k for integer k >= 0, by square and multiply."""
     k = _integer(k, "power")
     if k < 0:
         raise UsageError("exponent must be non-negative")
-    result = None  # the constant 1, never multiplied out: 1.0 * c is c
-    base = p
+    return _power(p, k, poly_mul) if k else MultiPoly.constant(p.nvars, 1.0)
+
+
+def _power(base, k: int, mul):
+    """base**k for k >= 1 by square and multiply, with mul(a, b) the product;
+    the constant 1 is never multiplied out, since 1.0 * c is c."""
+    result = None
     while k:
         if k & 1:
-            result = base if result is None else poly_mul(result, base)
+            result = base if result is None else mul(result, base)
         k >>= 1
         if k:
-            base = poly_mul(base, base)
-    return MultiPoly.constant(p.nvars, 1.0) if result is None else result
+            base = mul(base, base)
+    return result
 
 
 def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
@@ -337,9 +387,9 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
     for each coefficient c from the top, with the ring's terms, term order and
     bits.  When the chain's largest product, at most C(d + (D - 1) deg p, d)
     |p| pairs for phi of degree D, reaches MUL_ARRAY_PAIRS, the chain runs on
-    int64 mixed-radix keys and float64 coefficients kept in term order,
-    decoded to exponent tuples once; otherwise, and wherever poly_mul keeps
-    its dict loop, it is phi(p)."""
+    int64 mixed-radix keys and float64 coefficients kept in term order
+    (_horner_keys), decoded to exponent tuples once; otherwise, and wherever
+    poly_mul keeps its dict loop, it is phi(p)."""
     D = len(phi.coeffs) - 1
     if D < 1 or math.comb(p.nvars + (D - 1) * p.degree(), p.nvars) * len(p.terms) < MUL_ARRAY_PAIRS:
         return phi(p)
@@ -349,12 +399,19 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
     if encoded is None:
         return phi(p)
     k, c, _, _, decode = encoded
-    with np.errstate(invalid="ignore"):
-        acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
-    kept = acc != 0.0
-    keys, acc = k[kept], acc[kept]  # the constant term's key is 0
+    return decode(*_horner_keys(phi.coeffs, k, c))
+
+
+def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(p) for phi's coefficients (constant first) and p as int64 keys and
+    float64 coefficients in term order, the constant term's key 0: the ring's
+    Horner as keys and coefficients in its term order with its bits.  Keys
+    must add without carry up to phi's degree times p's."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        for i, a in enumerate(reversed(phi.coeffs)):
+        acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
+        kept = acc != 0.0
+        keys, acc = k[kept], acc[kept]
+        for i, a in enumerate(reversed(coeffs)):
             if i:
                 keys, acc = _mul_keys(keys, acc, k, c)
             if a == 0.0:
@@ -366,7 +423,7 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
             acc[at[0]] += a
             if acc[at[0]] == 0.0:  # a constant term that cancels is dropped
                 keys, acc = np.delete(keys, at[0]), np.delete(acc, at[0])
-    return decode(keys, acc)
+    return keys, acc
 
 
 def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:

@@ -15,12 +15,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError, ParseError, StructuralError, UsageError
 from .funcapprox import UniPoly
-from .multipoly import MultiPoly, apply_univariate
+from .multipoly import (MUL_BLOCK_PAIRS, MultiPoly, _decode, _horner_keys, _mul_keys, _places, _power, _sum_keys,
+                        apply_univariate)
 
 # Largest C(d + D, d), the monomial count of a degree-D expansion in d
 # inputs.  Width-4 power nets on a shared 2-vCPU machine took 2-3 s at
@@ -33,6 +36,15 @@ MAX_EXPANSION_TERMS = 20_000
 # and d = 6000 (36M) 5.1-5.4 s and 334 MB; the limit (d = 2235: 0.6-0.7 s and
 # 95 MB) keeps the first and refuses the others.
 MAX_EXPANSION_EXPONENTS = 5_000_000
+# expand_network runs on int64 keys from this many terms C(d + D, d) on.
+# Nets of perfbench's expand-eval grid (1-2 hidden layers of 4-8 units, then
+# a linear output), min of 30 calls (5 from 924 terms) in one process on a
+# shared 2-vCPU machine, ring / keys, by terms: 10 0.17-0.30 / 0.36-0.64 ms,
+# 21 0.56-0.73 / 0.76-1.9 ms, 28 0.34-1.0 / 0.34-0.77 ms, 35 0.56-0.89 /
+# 0.65-1.6 ms, 45 0.81-1.9 / 0.99-2.2 ms, 56 0.58-0.63 / 0.43-0.48 ms, 84
+# 1.1-2.1 / 0.88-1.6 ms, 210 2.2-3.2 / 0.97-1.8 ms, 924 5.8-6.4 / 2.2-2.4 ms,
+# 3003 22-25 / 11-12 ms.  The paths cross between 45 and 56 terms.
+KEYED_EXPANSION_TERMS = 50
 
 
 def _f17(x: float) -> str:
@@ -184,14 +196,75 @@ def _variables(d: int) -> np.ndarray:
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
     """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node.
 
-    Raises NumericError when a coefficient overflows to inf or nan."""
+    From KEYED_EXPANSION_TERMS terms on, the pass runs on int64 keys
+    (_expand_on_keys); below that, and where that path declines, it is the
+    ring's _run_layers.  Either way the polynomials have the ring's terms,
+    term order and bits.  Raises NumericError when a coefficient overflows to
+    inf or nan."""
     check_expansion_size(net)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        polys = list(_run_layers(net._pairs, _variables(net.input_dim)))
+        polys = None
+        if math.comb(net.input_dim + expansion_degree(net), net.input_dim) >= KEYED_EXPANSION_TERMS:
+            polys = _expand_on_keys(net)
+        if polys is None:
+            polys = list(_run_layers(net._pairs, _variables(net.input_dim)))
     for k, p in enumerate(polys):
         if not all(map(math.isfinite, p.terms.values())):
             raise NumericError(f"output {k} of the expansion has a non-finite coefficient")
     return polys
+
+
+def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
+    """_run_layers on the input variables, with every node's polynomial kept
+    as int64 keys and float64 coefficients in the ring's term order, decoded
+    to exponent tuples once per output.  Each variable takes one digit of
+    radix t + 1 for t the highest degree a node reaches, so no product
+    carries, and a linear form puts the node index in a digit above them.
+    None, before any work, when a key would not fit int64, and on the first
+    non-finite coefficient, where the ring's own pass decides the result."""
+    d = net.input_dim
+    top = max(accumulate((1, *(layer.activation.degree for layer in net.layers)), mul))
+    radix = [max(layer.out_nodes for layer in net.layers)] + [top + 1] * d
+    stride = _places(radix)
+    if stride is None:
+        return None
+    polys = [(stride[j + 1 : j + 2], np.ones(1)) for j in range(d)]
+    for weights, activation in net._pairs:
+        polys = _linear_keys(weights, polys, int(stride[0]))
+        if polys is None:
+            return None
+        if isinstance(activation, MonomialPower):
+            polys = [_power(p, activation.k, lambda a, b: _mul_keys(*a, *b)) for p in polys]
+        elif isinstance(activation, PolyActivation):
+            polys = [_horner_keys(activation.poly.coeffs, *p) for p in polys]
+        if not all(np.isfinite(c).all() for _, c in polys):
+            return None
+    return [_decode(k, c, radix[1:], stride[1:]) for k, c in polys]
+
+
+def _linear_keys(weights: np.ndarray, polys: list, place: int) -> list | None:
+    """The pre-activations W @ [1, h] of keyed polynomials h, as the ring's
+    object matvec makes them: per output node i, b_i * 1.0 first, then
+    + w_ij * p_j for j ascending, where a product of exactly 0.0 is dropped
+    before it is added.  The outputs of up to MUL_BLOCK_PAIRS addends run at
+    once, told apart by the node index times place in their keys.  None when
+    a coefficient is not finite."""
+    keys = np.concatenate([np.zeros(1, dtype=np.int64), *(k for k, _ in polys)])
+    coeffs = np.concatenate([np.ones(1), *(c for _, c in polys)])
+    column = np.repeat(np.arange(len(polys) + 1), [1, *(len(c) for _, c in polys)])  # of each term in [1, h]
+    rows = max(1, MUL_BLOCK_PAIRS // len(keys))
+    out = []
+    for lo in range(0, len(weights), rows):
+        block = weights[lo : lo + rows]
+        addends = (block[:, column] * coeffs).ravel()
+        nonzero = addends != 0.0
+        k, c = _sum_keys((np.arange(len(block))[:, None] * place + keys).ravel()[nonzero], addends[nonzero])
+        if not np.isfinite(c).all():
+            return None
+        node = k // place
+        at = np.searchsorted(node, np.arange(1, len(block)))
+        out += zip(np.split(k - node * place, at), np.split(c, at))
+    return out
 
 
 def expansion_degree(net: NetworkSpec) -> int:

@@ -263,6 +263,17 @@ def test_a_product_over_several_blocks_is_the_dict_loop():
     assert product_terms(p, q) == dict_loop_terms(p, q)
 
 
+def test_a_keyed_product_with_the_zero_polynomial_is_empty():
+    # an all-zero weight row under MonomialPower squares an empty polynomial on keys
+    keys, coeffs = np.array([0, 1, 4], dtype=np.int64), np.array([0.5, -1.0, 2.0])
+    empty_keys, empty_coeffs = keys[:0], coeffs[:0]
+    for factors in ((keys, coeffs, empty_keys, empty_coeffs), (empty_keys, empty_coeffs, keys, coeffs),
+                    (empty_keys, empty_coeffs, empty_keys, empty_coeffs)):
+        k, c = multipoly._mul_keys(*factors)
+        assert (k.dtype, c.dtype, k.size, c.size) == (np.int64, np.float64, 0, 0)
+    assert multipoly._power((empty_keys, empty_coeffs), 5, lambda a, b: multipoly._mul_keys(*a, *b))[1].size == 0
+
+
 def test_float_subclass_coefficients_keep_their_operators():
     # a float subclass other than numpy's enters the ring as it is, so that its
     # own operators run (a recording coefficient relies on this); any other

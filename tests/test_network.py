@@ -3,6 +3,7 @@
 import hashlib
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from polynet import (
     MonomialPower,
     MultiPoly,
     NetworkSpec,
+    NumericError,
     ParseError,
     PolyActivation,
     StructuralError,
@@ -32,6 +34,7 @@ from polynet import (
     network_to_json,
     poly_eval,
 )
+from polynet import network
 from polynet.experiments import load_reference_network, load_table1
 from polynet.network import check_expansion_size
 
@@ -357,6 +360,99 @@ def test_expansion_budget_refuses_at_once():
     with pytest.raises(ConfigurationError, match="250001 tape slots, above the limit of 250000"):
         build_coefficient_system(deep, [MultiPoly.constant(8, 1.0)])
     assert time.perf_counter() - start < 4.0
+
+
+@pytest.fixture
+def ring_passes(monkeypatch):
+    """The calls expand_network makes to the ring's pass (none where it runs
+    on keys), and that pass itself."""
+    calls = []
+    run = network._run_layers
+    monkeypatch.setattr(network, "_run_layers", lambda *args: calls.append(1) or run(*args))
+    return calls, run
+
+
+def hex_terms(polys):
+    return [[(e, c.hex()) for e, c in p.terms.items()] for p in polys]
+
+
+def expanded(net, ring_passes):
+    """expand_network(net) and the ring's pass on the input variables, each as
+    its outputs' terms in dict order with coefficients in float hex, and
+    whether the expansion ran on keys."""
+    calls, run = ring_passes
+    calls.clear()
+    got = expand_network(net)
+    keyed = not calls
+    return hex_terms(got), hex_terms(run(net._pairs, network._variables(net.input_dim))), keyed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("crossover", [None, 1])
+def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, crossover):
+    if crossover is not None:  # every net on keys, the smallest included
+        monkeypatch.setattr(network, "KEYED_EXPANSION_TERMS", crossover)
+    rng = np.random.default_rng(27)
+    sides = {True: 0, False: 0}
+    for _ in range(150):
+        net = random_network(rng)
+        layers, paired = [], False
+        for layer in net.layers:
+            w = layer.weights.copy()
+            pick = rng.random(w.shape)
+            w[pick < 0.15] = 0.0
+            w[pick > 0.9] = -0.0
+            if paired:  # nodes 0 and 1 are equal: weighted w and -w, their terms cancel mid-sum
+                w[:, 2] = -w[:, 1]
+            paired = len(w) > 1
+            if paired:
+                w[1] = w[0]
+            layers.append(LayerSpec(w, layer.activation))
+        got, want, keyed = expanded(NetworkSpec(net.input_dim, tuple(layers)), ring_passes)
+        assert got == want
+        sides[keyed] += 1
+    assert sides[True] >= 15 and (sides[False] >= 15 or crossover is not None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_keyed_sum_moves_a_key_that_cancels_early_last(monkeypatch, ring_passes):
+    # 0.5 + (x1 + x2) - x1 + x1: x1's sum is 0.0 after its second addend, so
+    # the ring deletes it and the third inserts it again, after x2
+    hidden = LayerSpec(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
+    out = np.array([[0.5, 1.0, -1.0, 1.0]])
+    monkeypatch.setattr(network, "KEYED_EXPANSION_TERMS", 1)
+    got, want, keyed = expanded(NetworkSpec(2, (hidden, LayerSpec(out))), ring_passes)
+    assert keyed and got == want
+    assert [e for e, _ in got[0]] == [(0, 0), (0, 1), (1, 0)]
+    monkeypatch.undo()
+    # under a ninth power (55 terms, past the crossover), the power's order follows its base's
+    got, want, keyed = expanded(NetworkSpec(2, (hidden, LayerSpec(out, MonomialPower(9)))), ring_passes)
+    assert keyed and got == want and len(got[0]) == 55
+
+
+def test_expansion_falls_back_to_the_ring(ring_passes):
+    calls, _ = ring_passes
+    rng = np.random.default_rng(28)
+    # 70 inputs of degree 1: a radix of 2 per variable gives keys up to 2^70
+    net = NetworkSpec(70, (LayerSpec(rng.uniform(-1.0, 1.0, (2, 71))),))
+    got, want, keyed = expanded(net, ring_passes)
+    assert got == want and not keyed and len(got[0]) == 71
+    # 1e200 weights under a fourth power overflow on keys; the ring's pass names the output
+    w = rng.uniform(-1.0, 1.0, (2, 5))
+    w[1] *= 1e200
+    net = NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),))
+    assert network._expand_on_keys(net) is None
+    calls.clear()
+    with pytest.raises(NumericError, match=r"^output 1 of the expansion has a non-finite coefficient$"):
+        expand_network(net)
+    assert calls
+    # an all-zero weight row is the zero polynomial, squared on keys
+    w[1] /= 1e200
+    w[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, want, keyed = expanded(NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),)), ring_passes)
+    assert keyed and got == want and got[0] == [] and len(got[1]) == 70
 
 
 def test_classify_rules():

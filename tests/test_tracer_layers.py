@@ -1,7 +1,8 @@
 """The benchmark tracer counts ring calls by wrapping poly_mul, poly_add,
 poly_pow and apply_univariate; the operators and activations must still
 reach those names, or a fold of a function into its caller would leave its
-layer reading 0 calls."""
+layer reading 0 calls.  expand_network's pass on int64 keys calls none of
+them, by design, and shows as network.expand alone."""
 
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 
 import polynet
 import polynet.cli  # noqa: F401  (the tracer wraps polynet.cli.main)
+from polynet import network
 from polynet import LayerSpec, MonomialPower, MultiPoly, NetworkSpec, PolyActivation, UniPoly
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -50,21 +52,29 @@ def test_poly_activations_reach_the_composition_layer():
     # 2 inputs at degree 2: products of at most 3 pairs, left to the ring
     small = NetworkSpec(2, (LayerSpec(np.ones((2, 3)), PolyActivation(UniPoly((0.25, 0.0, -1.5)))),
                             LayerSpec(np.ones((1, 3)))))
+    assert network.KEYED_EXPANSION_TERMS <= 495  # C(4 + 8, 4): the large net expands on keys
     tracer = Tracer()
     tracer.install()
     try:
-        counts = []
-        for net in (large, small):
+
+        def layers(run):
             tracer.reset()
             tracer.begin()
-            polynet.expand_network(net)
+            run()
             tracer.end()
-            counts.append(tracer.snapshot())
+            return tracer.snapshot()
+
+        # the ring's pass, which expand_network falls back to and the coefficient tape records
+        large_counts = layers(lambda: network._run_layers(large._pairs, network._variables(4)))
+        small_counts = layers(lambda: polynet.expand_network(small))
+        keyed_counts = layers(lambda: polynet.expand_network(large))
     finally:
         tracer.uninstall()
-    large_counts, small_counts = counts
     assert large_counts["multipoly.apply_univariate.calls"] == 4
     assert large_counts.get("multipoly.mul.calls", 0) == 0
     assert small_counts["multipoly.apply_univariate.calls"] == 2
     for layer in ("multipoly.mul", "multipoly.add"):
         assert small_counts.get(f"{layer}.calls", 0) > 0, layer
+    # the keyed expansion calls no ring function: its work shows under network.expand
+    assert keyed_counts["network.expand.calls"] == 1
+    assert not any(name.startswith("multipoly.") for name in keyed_counts)
