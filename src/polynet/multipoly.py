@@ -13,10 +13,12 @@ Products of at least MUL_ARRAY_PAIRS pairs of plain floats run with numpy
 in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, and a
 univariate polynomial composed with a large enough argument
 (apply_univariate) runs its whole Horner chain the same way, both on
-int64 mixed-radix keys that _encode alone builds and decodes.  Both give
-the ring's terms in its order with its bits, but for a nan's sign where
-two nans are added: np.add.at and CPython's float addition may each keep
-either operand's sign there.
+int64 mixed-radix keys whose place values (_places) and decoding (_decode)
+are defined here alone.  Both give the ring's terms in its order with its
+bits, but for a nan's sign where two nans are added: np.add.at and
+CPython's float addition may each keep either operand's sign there.  The
+kernels on keys (_mul_keys, _sum_keys, _power, _horner_keys) also run
+network.expand_network's pass on keys.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ act(W @ [1, h]).  Because every activation is a polynomial, the whole
 network is one: expand_network runs the forward pass on polynomial inputs
 and returns an explicit polynomial per output node, which agrees with
 forward evaluation up to rounding.
+
+From KEYED_EXPANSION_TERMS terms per output on, that pass keeps every node's
+polynomial as int64 monomial keys and float64 coefficients from the inputs
+to the outputs, and decodes each output once.  Smaller nets, keys past int64
+and any non-finite coefficient take the ring's pass (_run_layers on
+MultiPolys).  Both give the ring's terms, term order and bits.
 """
 
 from __future__ import annotations
@@ -172,7 +178,10 @@ def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     """The forward pass over (weights, activation) pairs.  Weights are (r, c),
     or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once;
     on MultiPoly inputs, (r, c) objects holding recorded coefficients write
-    the pass onto a tape (see synthesis._Recorded)."""
+    the pass onto a tape (see synthesis._Recorded).  On MultiPoly inputs and
+    float weights this is the ring's pass: expand_network runs it below
+    KEYED_EXPANSION_TERMS and where its pass on keys declines, and its
+    terms, order and bits are what that pass on keys reproduces."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:
@@ -220,8 +229,9 @@ def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
     to exponent tuples once per output.  Each variable takes one digit of
     radix t + 1 for t the highest degree a node reaches, so no product
     carries, and a linear form puts the node index in a digit above them.
-    None, before any work, when a key would not fit int64, and on the first
-    non-finite coefficient, where the ring's own pass decides the result."""
+    None, before any work, when a key would not fit int64, and after a layer
+    that leaves a non-finite coefficient, where the ring's own pass decides
+    the result."""
     d = net.input_dim
     top = max(accumulate((1, *(layer.activation.degree for layer in net.layers)), mul))
     radix = [max(layer.out_nodes for layer in net.layers)] + [top + 1] * d
@@ -231,8 +241,6 @@ def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
     polys = [(stride[j + 1 : j + 2], np.ones(1)) for j in range(d)]
     for weights, activation in net._pairs:
         polys = _linear_keys(weights, polys, int(stride[0]))
-        if polys is None:
-            return None
         if isinstance(activation, MonomialPower):
             polys = [_power(p, activation.k, lambda a, b: _mul_keys(*a, *b)) for p in polys]
         elif isinstance(activation, PolyActivation):
@@ -242,13 +250,12 @@ def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
     return [_decode(k, c, radix[1:], stride[1:]) for k, c in polys]
 
 
-def _linear_keys(weights: np.ndarray, polys: list, place: int) -> list | None:
+def _linear_keys(weights: np.ndarray, polys: list, place: int) -> list:
     """The pre-activations W @ [1, h] of keyed polynomials h, as the ring's
     object matvec makes them: per output node i, b_i * 1.0 first, then
     + w_ij * p_j for j ascending, where a product of exactly 0.0 is dropped
     before it is added.  The outputs of up to MUL_BLOCK_PAIRS addends run at
-    once, told apart by the node index times place in their keys.  None when
-    a coefficient is not finite."""
+    once, told apart by the node index times place in their keys."""
     keys = np.concatenate([np.zeros(1, dtype=np.int64), *(k for k, _ in polys)])
     coeffs = np.concatenate([np.ones(1), *(c for _, c in polys)])
     column = np.repeat(np.arange(len(polys) + 1), [1, *(len(c) for _, c in polys)])  # of each term in [1, h]
@@ -259,8 +266,6 @@ def _linear_keys(weights: np.ndarray, polys: list, place: int) -> list | None:
         addends = (block[:, column] * coeffs).ravel()
         nonzero = addends != 0.0
         k, c = _sum_keys((np.arange(len(block))[:, None] * place + keys).ravel()[nonzero], addends[nonzero])
-        if not np.isfinite(c).all():
-            return None
         node = k // place
         at = np.searchsorted(node, np.arange(1, len(block)))
         out += zip(np.split(k - node * place, at), np.split(c, at))
