@@ -3,7 +3,6 @@
 import hashlib
 import re
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -388,10 +387,12 @@ def expanded(net, ring_passes):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("crossover", [None, 1])
-def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, crossover):
+@pytest.mark.parametrize("crossover, block", [(None, None), (1, None), (1, 7)])
+def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, crossover, block):
     if crossover is not None:  # every net on keys, the smallest included
         monkeypatch.setattr(network, "KEYED_EXPANSION_TERMS", crossover)
+    if block is not None:  # a linear form's outputs in blocks of a row or a few
+        monkeypatch.setattr(network, "MUL_BLOCK_PAIRS", block)
     rng = np.random.default_rng(27)
     sides = {True: 0, False: 0}
     for _ in range(150):
@@ -430,6 +431,7 @@ def test_keyed_sum_moves_a_key_that_cancels_early_last(monkeypatch, ring_passes)
     assert keyed and got == want and len(got[0]) == 55
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expansion_falls_back_to_the_ring(ring_passes):
     calls, _ = ring_passes
     rng = np.random.default_rng(28)
@@ -449,9 +451,7 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
     # an all-zero weight row is the zero polynomial, squared on keys
     w[1] /= 1e200
     w[0] = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got, want, keyed = expanded(NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),)), ring_passes)
+    got, want, keyed = expanded(NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),)), ring_passes)
     assert keyed and got == want and got[0] == [] and len(got[1]) == 70
 
 
