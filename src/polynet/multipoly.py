@@ -429,36 +429,52 @@ def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
-    """p's evaluation plan, built once: the coefficients in dict order behind a
-    leading 0.0, and one factor row per position k < D, p's total degree.
-    Row k names the variable of each term's k-th factor, x_j repeated e_j
-    times with j ascending, and d, which points at an appended 1.0, past the
-    term's degree.  The plan takes 8 * D * (T + 1) bytes for T terms: below
-    the d * D * T of one bool mask per power of each x_j once d > 8, and 8x
-    them at d = 1; a plan past MAX_PLAN_FACTORS is refused."""
-    # Dense random polynomials, masks against this plan: medians over 5
-    # alternated pairs of processes of the min of 7 passes, per single point
+    """p's compiled form, built once and read-only: a template table
+    [x_1..x_d, 1.0, 0.0, c_1..c_T] of the coefficients in dict order behind
+    slots for a point, and an intp gather of shape (D + 1, T + 1) for D, p's
+    total degree.  Column 0 is a leading 0.0 term, column t is term t.  Row 0
+    names each column's coefficient slot; row k >= 1 names the variable of
+    each term's k-th factor, x_j repeated e_j times with j ascending, and d,
+    the 1.0, past the term's degree.  The gather takes 8 * (D + 1) * (T + 1)
+    bytes, and a one-point call gathers as many bytes of floats: below the
+    d * D * T of one bool mask per power of each x_j once d > 8, and 8x them
+    at d = 1; past MAX_PLAN_FACTORS factors, D * (T + 1), p is refused."""
+    # Dense random polynomials, masks against a plan of factor rows run one
+    # gathered multiply per row, the path (n, d) calls still take: medians over
+    # 5 alternated pairs of processes of the min of 7 passes, per single point
     # of 200 / per (200, d) batch, on a shared 2-vCPU machine.  (d, D) = (1, 40):
     # 0.083 -> 0.089 / 1.04 -> 0.34 ms; (1, 400): 1.19 -> 1.01 / 42.8 -> 26.0 ms;
     # (2, 60): 0.59 -> 0.31 / 56.9 -> 38.7 ms; (6, 8): 0.32 -> 0.085 / 42.9 -> 14.3 ms.
     if p._compiled is None:
-        degree = p.degree()
-        factors = degree * (len(p.terms) + 1)
+        d, T, degree = p.nvars, len(p.terms), p.degree()
+        factors = degree * (T + 1)
         if factors > MAX_PLAN_FACTORS:
             raise ConfigurationError(
-                f"evaluating a polynomial of degree {degree} with {len(p.terms)} terms takes a plan of "
+                f"evaluating a polynomial of degree {degree} with {T} terms takes a plan of "
                 f"{factors} factors, above the limit of {MAX_PLAN_FACTORS}"
             )
-        coeffs = np.array([0.0, *p.terms.values()])
-        exps = np.array([(0,) * p.nvars, *p.terms], dtype=np.intp)
+        template = np.array([*(0.0,) * d, 1.0, 0.0, *p.terms.values()])
+        exps = np.array([(0,) * d, *p.terms], dtype=np.intp)
         degrees = exps.sum(axis=1)
-        plan = np.full((degree, len(coeffs)), p.nvars, dtype=np.intp)
+        gather = np.full((degree + 1, T + 1), d, dtype=np.intp)
+        gather[0] = np.arange(d + 1, d + T + 2)
         # every factor of every term, term by term, x_j repeated e_j times within one
-        term = np.repeat(np.arange(len(coeffs)), degrees)
-        k = np.arange(term.size) - np.repeat(degrees.cumsum() - degrees, degrees)
-        plan[k, term] = np.repeat(np.tile(np.arange(p.nvars), len(coeffs)), exps.ravel())
-        p._compiled = (coeffs, plan)
+        term = np.repeat(np.arange(T + 1), degrees)
+        k = np.arange(1, term.size + 1) - np.repeat(degrees.cumsum() - degrees, degrees)
+        gather[k, term] = np.repeat(np.tile(np.arange(d), T + 1), exps.ravel())
+        template.setflags(write=False)
+        gather.setflags(write=False)
+        p._compiled = (template, gather)
     return p._compiled
+
+
+def _real_points(x) -> np.ndarray:
+    """x as a float64 array; bool, int and float entries pass, and anything
+    else (None, strings, complex numbers) is refused rather than cast."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise UsageError(f"points must hold real numbers, got {a.dtype} entries")
+    return a.astype(float, copy=False)
 
 
 def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
@@ -467,25 +483,32 @@ def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
 
     Each term is its coefficient times x_j once per unit of e_j, j ascending,
     and the terms are summed left to right in dict order from 0.0, so every
-    value has the bits of that plain per-term loop: the plan's padding
-    multiplies by 1.0, which keeps every float as it is.
+    value has the bits of that plain per-term loop: the padding multiplies by
+    1.0, which keeps every float as it is.  One point fills a copy of the
+    compiled template, gathers it whole and multiplies each column top to
+    bottom in one reduce; n points multiply in one gathered row of the
+    factors at a time over every term at every point.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_points(x)
     if x.ndim not in (1, 2):
         raise DimensionError(f"points have shape {x.shape}, expected ({p.nvars},) or (n, {p.nvars})")
     if x.shape[-1] != p.nvars:
         raise DimensionError(f"point has length {x.shape[-1]}, expected {p.nvars}")
-    coeffs, plan = _compile(p)
-    points = x.reshape(-1, p.nvars)
-    xe = np.ones((p.nvars + 1, len(points)))  # (d + 1, n): x_j per row, then 1.0
-    xe[:-1] = points.T
-    terms = np.repeat(coeffs[:, None], len(points), axis=1)  # (T + 1, n)
+    template, gather = _compile(p)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        for row in plan:
+        if x.ndim == 1:
+            table = template.copy()
+            table[: p.nvars] = x
+            # multiply.reduce runs down each column in row order; accumulate adds
+            # strictly left to right, where np.sum would add pairwise
+            return float(np.add.accumulate(np.multiply.reduce(table[gather], axis=0))[-1])
+        xe = np.ones((p.nvars + 1, len(x)))  # (d + 1, n): x_j per row, then 1.0
+        xe[:-1] = x.T
+        terms = np.repeat(template.take(gather[0])[:, None], len(x), axis=1)  # (T + 1, n)
+        for row in gather[1:]:
             terms *= xe.take(row, axis=0)
-        # accumulate adds strictly top to bottom; np.sum would add pairwise
         np.add.accumulate(terms, axis=0, out=terms)
-    return float(terms[-1, 0]) if x.ndim == 1 else terms[-1].copy()
+    return terms[-1].copy()
 
 
 def truncate_degree(p: MultiPoly, max_degree: int) -> MultiPoly:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError, ParseError, StructuralError, UsageError
 from .funcapprox import UniPoly
-from .multipoly import (MUL_BLOCK_PAIRS, MultiPoly, _decode, _horner_keys, _mul_keys, _places, _power, _sum_keys,
-                        apply_univariate)
+from .multipoly import (MUL_BLOCK_PAIRS, MultiPoly, _decode, _horner_keys, _mul_keys, _places, _power, _real_points,
+                        _sum_keys, apply_univariate)
 
 # Largest C(d + D, d), the monomial count of a degree-D expansion in d
 # inputs.  Width-4 power nets on a shared 2-vCPU machine took 2-3 s at
@@ -191,7 +191,7 @@ def _run_layers(layers, h: np.ndarray) -> np.ndarray:
 
 def forward(net: NetworkSpec, x) -> np.ndarray:
     """Outputs (out,) of one input (d,), or (n, out) of rows (n, d); no row's bits depend on the batch."""
-    h = np.asarray(x, dtype=float)
+    h = _real_points(x)
     if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")
     return _run_layers(net._pairs, h)

@@ -416,9 +416,10 @@ def test_eval_has_the_loop_bits_at_high_degree_and_sparse_powers():
     # one term of degree 300 among two of degree 5 and 0
     sparse = poly_from_text("poly nvars=2\n1 300 0\n1 0 5\n-1 0 0\n")
     assert_loop_bits(sparse, [(1.0, 1.0), (0.999, -1.2), (-1.001, 2.0), (1.5, 0.5), (-0.0, 0.0), (1e-3, 0.0)])
-    # the plan is one row of T + 1 intp factor indices per factor position
-    coeffs, plan = multipoly._compile(sparse)
-    assert coeffs.shape == (4,) and plan.shape == (300, 4) and plan.dtype == np.intp
+    # the gather is a row of T + 1 intp coefficient slots, then one of factor indices per factor position
+    template, gather = multipoly._compile(sparse)
+    assert template.shape == (7,) and gather.shape == (301, 4) and gather.dtype == np.intp
+    assert template[gather[0]].tolist() == [0.0, *sparse.terms.values()]
 
 
 def test_eval_batches_of_no_rows_one_row_and_special_rows():
