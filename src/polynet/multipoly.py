@@ -47,13 +47,18 @@ MUL_ARRAY_PAIRS = 150
 # in one block in 0.70 s at 173 MB.
 MUL_BLOCK_PAIRS = 1 << 16
 # Most factors, D * (T + 1) for T terms of total degree D, that poly_eval's
-# plan may hold (8 bytes each).  Univariate polynomials in separate processes
-# on a shared 2-vCPU machine (D, T: factors, compile and first point, 200
-# points, peak RSS above the interpreter's): dense 1000: 1.0M, 0.02 s, 0.28 s,
-# 20 MB; dense 2000: 4.0M, 0.08 s, 2.3 s, 78 MB; dense 3000: 9.0M, 0.23 s,
-# 9.3 s, 174 MB; x^(10^6) + 1: 3.0M, 2.2 s, 6.0 s, 47 MB; x^(3 * 10^6) + 1:
-# 9.0M, 5.0 s, 17 s, 138 MB.  The limit keeps every polynomial in two or
-# more variables that network.MAX_EXPANSION_TERMS allows (d 2, D 198: 3,940,398).
+# compiled form may hold: its gather takes 8 * (D + 1) * (T + 1) bytes, and a
+# one-point call gathers as many bytes of floats.  In separate processes on a
+# shared 2-vCPU machine (factors: compile and first point, one point, 200
+# points in one batch, peak RSS above the interpreter's with p built): dense
+# univariate degree 1000: 1.0M, 0.03 s, 2.8 ms, 0.35 s, 20 MB; dense
+# univariate 1998: 4.0M, 0.10 s, 15 ms, 2.3 s, 77 MB; dense d 2, D 198:
+# 3.9M, 0.13 s, 12-14 ms, 2.2 s, 91 MB (121 MB after the batch); x^(10^6) + 1:
+# 3.0M, 0.16 s, 63 ms, 5.5 s, 54 MB; past the limit, dense univariate 3000:
+# 9.0M, 0.21 s, 47 ms, 8.6 s, 173 MB.  One gathered multiply per factor row
+# took 4.9, 15, 9-10 ms, 1.7 s and 35 ms per point at 20, 77, 91, 47 and
+# 172 MB.  The limit keeps every polynomial in two or more variables that
+# network.MAX_EXPANSION_TERMS allows (d 2, D 198: 3,940,398).
 MAX_PLAN_FACTORS = 4_000_000
 
 
@@ -439,10 +444,11 @@ def _compile(p: MultiPoly) -> tuple[np.ndarray, np.ndarray]:
     bytes, and a one-point call gathers as many bytes of floats: below the
     d * D * T of one bool mask per power of each x_j once d > 8, and 8x them
     at d = 1; past MAX_PLAN_FACTORS factors, D * (T + 1), p is refused."""
-    # Dense random polynomials, masks against a plan of factor rows run one
-    # gathered multiply per row, the path (n, d) calls still take: medians over
-    # 5 alternated pairs of processes of the min of 7 passes, per single point
-    # of 200 / per (200, d) batch, on a shared 2-vCPU machine.  (d, D) = (1, 40):
+    # Dense random polynomials, bool masks against the factor rows applied as
+    # one gathered multiply per row, the path (n, d) calls take and single
+    # points took before the one-point gather: medians over 5 alternated pairs
+    # of processes of the min of 7 passes, per single point of 200 / per
+    # (200, d) batch, on a shared 2-vCPU machine.  (d, D) = (1, 40):
     # 0.083 -> 0.089 / 1.04 -> 0.34 ms; (1, 400): 1.19 -> 1.01 / 42.8 -> 26.0 ms;
     # (2, 60): 0.59 -> 0.31 / 56.9 -> 38.7 ms; (6, 8): 0.32 -> 0.085 / 42.9 -> 14.3 ms.
     if p._compiled is None:

@@ -19,6 +19,7 @@ from polynet import (
     MultiPoly,
     NetworkSpec,
     ParseError,
+    PolyActivation,
     UniPoly,
     UsageError,
     expand_network,
@@ -385,6 +386,49 @@ def test_eval_has_the_bits_of_the_per_term_loop(scale):
         assert_loop_bits(p * p if len(p.terms) < 100 else -p, rng.uniform(-1.0, 1.0, (3, d)))
         assert_loop_bits(truncate_degree(p, degree - 1), rng.uniform(-1.0, 1.0, (3, d)))
         assert_loop_bits(poly_from_text(poly_to_text(p)), rng.uniform(-1.0, 1.0, (3, d)))
+
+
+# (inputs, hidden degrees): two PolyActivation layers, 45 to 462 terms
+POLY_ORACLE_SHAPES = ((2, (2, 4)), (3, (4, 2)), (5, (3, 2)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_point_eval_has_the_loop_bits_on_two_poly_activation_layers():
+    rng = np.random.default_rng(47)
+    for d, degrees in POLY_ORACLE_SHAPES:
+        layers, fan_in = [], d
+        for degree in degrees:
+            act = PolyActivation(UniPoly(tuple(rng.uniform(-1.0, 1.0, degree + 1))))
+            layers.append(LayerSpec(rng.uniform(-1.0, 1.0, (3, fan_in + 1)), act))
+            fan_in = 3
+        net = NetworkSpec(d, (*layers, LayerSpec(rng.uniform(-1.0, 1.0, (1, fan_in + 1)), Identity())))
+        (p,) = expand_network(net)
+        assert len(p.terms) == math.comb(d + degrees[0] * degrees[1], d)
+        X = rng.uniform(-1.0, 1.0, (16, d))
+        X[1], X[2], X[3], X[4] = -0.0, np.inf, np.nan, 1e300
+        X[5, 0], X[6, -1], X[7, 0], X[8, -1], X[9, 0] = -0.0, np.inf, np.nan, 1e300, -np.inf
+        for x in X:
+            assert poly_eval(p, x).hex() == loop_eval(p, x).hex()
+
+
+def test_eval_keeps_one_read_only_compiled_form():
+    rng = np.random.default_rng(53)
+    p = MultiPoly(3, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(3, 5)})
+    X = rng.uniform(-1.5, 1.5, (8, 3))
+    want = [loop_eval(p, x).hex() for x in X]
+    assert poly_eval(p, X[0]).hex() == want[0]
+    compiled = p._compiled
+    template, gather = compiled
+    saved = template.tobytes(), gather.tobytes()
+    for a in compiled:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    # one-point and (n, d) calls interleaved: the loop's bits, one compiled form, never written
+    for i, x in enumerate(X):
+        assert poly_eval(p, x).hex() == want[i]
+        assert [v.hex() for v in poly_eval(p, X[: i + 1]).tolist()] == want[: i + 1]
+        assert p._compiled is compiled
+    assert (template.tobytes(), gather.tobytes()) == saved
 
 
 def test_eval_edge_cases_have_the_loop_bits():

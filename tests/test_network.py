@@ -153,6 +153,22 @@ def test_forward_hand_check():
             forward(net, bad)
 
 
+def test_forward_and_poly_eval_refuse_points_that_are_not_real_numbers():
+    net = single_square_net()
+    (poly,) = expand_network(net)
+    # None used to give nan, strings were parsed and a complex point lost its imaginary part
+    for bad in ([None, 1.0], ["1", "2"], np.array([1.0 + 2.0j, 3.0]), [[1.0, 2.0], [None, 0.0]], [1.0, "x"]):
+        for evaluate in (lambda x: forward(net, x), lambda x: poly_eval(poly, x)):
+            with pytest.raises(UsageError, match="points must hold real numbers"):
+                evaluate(bad)
+    # bool, int and float entries pass as the floats they equal
+    for good in ([True, False], [2, -1], np.array([3, 1], dtype=np.uint8), np.array([0.5, 2.0], dtype=np.float32)):
+        x = np.asarray(good, dtype=float)
+        assert forward(net, good).tobytes() == forward(net, x).tobytes()
+        assert poly_eval(poly, good).hex() == poly_eval(poly, x).hex()
+        assert forward(net, [good, good]).tobytes() == forward(net, [x, x]).tobytes()
+
+
 def test_batched_forward_matches_single_rows_bit_for_bit():
     rng = np.random.default_rng(11)
     kinds = set()
