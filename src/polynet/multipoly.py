@@ -10,15 +10,14 @@ down serialization and the ordering of downstream equation systems.
 A product adds c1 * c2 into out[e1 + e2] over the pairs of terms in dict
 order, which fixes both its coefficients' bits and its own dict order.
 Products of at least MUL_ARRAY_PAIRS pairs of plain floats run with numpy
-in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, and a
-univariate polynomial composed with a large enough argument
-(apply_univariate) runs its whole Horner chain the same way, both on
-int64 mixed-radix keys whose place values (_places) and decoding (_decode)
-are defined here alone.  Both give the ring's terms in its order with its
-bits, but for a nan's sign where two nans are added: np.add.at and
-CPython's float addition may each keep either operand's sign there.  The
-kernels on keys (_mul_keys, _sum_keys, _power, _horner_keys) also run
-network.expand_network's pass on keys.
+in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, on int64
+mixed-radix keys whose place values (_places) and decoding (_decode) are
+defined here alone.  They give the ring's terms in its order with its bits,
+but for a nan's sign where two nans are added: np.add.at and CPython's
+float addition may each keep either operand's sign there.  The kernels on
+keys (_mul_keys, _sum_keys, _power, _horner_keys) also run
+network.expand_network's pass on keys, the one place where a univariate
+polynomial composes on keys; apply_univariate is phi(p).
 """
 
 from __future__ import annotations
@@ -110,18 +109,23 @@ class MultiPoly:
     __array_ufunc__ = None  # ndarray * MultiPoly and ndarray + MultiPoly defer to MultiPoly
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
-        if not isinstance(nvars, (int, np.integer)):
+        if isinstance(nvars, bool) or not isinstance(nvars, (int, np.integer)):
             raise DimensionError(f"nvars must be an integer, got {nvars!r}")
         if nvars < 1:
             raise DimensionError("nvars must be at least 1")
         clean: dict[Exponents, float] = {}
         for exps, coeff in (terms or {}).items():
+            if not isinstance(exps, tuple):
+                raise DimensionError(f"exponent vector {exps!r} is not a tuple")
             key = tuple(map(_integer, exps))
             if len(key) != nvars:
                 raise DimensionError(f"exponent vector {key} has length {len(key)}, expected {nvars}")
             if any(e < 0 for e in key):
                 raise UsageError(f"negative exponent in {key}")
-            c = float(coeff)
+            try:
+                c = float(coeff)
+            except (TypeError, ValueError):
+                raise UsageError(f"coefficient {coeff!r} of {key} is not a number") from None
             if c != 0.0:
                 clean[key] = c
         self.nvars = int(nvars)
@@ -232,8 +236,7 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     bits, a nan's sign aside."""
     _check_same_vars(p, q)
     if len(p.terms) * len(q.terms) >= MUL_ARRAY_PAIRS:
-        # radix max_p + max_q + 1 per variable, so a product's key is the sum of its factors' keys
-        encoded = _encode(p, q, lambda m1, m2: [x + y + 1 for x, y in zip(m1, m2)])
+        encoded = _encode(p, q)
         if encoded is not None:
             k1, c1, k2, c2, decode = encoded
             return decode(*_mul_keys(k1, c1, k2, c2))
@@ -247,14 +250,15 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._trusted(p.nvars, out)
 
 
-def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
+def _encode(p: MultiPoly, q: MultiPoly) -> tuple | None:
     """p and q as int64 mixed-radix keys and float64 coefficients in dict
     order, with a decoder from keys and coefficients back to a MultiPoly, as
-    (k1, c1, k2, c2, decode); radix_of maps the largest exponent of each
-    variable in p and in q to the radices.  None when a coefficient is not
-    exactly a float (a subclass keeps its own operators), or an exponent, a
-    key or a place value would not fit int64.  When q is p, p is converted
-    once and both factors share its arrays."""
+    (k1, c1, k2, c2, decode); each variable's radix is its largest exponent
+    in p plus its largest in q plus 1, so the key of a product of terms is
+    the sum of theirs.  None when a coefficient is not exactly a float (a
+    subclass keeps its own operators), or an exponent, a key or a place
+    value would not fit int64.  When q is p, as in a squaring, p is
+    converted once and both factors share its arrays."""
 
     def arrays(r: MultiPoly) -> tuple[np.ndarray, np.ndarray] | None:
         c = list(r.terms.values())
@@ -270,7 +274,7 @@ def _encode(p: MultiPoly, q: MultiPoly, radix_of) -> tuple | None:
     if first is None or second is None:
         return None
     (E1, c1), (E2, c2) = first, second
-    radix = radix_of(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())
+    radix = [x + y + 1 for x, y in zip(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())]
     stride = _places(radix)
     if stride is None:
         return None
@@ -294,6 +298,18 @@ def _decode(keys: np.ndarray, coeffs: np.ndarray, radix: list[int], stride: np.n
     return MultiPoly._trusted(len(radix), dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, run, head) for non-empty keys: the stable argsort, so equal
+    keys keep their order, the sorted keys, and a bool mask of each run's
+    first sorted key."""
+    order = keys.argsort(kind="stable")
+    run = keys[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[0] = True
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    return order, run, head
+
+
 def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The product of two polynomials given as int64 keys and float64
     coefficients in term order, as keys and coefficients in the dict loop's
@@ -315,11 +331,7 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) ->
             # the keys met before lead, so each keeps its slot and the block's new keys follow
             old = met.size
             keys = np.concatenate((met, (k1[lo : lo + rows, None] + k2).ravel()))
-            order = keys.argsort(kind="stable")  # each key's run starts at its first appearance
-            run = keys[order]
-            head = np.empty(keys.size, dtype=bool)
-            head[0] = True
-            np.not_equal(run[1:], run[:-1], out=head[1:])
+            order, run, head = _runs(keys)  # each key's run starts at its first appearance
             at = order[head]
             by_at = at.argsort()
             slot = np.empty_like(at)  # per run, in first-appearance order
@@ -343,11 +355,7 @@ def _sum_keys(keys: np.ndarray, addends: np.ndarray) -> tuple[np.ndarray, np.nda
     addend inserts it again, last, as poly_add's dict does."""
     if not keys.size:
         return keys, addends
-    order = keys.argsort(kind="stable")  # each key's run in chain order
-    run = keys[order]
-    head = np.empty(keys.size, dtype=bool)
-    head[0] = True
-    np.not_equal(run[1:], run[:-1], out=head[1:])
+    order, run, head = _runs(keys)  # each key's run in chain order
     starts = np.flatnonzero(head)
     counts = np.diff(starts, append=keys.size)
     vals = addends[order]
@@ -390,23 +398,9 @@ def _power(base, k: int, mul):
 
 
 def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
-    """phi(p) for a UniPoly phi: phi's Horner from acc = 0.0, acc = acc * p + c
-    for each coefficient c from the top, with the ring's terms, term order and
-    bits.  When the chain's largest product, at most C(d + (D - 1) deg p, d)
-    |p| pairs for phi of degree D, reaches MUL_ARRAY_PAIRS, the chain runs on
-    int64 mixed-radix keys and float64 coefficients kept in term order
-    (_horner_keys), decoded to exponent tuples once; otherwise, and wherever
-    poly_mul keeps its dict loop, it is phi(p)."""
-    D = len(phi.coeffs) - 1
-    if D < 1 or math.comb(p.nvars + (D - 1) * p.degree(), p.nvars) * len(p.terms) < MUL_ARRAY_PAIRS:
-        return phi(p)
-    # D products by p follow, so x_j reaches D * max_j, or (D + 1) * max_j from the nan terms of 0.0 * p
-    grow = D + (not all(map(math.isfinite, p.terms.values())))
-    encoded = _encode(p, p, lambda m, _: [grow * x + 1 for x in m])
-    if encoded is None:
-        return phi(p)
-    k, c, _, _, decode = encoded
-    return decode(*_horner_keys(phi.coeffs, k, c))
+    """phi(p) for a UniPoly phi: phi's Horner in the ring, from acc = 0.0,
+    acc = acc * p + c for each coefficient c from the top."""
+    return phi(p)
 
 
 def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -152,8 +152,11 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
+        if isinstance(self.input_dim, bool) or not isinstance(self.input_dim, (int, np.integer)):
+            raise StructuralError(f"input_dim must be an integer, got {self.input_dim!r}")
         if self.input_dim < 1:
             raise StructuralError("input_dim must be at least 1")
+        object.__setattr__(self, "input_dim", int(self.input_dim))
         layers = tuple(self.layers)
         if not layers:
             raise StructuralError("a network needs at least one layer")

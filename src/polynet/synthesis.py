@@ -14,9 +14,9 @@ fine; the damped normal matrix stays positive definite.
 
 Data residuals run the forward pass on stacks of weight sets.  Coefficient
 residuals replay a tape: build_coefficient_system runs expand_network's
-ring pass once, at fixed weights that are _Recorded floats, and each *, +
-and unary - the ring performs on them writes one float operation onto the
-tape (_CoefficientTape).  A residual call replays those operations with
+ring pass once, at fixed weights that are _Recorded floats, and each * and
++ the ring performs on them writes one float operation onto the tape
+(_CoefficientTape).  A residual call replays those operations with
 numpy on a stack of weight sets (every Jacobian), or, for one set on a tape
 of at most FLOAT_REPLAY_SLOTS slots, in plain Python floats, which are the
 same IEEE operations.  A set whose exact zeros differ from the recording's
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -185,11 +185,11 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
 
 
 class _Recorded(float):
-    """A coefficient of the recording ring pass: a float holding its value at
-    the record point, whose every *, + and unary - appends one entry to its
-    tape and gives the result as a _Recorded float of that entry.  0 + c and
-    1 * c give c itself: they have c's bits but for 0.0 + -0.0, and the sign
-    of a zero coefficient reaches no term the ring keeps."""
+    """A coefficient of the recording ring pass, which only multiplies and
+    adds: a float holding its value at the record point, whose every * and +
+    appends one entry to its tape and gives the result as a _Recorded float
+    of that entry.  0 + c and 1 * c give c itself: they have c's bits but
+    for 0.0 + -0.0, and a zero's sign reaches no term the ring keeps."""
 
     __slots__ = ("tape", "index")
 
@@ -204,9 +204,6 @@ class _Recorded(float):
 
     def __rmul__(self, other):
         return _record(2, other, self)
-
-    def __neg__(self) -> "_Recorded":
-        return self.tape.append(3, self.index, self.index, -float(self))
 
 
 def _record(op: int, a, b):
@@ -228,21 +225,21 @@ class _CoefficientTape:
     variables), recorded once on _Recorded weights and replayed on stacks of
     weight sets.
 
-    While recording, entry i applies OPS[op[i]] to entries a[i] and b[i]
-    (a alone for negative), has value[i] at the record point, and lies
-    depth[i] ops above the leaves: the weights, then each constant the pass
-    meets, once per bit pattern.  The entries are laid out as slots by
-    (depth, op): the weights, the constants (consts), then one block per
-    group (ufunc, lo, hi, operands) that writes slots lo..hi-1 from slots of
-    lower depth.  The ring drops the terms whose coefficient is exactly 0,
-    which changes its later dict order and sums; so a weight set whose zero
-    pattern over the slots is not the recording's (zero) runs the float dict
-    ring instead (ring), and every set keeps the bits of its own expansion.
-    The same groups, as a program of (operator, getter a, getter b) over a
-    list of slots, replay one set in Python floats (coefficients)."""
+    While recording, entry i applies OPS[op[i]] to entries a[i] and b[i],
+    has value[i] at the record point, and lies depth[i] ops above the
+    leaves: the weights, then each constant the pass meets, once per bit
+    pattern.  The entries are laid out as slots by (depth, op): the
+    weights, the constants (consts), then one block per group (ufunc, lo,
+    hi, operands) that writes slots lo..hi-1 from slots of lower depth.  The
+    ring drops the terms whose coefficient is exactly 0, which changes its
+    later dict order and sums; so a weight set whose zero pattern over the
+    slots is not the recording's (zero) runs the float dict ring instead
+    (ring), and every set keeps the bits of its own expansion.  The same
+    groups, as a program of (operator, getter a, getter b) over a list of
+    slots, replay one set in Python floats (coefficients)."""
 
-    OPS = (None, np.add, np.multiply, np.negative)
-    FLOAT_OPS = (None, add, mul, neg)
+    OPS = (None, np.add, np.multiply)
+    FLOAT_OPS = (None, add, mul)
 
     def __init__(self, arch: NetworkSpec, monomials: list):
         self.arch, self.monomials = arch, monomials
@@ -261,10 +258,9 @@ class _CoefficientTape:
         self.groups, self.program = [], []
         for lo, hi in zip(bounds, bounds[1:]):
             code = op[order[lo]]
-            operands = [slot[x[order[lo:hi]]] for x in (a, b)[: self.OPS[code].nin]]
+            operands = [slot[x[order[lo:hi]]] for x in (a, b)]
             self.groups.append((self.OPS[code], lo, hi, operands))
-            getters = [_getter(x) for x in operands] + [None]  # b is None for a negation
-            self.program.append((self.FLOAT_OPS[code], getters[0], getters[1]))
+            self.program.append((self.FLOAT_OPS[code], *map(_getter, operands)))
         values = np.frombuffer(self.value)[order]
         self.slots = order.size
         self.consts = values[len(weights) : bounds[0]]
@@ -322,7 +318,7 @@ class _CoefficientTape:
         replayed in Python floats, or by the dict ring when its zeros stray."""
         v = w + self._float_consts
         for op, a, b in self.program:
-            v += map(op, a(v), b(v)) if b else map(op, a(v))
+            v += map(op, a(v), b(v))
         if v.count(0.0) != self._zeros or any(self._at_zeros(v)):
             return self.ring(np.array(w))
         return self._at_outputs(v)

@@ -71,6 +71,19 @@ def test_constructor_validation():
         MultiPoly.variable(2, -1)
     with pytest.raises(DimensionError, match="nvars must be an integer, got 2.5"):
         MultiPoly(2.5)
+    # a bool is not a variable count, though bool is an int subclass
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(DimensionError, match=f"nvars must be an integer, got {re.escape(repr(bad))}"):
+            MultiPoly(bad)
+    # an exponent vector must be a tuple; a bare int key used to raise TypeError
+    for bad in (1, "10", 1.0):
+        with pytest.raises(DimensionError, match=f"exponent vector {re.escape(repr(bad))} is not a tuple"):
+            MultiPoly(1, {bad: 2.0})
+    # a coefficient float() refuses used to raise ValueError or TypeError
+    for bad in ("x", None, 1j, [1.0]):
+        with pytest.raises(UsageError, match=re.escape(f"coefficient {bad!r} of (1, 0) is not a number")):
+            MultiPoly(2, {(1, 0): bad})
+    assert MultiPoly(2, {(1, 0): "1.5", (0, 1): np.float32(0.5)}).terms == {(1, 0): 1.5, (0, 1): 0.5}
     # int() would truncate 1.5 to 1, so 2*x1^1.5 would read as 2*x1 and then lose to 3*x1
     for bad in (1.5, float("nan"), float("inf"), "2", None):
         with pytest.raises(UsageError, match=f"exponent {re.escape(repr(bad))} is not an integer"):
@@ -242,16 +255,15 @@ def test_array_products_fall_back_when_keys_would_not_fit_int64(monkeypatch):
 
 
 def test_a_polynomial_times_itself_is_encoded_once():
-    # a squaring (poly_pow) and a composition (apply_univariate) pass one object
-    # twice; its keys and coefficients are converted once and shared, with the
-    # bytes of an encoding of two equal copies
+    # a squaring (poly_pow) passes one object twice; its keys and coefficients
+    # are converted once and shared, with the bytes of an encoding of two
+    # equal copies
     rng = np.random.default_rng(6)
     p = MultiPoly(3, {e: float(rng.uniform(-1, 1)) for e in grlex_monomials(3, 3)})
-    radix_of = lambda m1, m2: [x + y + 1 for x, y in zip(m1, m2)]  # noqa: E731
-    k1, c1, k2, c2, decode = multipoly._encode(p, p, radix_of)
+    k1, c1, k2, c2, decode = multipoly._encode(p, p)
     assert k2 is k1 and c2 is c1
     copy = MultiPoly(3, dict(p.terms))
-    for got, want in zip((k1, c1, k2, c2), multipoly._encode(p, copy, radix_of)[:4]):
+    for got, want in zip((k1, c1, k2, c2), multipoly._encode(p, copy)[:4]):
         assert got.tobytes() == want.tobytes()
     assert decode(k1, c1).terms == p.terms
 
@@ -554,72 +566,63 @@ def test_apply_univariate_matches_horner_by_hand():
         assert coeff_gap(apply_univariate(phi, p), direct) <= 1e-10
 
 
-@pytest.fixture
-def ring_products(monkeypatch):
-    """The poly_mul calls made since the last clear(): phi(p) makes them, and
-    apply_univariate's chain on keys makes none."""
-    calls = []
-    mul = multipoly.poly_mul
-    monkeypatch.setattr(multipoly, "poly_mul", lambda p, q: calls.append(1) or mul(p, q))
-    return calls
-
-
-def composed(phi, p, ring_products):
-    """apply_univariate(phi, p) and phi(p), each as its terms in dict order
-    with each coefficient in float hex, and whether the composition ran its
-    chain on keys.  Hex leaves out a nan's sign, which neither numpy nor
-    CPython pins where two nans are added."""
-    ring_products.clear()
-    got = apply_univariate(phi, p)
-    keyed = not ring_products
+def composed(phi, p):
+    """phi(p) by the keyed Horner (_horner_keys) and by the ring, each as its
+    terms in dict order with each coefficient in float hex.  p is encoded
+    with radix (D + 1) * max_j + 1 per variable for phi of degree D: D
+    products by p follow the nan terms of 0.0 * p.  Hex leaves out a nan's
+    sign, which neither numpy nor CPython pins where two nans are added."""
+    D = len(phi.coeffs) - 1
+    exps = np.array([*p.terms], dtype=np.int64).reshape(-1, p.nvars)
+    radix = [(D + 1) * m + 1 for m in exps.max(axis=0, initial=0).tolist()]
+    stride = multipoly._places(radix)
+    keys, coeffs = multipoly._horner_keys(phi.coeffs, exps @ stride, np.array([*p.terms.values()], dtype=float))
+    got = multipoly._decode(keys, coeffs, radix, stride)
     want = phi(p)
-    return [(e, c.hex()) for e, c in got.terms.items()], [(e, c.hex()) for e, c in want.terms.items()], keyed
+    return [(e, c.hex()) for e, c in got.terms.items()], [(e, c.hex()) for e, c in want.terms.items()]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_composition_is_the_rings_horner_on_both_sides_of_the_crossover(ring_products):
+def test_composition_is_the_rings_horner_on_both_sides_of_the_crossover():
     rng = np.random.default_rng(24)
-    sides = {True: 0, False: 0}
     for _ in range(80):
         nvars = int(rng.integers(1, 5))
         p = random_poly(rng, nvars, max_degree=int(rng.integers(1, 4)), max_terms=int(rng.integers(1, 12)))
         phi = UniPoly(tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 9)))))
-        got, want, keyed = composed(phi, p, ring_products)
+        got, want = composed(phi, p)
         assert got == want
-        sides[keyed] += 1
-    assert sides[True] >= 15 and sides[False] >= 15
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-def test_composition_keeps_the_rings_bits_at_special_values(monkeypatch, ring_products, block):
+def test_composition_keeps_the_rings_bits_at_special_values(monkeypatch, block):
     monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
     x = [MultiPoly.variable(3, j) for j in range(3)]
-    linear = 1.0 + x[0] + x[1] + x[2]  # C(3 + 5, 3) * 4 = 224 pairs for degree 6
+    linear = 1.0 + x[0] + x[1] + x[2]
     # the first step is 0.0 * p, which keeps only the nan terms of inf and nan coefficients
     for bad in (math.inf, -math.inf, math.nan):
         p = linear + MultiPoly(3, {(1, 1, 0): bad, (0, 0, 2): 0.5})
         phi = UniPoly((0.5, -1.0, 0.25, 2.0, -0.125, 1e-3, 0.75))
-        got, want, keyed = composed(phi, p, ring_products)
-        assert keyed and got == want
+        got, want = composed(phi, p)
+        assert got == want
     # a 0.0 or -0.0 coefficient adds nothing: the ring's constant drops it,
     # so no 0.0 * inf = nan term follows from it
     phi = UniPoly((0.0, -0.0, 1.5, 0.0, -0.0, -0.5, 2.0))
     for p in (x[0] + x[1] + x[2] + x[0] * x[2], x[0] + x[1] + x[2] + math.inf * x[0] * x[2]):
-        got, want, keyed = composed(phi, p, ring_products)
-        assert keyed and got == want and (0, 0, 0) not in dict(got)
+        got, want = composed(phi, p)
+        assert got == want and (0, 0, 0) not in dict(got)
     # adding a coefficient to the constant term overflows silently
-    got, want, keyed = composed(UniPoly((1.5e308,) * 7), linear, ring_products)
-    assert keyed and got == want and dict(got)[(0, 0, 0)] == "inf"
+    got, want = composed(UniPoly((1.5e308,) * 7), linear)
+    assert got == want and dict(got)[(0, 0, 0)] == "inf"
     # nan coefficients of phi
     phi = UniPoly((math.nan, 1.0, 0.5, -1.0, 2.0, 0.25, math.nan))
-    got, want, keyed = composed(phi, linear, ring_products)
-    assert keyed and got == want
+    got, want = composed(phi, linear)
+    assert got == want
     # the constant term cancels to exactly 0.0 in the second step (2.0 * 1.0
     # - 2.0) and is deleted; the third step appends a new one last
     phi = UniPoly((0.25, 3.0, -0.75, 0.5, 1.5, -2.0, 2.0))
-    got, want, keyed = composed(phi, linear, ring_products)
-    assert keyed and got == want
+    got, want = composed(phi, linear)
+    assert got == want
     assert (0, 0, 0) not in UniPoly((-2.0, 2.0))(linear).terms
     assert list(UniPoly((1.5, -2.0, 2.0))(linear).terms)[-1] == (0, 0, 0)
     # products that underflow, overflow to inf and cancel to nan, all silent
@@ -629,44 +632,24 @@ def test_composition_keeps_the_rings_bits_at_special_values(monkeypatch, ring_pr
     for _ in range(20):
         p = special_poly(rng, 2, int(rng.integers(8, 14)), values)
         phi = UniPoly(tuple(float(v) for v in rng.choice(values, int(rng.integers(3, 7)))))
-        got, want, keyed = composed(phi, p, ring_products)
-        assert keyed and got == want
+        got, want = composed(phi, p)
+        assert got == want
 
 
-def test_composition_degrees_zero_and_one_and_the_zero_polynomial(ring_products):
+def test_composition_degrees_zero_and_one_and_the_zero_polynomial():
     rng = np.random.default_rng(25)
     p120, p165 = (MultiPoly(3, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(3, D)}) for D in (7, 8))
     for p in (p120, p165, random_poly(rng, 3), MultiPoly(3), p165 * math.inf):
         for coeffs in ((0.0,), (-0.0,), (2.5,), (0.5, -1.0), (0.0, 1.0), (-3.0, 0.0, 0.0), (1.0, 2.0, 3.0)):
-            got, want, keyed = composed(UniPoly(coeffs), p, ring_products)
+            got, want = composed(UniPoly(coeffs), p)
             assert got == want
-    # degree 1 is one product of |p| pairs: 120 stay with the ring, 165 run on keys
-    assert not composed(UniPoly((0.5, -1.0)), p120, ring_products)[2]
-    assert composed(UniPoly((0.5, -1.0)), p165, ring_products)[2]
-    assert composed(UniPoly((0.5, -1.0)), p165 * math.inf, ring_products)[2]
 
 
-def test_composition_falls_back_where_products_keep_the_dict_loop(ring_products):
+def test_composition_falls_back_where_products_keep_the_dict_loop():
+    # a float subclass keeps its own operators through apply_univariate, as
+    # through phi(p): poly_mul keeps the dict loop for it
     phi = UniPoly((0.5, -1.0, 0.25, 2.0))
-    # radix 3 * 1 + 1 per variable on 64 variables is past 2^63
-    rng = np.random.default_rng(26)
-    wide = MultiPoly(64, {tuple(int(v) for v in rng.integers(0, 2, 64)): float(rng.uniform(-1, 1)) for _ in range(20)})
-    # exponents past int64
-    past = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
-    for p in (wide, past):
-        got, want, keyed = composed(phi, p, ring_products)
-        assert got == want and not keyed
-    # degree 7 and a top exponent of (2^63 - 1) / 7 give a radix of exactly
-    # 2^63, which runs on keys; one more falls back, and so does the same
-    # radix behind an unused x1, whose place value 2^63 is past int64
-    phi7 = UniPoly((0.5, -1.0, 0.25, 2.0, 1.0, -0.5, 0.75, 1.5))
-    top = (2**63 - 1) // 7
-    for nvars, t, keyed in ((1, top, True), (1, top + 1, False), (2, top, False)):
-        p = MultiPoly(nvars, {(0,) * (nvars - 1) + (k,): float(k + 1) for k in (*range(20), t)})
-        got, want, was_keyed = composed(phi7, p, ring_products)
-        assert got == want and was_keyed is keyed
 
-    # a float subclass keeps its own operators through phi(p)
     class Tagged(float):
         def __mul__(self, other):
             return Tagged(float(self) * other) if isinstance(other, float) else NotImplemented
@@ -679,21 +662,20 @@ def test_composition_falls_back_where_products_keep_the_dict_loop(ring_products)
         __radd__ = __add__
 
     p = MultiPoly._trusted(3, {e: Tagged(1.0 + k / 8) for k, e in enumerate(grlex_monomials(3, 3))})
-    ring_products.clear()
     got = apply_univariate(phi, p)
-    assert ring_products and all(type(c) is Tagged for c in got.terms.values())
+    assert all(type(c) is Tagged for c in got.terms.values())
     assert [(e, c.hex()) for e, c in got.terms.items()] == [(e, c.hex()) for e, c in phi(p).terms.items()]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_composition_over_several_blocks_is_the_rings_horner(ring_products):
+def test_a_composition_over_several_blocks_is_the_rings_horner():
     # 35 dense terms under a degree-9 phi: the last product is 6545 x 35 pairs
     rng = np.random.default_rng(27)
     p = MultiPoly(3, {e: float(rng.uniform(-1.0, 1.0)) for e in grlex_monomials(3, 4)})
     phi = UniPoly(tuple(rng.uniform(-1.0, 1.0, 10)))
     assert math.comb(3 + 8 * 4, 3) * len(p.terms) > 3 * multipoly.MUL_BLOCK_PAIRS
-    got, want, keyed = composed(phi, p, ring_products)
-    assert keyed and got == want and len(got) == math.comb(3 + 36, 3)
+    got, want = composed(phi, p)
+    assert got == want and len(got) == math.comb(3 + 36, 3)
 
 
 def test_truncate_degree():

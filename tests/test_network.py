@@ -135,6 +135,22 @@ def test_network_needs_inputs_and_layers():
         NetworkSpec(2, ())
 
 
+def test_input_dim_must_be_an_integer():
+    # True and 2.0 used to pass: network_to_json then wrote "input_dim": True,
+    # which is not JSON, or 2.0, which network_from_json refuses
+    layer = LayerSpec(np.ones((1, 3)))
+    for bad in (True, False, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(StructuralError, match=re.escape(f"input_dim must be an integer, got {bad!r}")):
+            NetworkSpec(bad, (layer,))
+    with pytest.raises(StructuralError, match="input_dim must be at least 1"):
+        NetworkSpec(np.int64(0), (layer,))
+    for dim in (np.int64(2), np.int32(2)):
+        net = NetworkSpec(dim, (layer,))
+        assert type(net.input_dim) is int and net.input_dim == 2
+        assert network_from_json(network_to_json(net)).input_dim == 2
+        assert len(expand_network(net)) == 1
+
+
 def test_network_chaining_mismatch_names_the_layer():
     layers = (
         LayerSpec(np.zeros((2, 3))),

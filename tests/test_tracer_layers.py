@@ -47,7 +47,7 @@ def test_ring_operators_reach_the_traced_layers():
 
 def test_poly_activations_reach_the_composition_layer():
     surrogate = PolyActivation(UniPoly((0.5, 0.25, 0.0, -0.02, 0.0, 2e-3, 0.0, -2e-4, 1e-5)))
-    # 4 inputs at degree 8: products up to C(4 + 7, 4) * 5 = 1650 pairs, run on keys
+    # 4 inputs at degree 8: the ring's Horner takes products up to C(4 + 7, 4) * 5 = 1650 pairs
     large = NetworkSpec(4, (LayerSpec(np.full((4, 5), 0.5), surrogate), LayerSpec(np.ones((1, 5)))))
     # 2 inputs at degree 2: products of at most 3 pairs, left to the ring
     small = NetworkSpec(2, (LayerSpec(np.ones((2, 3)), PolyActivation(UniPoly((0.25, 0.0, -1.5)))),
@@ -71,7 +71,7 @@ def test_poly_activations_reach_the_composition_layer():
     finally:
         tracer.uninstall()
     assert large_counts["multipoly.apply_univariate.calls"] == 4
-    assert large_counts.get("multipoly.mul.calls", 0) == 0
+    assert large_counts.get("multipoly.mul.calls", 0) > 0  # phi(p) multiplies in the ring
     assert small_counts["multipoly.apply_univariate.calls"] == 2
     for layer in ("multipoly.mul", "multipoly.add"):
         assert small_counts.get(f"{layer}.calls", 0) > 0, layer
