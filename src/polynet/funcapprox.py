@@ -133,7 +133,7 @@ def _check_interval(f: SampledFunction, lo: float, hi: float) -> None:
 
 
 def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
-    ys = np.array([f.evaluator(float(x)) for x in xs], dtype=float)
+    ys = np.array(list(map(f.evaluator, xs.tolist())), dtype=float)
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         raise NumericError(f"function value at x={xs[bad[0]]} is not finite")
