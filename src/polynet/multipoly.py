@@ -407,10 +407,10 @@ def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.n
     """phi(p) for phi's coefficients (constant first) and p as int64 keys and
     float64 coefficients in term order, the constant term's key 0: the ring's
     Horner as keys and coefficients in its term order with its bits.  Keys
-    must add without carry up to phi's degree times p's and, when p has an
-    inf or nan coefficient, up to (D + 1) times p's largest exponent of each
-    variable for D phi's degree: the nan terms of the 0.0 * p start are
-    multiplied by p D more times."""
+    must add without carry up to D times p's largest exponent of each
+    variable, for D phi's degree, or (D + 1) times it when p has an inf or
+    nan coefficient: the nan terms of the 0.0 * p start are multiplied by p
+    D more times."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
         kept = acc != 0.0

@@ -67,9 +67,6 @@ def _f17(x: float) -> str:
 
 # Each activation maps a layer's pre-activations to its outputs (__call__), on
 # arrays of numbers and of MultiPolys alike, and writes itself as JSON (to_json).
-# PolyActivation runs phi's Horner with numpy on rows and weight stacks, per
-# value in Python floats on one point's layer up to FLOAT_HORNER_VALUES nodes,
-# and through apply_univariate on MultiPolys.
 
 
 @dataclass(frozen=True)

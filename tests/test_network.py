@@ -207,9 +207,6 @@ def test_batched_forward_matches_single_rows_bit_for_bit():
     assert kinds == {Identity, MonomialPower, PolyActivation}
 
 
-SPECIAL_VALUES = (-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324)
-
-
 def test_one_point_forward_is_its_row_of_a_batch(monkeypatch):
     # the row goes through numpy's Horner, the point through the float one up
     # to FLOAT_HORNER_VALUES values; the spy records the numpy calls on one point
@@ -243,7 +240,8 @@ def test_one_point_forward_is_its_row_of_a_batch(monkeypatch):
         numpy_side = [layer.out_nodes for layer in layers
                       if isinstance(layer.activation, PolyActivation) and layer.out_nodes > bound]
         points = [rng.uniform(-2.0, 2.0, d), np.full(d, math.inf), np.full(d, -math.inf)]
-        points += [np.where(rng.random(d) < 0.5, v, rng.uniform(-2.0, 2.0, d)) for v in SPECIAL_VALUES]
+        points += [np.where(rng.random(d) < 0.5, v, rng.uniform(-2.0, 2.0, d))
+                   for v in (-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324)]
         for x in points:
             with np.errstate(all="ignore"):
                 numpy_widths.clear()
@@ -655,18 +653,13 @@ def test_dataset_csv_parse_errors():
     # blank lines still count: errors name the physical line
     with pytest.raises(ParseError, match="line 4: non-finite"):
         dataset_from_csv("f1,y\n0,1\n\n1,nan\n")
+    # the first non-finite row is named: the inf row, or the nan row once that one is finite
+    text = "f1,f2,y\n0,1,2\n\n0.5,inf,1\nnan,2,3\n"
+    for bad, line in ((text, 4), (text.replace("inf", "1e308"), 5), ("f1,y\n1e999,0\n", 2)):
+        with pytest.raises(ParseError, match=rf"^line {line}: non-finite field$"):
+            dataset_from_csv(bad)
     with pytest.raises(ParseError, match="line 3: non-numeric"):
         dataset_from_csv("\nf1,y\n1,x\n")
-
-
-def test_dataset_csv_names_the_first_non_finite_row():
-    text = "f1,f2,y\n0,1,2\n\n0.5,inf,1\nnan,2,3\n"
-    with pytest.raises(ParseError, match=r"^line 4: non-finite field$"):
-        dataset_from_csv(text)
-    with pytest.raises(ParseError, match=r"^line 5: non-finite field$"):
-        dataset_from_csv(text.replace("inf", "1e308"))
-    with pytest.raises(ParseError, match=r"^line 2: non-finite field$"):
-        dataset_from_csv("f1,y\n1e999,0\n")  # float() reads it as inf
 
 
 def test_bundled_table():
