@@ -51,14 +51,6 @@ MAX_EXPANSION_EXPONENTS = 5_000_000
 # 1.1-2.1 / 0.88-1.6 ms, 210 2.2-3.2 / 0.97-1.8 ms, 924 5.8-6.4 / 2.2-2.4 ms,
 # 3003 22-25 / 11-12 ms.  The paths cross between 45 and 56 terms.
 KEYED_EXPANSION_TERMS = 50
-# A PolyActivation runs phi's Horner per value in Python floats on up to this
-# many values of one point's layer, and with numpy past it.  Random phi, on a
-# shared 2-vCPU machine, median of 5 mins of 5 x 1000 calls, numpy / floats:
-# degree 3 at 4 values 5.2 / 2.0 us, 8 5.2 / 3.0, 16 5.4 / 4.9, 20 5.6 / 5.7,
-# 24 5.4 / 6.7, 32 5.7 / 8.6; degree 8 at 4 values 11.0 / 3.0 us, 8 11.2 /
-# 4.5, 16 11.3 / 7.8, 24 11.3 / 11.0, 32 18.6 / 17.6.  The paths cross near
-# 20 values at degree 3 and near 24 at degree 8.
-FLOAT_HORNER_VALUES = 16
 
 
 def _f17(x: float) -> str:
@@ -114,21 +106,14 @@ class PolyActivation:
         return self.poly.degree
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        if values.dtype == object:
-            # the name is looked up per call, so that a wrapper set on this module is used
-            return np.frompyfunc(lambda p: apply_univariate(self.poly, p), 1, 1)(values)
-        if values.ndim != 1 or len(values) > FLOAT_HORNER_VALUES or values.dtype != float:
+        if values.ndim == 1 and values.dtype == float:
+            # one point's layer: UniPoly's Horner per Python float, the same IEEE * and +
+            # without numpy's cost per call
+            return np.array(list(map(self.poly, values.tolist())))
+        if values.dtype != object:
             return self.poly(values)
-        # one point's layer: UniPoly's Horner per value, the same IEEE * and +
-        # without numpy's cost per call; it starts at 0.0 * v so that inf gives nan
-        top, *rest = self.poly.coeffs[::-1]
-        out = []
-        for v in values.tolist():
-            acc = 0.0 * v + top
-            for c in rest:
-                acc = acc * v + c
-            out.append(acc)
-        return np.array(out)
+        # the name is looked up per call, so that a wrapper set on this module is used
+        return np.frompyfunc(lambda p: apply_univariate(self.poly, p), 1, 1)(values)
 
     def to_json(self) -> str:
         coeffs = ", ".join(_f17(c) for c in self.poly.coeffs)
@@ -215,9 +200,9 @@ def forward(net: NetworkSpec, x) -> np.ndarray:
     """Outputs (out,) of one input (d,), or (n, out) of rows (n, d).
 
     No row's bits depend on the batch, and a point's outputs have the bits of
-    its row in a batch.  A PolyActivation layer of one point, up to
-    FLOAT_HORNER_VALUES nodes, runs phi's Horner in Python floats, which
-    overflow to inf without the RuntimeWarning numpy gives a batch."""
+    its row in a batch.  A PolyActivation layer of one point runs phi's Horner
+    in Python floats, which overflow to inf without the RuntimeWarning numpy
+    gives a batch."""
     h = _real_points(x)
     if h.ndim not in (1, 2) or h.shape[-1] != net.input_dim:
         raise DimensionError(f"input has shape {h.shape}, expected ({net.input_dim},) or (n, {net.input_dim})")

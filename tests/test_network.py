@@ -207,26 +207,15 @@ def test_batched_forward_matches_single_rows_bit_for_bit():
     assert kinds == {Identity, MonomialPower, PolyActivation}
 
 
-def test_one_point_forward_is_its_row_of_a_batch(monkeypatch):
-    # the row goes through numpy's Horner, the point through the float one up
-    # to FLOAT_HORNER_VALUES values; the spy records the numpy calls on one point
-    numpy_widths = []
-    horner = UniPoly.__call__
-
-    def spy(p, x):
-        if isinstance(x, np.ndarray) and x.ndim == 1:
-            numpy_widths.append(len(x))
-        return horner(p, x)
-
-    monkeypatch.setattr(UniPoly, "__call__", spy)
-    bound = network.FLOAT_HORNER_VALUES
+def test_one_point_forward_is_its_row_of_a_batch():
+    # the row runs phi's Horner with numpy, the point per value in Python floats
     rng = np.random.default_rng(30)
-    sides = {True: 0, False: 0}
+    poly_layers = 0
     for _ in range(80):
         d = int(rng.integers(1, 4))
         layers, fan_in = [], d
         for _ in range(int(rng.integers(1, 4))):
-            width = int(rng.choice([1, 3, bound - 1, bound, bound + 1, 24]))
+            width = int(rng.choice([1, 3, 8, 24]))
             pick = int(rng.integers(0, 4))
             if pick == 0:
                 act = Identity()
@@ -234,24 +223,17 @@ def test_one_point_forward_is_its_row_of_a_batch(monkeypatch):
                 act = MonomialPower(int(rng.integers(2, 4)))
             else:
                 act = PolyActivation(UniPoly(tuple(rng.uniform(-2.0, 2.0, int(rng.integers(1, 10))))))
+                poly_layers += 1
             layers.append(LayerSpec(rng.uniform(-1.0, 1.0, (width, fan_in + 1)), act))
             fan_in = width
         net = NetworkSpec(d, tuple(layers))
-        numpy_side = [layer.out_nodes for layer in layers
-                      if isinstance(layer.activation, PolyActivation) and layer.out_nodes > bound]
         points = [rng.uniform(-2.0, 2.0, d), np.full(d, math.inf), np.full(d, -math.inf)]
         points += [np.where(rng.random(d) < 0.5, v, rng.uniform(-2.0, 2.0, d))
                    for v in (-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324)]
         for x in points:
             with np.errstate(all="ignore"):
-                numpy_widths.clear()
-                got = forward(net, x)
-                assert numpy_widths == numpy_side
-                assert got.tobytes() == forward(net, x[None])[0].tobytes()
-        for layer in layers:
-            if isinstance(layer.activation, PolyActivation):
-                sides[layer.out_nodes <= bound] += 1
-    assert sides[True] >= 20 and sides[False] >= 20
+                assert forward(net, x).tobytes() == forward(net, x[None])[0].tobytes()
+    assert poly_layers >= 40
 
 
 def test_forward_bundled_regression_network():
