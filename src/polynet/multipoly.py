@@ -16,8 +16,8 @@ defined here alone.  They give the ring's terms in its order with its bits,
 but for a nan's sign where two nans are added: np.add.at and CPython's
 float addition may each keep either operand's sign there.  The kernels on
 keys (_mul_keys, _sum_keys, _power, _horner_keys) also run
-network.expand_network's pass on keys, the one place where a univariate
-polynomial composes on keys; apply_univariate is phi(p).
+network.expand_network's pass on keys a whole layer per call, the one place
+where a univariate polynomial composes on keys; apply_univariate is phi(p).
 """
 
 from __future__ import annotations
@@ -310,27 +310,39 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, run, head
 
 
-def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The product of two polynomials given as int64 keys and float64
-    coefficients in term order, as keys and coefficients in the dict loop's
-    term order with its bits, exact zeros dropped.  Keys must add without
-    carry: the radix of each variable exceeds the largest exponent sum.
+def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
+              base=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Node by node, the products of two layers of polynomials given as int64
+    keys and float64 coefficients, node-major: node n's terms in term order,
+    keyed from base[n], its constant term's key, below base[n + 1]; one
+    polynomial is one node.  The products come node-major, each in the dict
+    loop's term order with its bits, exact zeros dropped.  Keys must add
+    without carry: the radix of each variable exceeds the largest exponent sum.
 
-    The first factor's rows go in blocks of at most MUL_BLOCK_PAIRS pairs; a
-    block's new keys take the next slots in first-appearance order, and
-    np.add.at adds its products one at a time in index order, so each slot
-    sums its products in (i, j) order from 0.0, as the dict loop does.
-    """
-    if not (c1.size and c2.size):  # a product with the zero polynomial
-        return k1[:0], c1[:0]
-    rows = max(1, MUL_BLOCK_PAIRS // len(c2))
+    Terms pair only within a node, node by node in (i, j) order, in blocks of
+    at most MUL_BLOCK_PAIRS pairs; a block's new keys take the next slots in
+    first-appearance order, and np.add.at adds its products one at a time in
+    index order, so each slot sums them in (i, j) order from 0.0, as the dict
+    loop does."""
+    node1, node2 = np.searchsorted(base, k1, "right") - 1, np.searchsorted(base, k2, "right") - 1
+    k2 = k2 - np.take(base, node2)  # the second factor's keys within their node
+    n2 = np.bincount(node2, minlength=len(base))
+    # row i, the first factor's term i, holds pairs starts[i] to ends[i] - 1 of all pairs
+    ends = n2[node1].cumsum()
+    starts = ends - n2[node1]
+    shift = (n2.cumsum() - n2)[node1] - starts  # pair p of row i pairs term i with term p + shift[i]
+    pairs = int(ends[-1]) if ends.size else 0
     met = np.empty(0, dtype=np.int64)  # the keys of the slots so far, in slot order
     sums = np.zeros(0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        for lo in range(0, len(c1), rows):
+        for lo in range(0, pairs, MUL_BLOCK_PAIRS):
+            hi = min(lo + MUL_BLOCK_PAIRS, pairs)
+            first, last = ends.searchsorted(lo, "right"), ends.searchsorted(hi) + 1  # the rows of pairs lo to hi - 1
+            i = np.repeat(np.arange(first, last), np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo))
+            j = np.arange(lo, hi) + shift[i]
             # the keys met before lead, so each keeps its slot and the block's new keys follow
             old = met.size
-            keys = np.concatenate((met, (k1[lo : lo + rows, None] + k2).ravel()))
+            keys = np.concatenate((met, k1[i] + k2[j]))
             order, run, head = _runs(keys)  # each key's run starts at its first appearance
             at = order[head]
             by_at = at.argsort()
@@ -341,7 +353,7 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray) ->
             np.cumsum(head, out=run)  # run's buffer, reused: 1 + the run of each sorted key
             run -= 1
             keys[order] = slot[run]  # keys' buffer, reused: the slot of each key
-            np.add.at(sums, keys[old:], (c1[lo : lo + rows, None] * c2).ravel())
+            np.add.at(sums, keys[old:], c1[i] * c2[j])
     kept = sums != 0.0
     return met[kept], sums[kept]
 
@@ -357,7 +369,7 @@ def _sum_keys(keys: np.ndarray, addends: np.ndarray) -> tuple[np.ndarray, np.nda
         return keys, addends
     order, run, head = _runs(keys)  # each key's run in chain order
     starts = np.flatnonzero(head)
-    counts = np.diff(starts, append=keys.size)
+    counts = np.append(starts[1:], keys.size) - starts
     vals = addends[order]
     sums = vals[starts]
     stamp = order[starts]  # each key's place: the chain position of the addend that last inserted it
@@ -403,30 +415,32 @@ def apply_univariate(phi, p: MultiPoly) -> MultiPoly:
     return phi(p)
 
 
-def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi(p) for phi's coefficients (constant first) and p as int64 keys and
-    float64 coefficients in term order, the constant term's key 0: the ring's
-    Horner as keys and coefficients in its term order with its bits.  Keys
-    must add without carry up to D times p's largest exponent of each
-    variable, for D phi's degree, or (D + 1) times it when p has an inf or
-    nan coefficient: the nan terms of the 0.0 * p start are multiplied by p
-    D more times."""
+def _horner_keys(coeffs, k: np.ndarray, c: np.ndarray, base=(0,)) -> tuple[np.ndarray, np.ndarray]:
+    """phi(p) of each node's p for phi's coefficients (constant first) and a
+    layer keyed as _mul_keys takes it: the ring's Horner per node, node-major,
+    each in its term order with its bits.  Keys must add without carry up to
+    D times p's largest exponent of each variable, for D phi's degree, or
+    (D + 1) times it when p has an inf or nan coefficient: the nan terms of
+    the 0.0 * p start are multiplied by p D more times."""
+    base = np.asarray(base)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
         acc = c * 0.0  # 0.0 * p keeps only the nan terms of inf and nan coefficients
         kept = acc != 0.0
         keys, acc = k[kept], acc[kept]
         for i, a in enumerate(reversed(coeffs)):
             if i:
-                keys, acc = _mul_keys(keys, acc, k, c)
+                keys, acc = _mul_keys(keys, acc, k, c, base)
             if a == 0.0:
                 continue  # the ring's constant 0.0 or -0.0 has no terms
-            at = np.flatnonzero(keys == 0)
-            if not at.size:  # a new constant term goes last
-                keys, acc = np.append(keys, 0), np.append(acc, a)
-                continue
-            acc[at[0]] += a
-            if acc[at[0]] == 0.0:  # a constant term that cancels is dropped
-                keys, acc = np.delete(keys, at[0]), np.delete(acc, at[0])
+            node = base.searchsorted(keys, "right") - 1
+            const = keys == base[node]
+            acc[const] += a
+            new = np.bincount(node[const], minlength=base.size) == 0
+            if new.any():  # a node without a constant term gets one, last in the node
+                order = np.concatenate((node, np.flatnonzero(new))).argsort(kind="stable")
+                keys = np.concatenate((keys, base[new]))[order]
+                acc = np.concatenate((acc, np.full(order.size - acc.size, a)))[order]
+            keys, acc = keys[acc != 0.0], acc[acc != 0.0]  # a constant term that cancels is dropped
     return keys, acc
 
 

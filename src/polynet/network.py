@@ -6,10 +6,10 @@ network is one: expand_network runs the forward pass on polynomial inputs
 and returns an explicit polynomial per output node, which agrees with
 forward evaluation up to rounding.
 
-From KEYED_EXPANSION_TERMS terms per output on, that pass keeps every node's
-polynomial as int64 monomial keys and float64 coefficients from the inputs
-to the outputs, and decodes each output once.  Smaller nets, keys past int64
-and any non-finite coefficient take the ring's pass (_run_layers on
+That pass keeps each layer's polynomials as one array of int64 monomial
+keys, the node index in their top digit, and one of float64 coefficients,
+from the inputs to the outputs, and decodes each output once.  Keys past
+int64 and any non-finite coefficient take the ring's pass (_run_layers on
 MultiPolys).  Both give the ring's terms, term order and bits.
 """
 
@@ -42,16 +42,6 @@ MAX_EXPANSION_TERMS = 20_000
 # and d = 6000 (36M) 5.1-5.4 s and 334 MB; the limit (d = 2235: 0.6-0.7 s and
 # 95 MB) keeps the first and refuses the others.
 MAX_EXPANSION_EXPONENTS = 5_000_000
-# expand_network runs on int64 keys from this many terms C(d + D, d) on.
-# Nets of perfbench's expand-eval grid (1-2 hidden layers of 4-8 units, then
-# a linear output), min of 30 calls (5 from 924 terms) in one process on a
-# shared 2-vCPU machine, ring / keys, by terms: 10 0.17-0.30 / 0.36-0.64 ms,
-# 21 0.56-0.73 / 0.76-1.9 ms, 28 0.34-1.0 / 0.34-0.77 ms, 35 0.56-0.89 /
-# 0.65-1.6 ms, 45 0.81-1.9 / 0.99-2.2 ms, 56 0.58-0.63 / 0.43-0.48 ms, 84
-# 1.1-2.1 / 0.88-1.6 ms, 210 2.2-3.2 / 0.97-1.8 ms, 924 5.8-6.4 / 2.2-2.4 ms,
-# 3003 22-25 / 11-12 ms.  The paths cross between 45 and 56 terms.
-KEYED_EXPANSION_TERMS = 50
-
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -186,9 +176,8 @@ def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once;
     on MultiPoly inputs, (r, c) objects holding recorded coefficients write
     the pass onto a tape (see synthesis._Recorded).  On MultiPoly inputs and
-    float weights this is the ring's pass: expand_network runs it below
-    KEYED_EXPANSION_TERMS and where its pass on keys declines, and its
-    terms, order and bits are what that pass on keys reproduces."""
+    float weights this is the ring's pass, whose terms, order and bits
+    expand_network's pass on keys reproduces, and which it falls back to."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:
@@ -217,16 +206,12 @@ def _variables(d: int) -> np.ndarray:
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
     """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node.
 
-    From KEYED_EXPANSION_TERMS terms on, the pass runs on int64 keys
-    (_expand_on_keys); below that, and where that path declines, it is the
-    ring's _run_layers.  Either way the polynomials have the ring's terms,
-    term order and bits.  Raises NumericError when a coefficient overflows to
-    inf or nan."""
+    The pass runs on int64 keys (_expand_on_keys), or where they decline on
+    the ring's _run_layers, with the same terms, term order and bits.  Raises
+    NumericError when a coefficient overflows to inf or nan."""
     check_expansion_size(net)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        polys = None
-        if math.comb(net.input_dim + expansion_degree(net), net.input_dim) >= KEYED_EXPANSION_TERMS:
-            polys = _expand_on_keys(net)
+        polys = _expand_on_keys(net)
         if polys is None:
             polys = list(_run_layers(net._pairs, _variables(net.input_dim)))
     for k, p in enumerate(polys):
@@ -236,52 +221,53 @@ def expand_network(net: NetworkSpec) -> list[MultiPoly]:
 
 
 def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
-    """_run_layers on the input variables, with every node's polynomial kept
-    as int64 keys and float64 coefficients in the ring's term order, decoded
-    to exponent tuples once per output.  Each variable takes one digit of
-    radix t + 1 for t the highest degree a node reaches, so no product
-    carries, and a linear form puts the node index in a digit above them.
-    None, before any work, when a key would not fit int64, and after a layer
-    that leaves a non-finite coefficient, where the ring's own pass decides
-    the result."""
+    """_run_layers on the input variables, each layer's polynomials kept as
+    one pair of int64 keys and float64 coefficients, node-major in the ring's
+    term order, decoded once per output.  A variable's digit has radix t + 1
+    for t the highest degree a node reaches, so no product carries; the node
+    index's digit above them has the widest layer's radix.  None, before any
+    work, where a key would not fit int64, and after a step that leaves an
+    inf or nan: the ring's pass decides."""
     d = net.input_dim
     top = max(accumulate((1, *(layer.activation.degree for layer in net.layers)), mul))
     radix = [max(layer.out_nodes for layer in net.layers)] + [top + 1] * d
     stride = _places(radix)
     if stride is None:
         return None
-    polys = [(stride[j + 1 : j + 2], np.ones(1)) for j in range(d)]
+    place, keys, coeffs, column = int(stride[0]), stride[1:], np.ones(d), np.arange(d)  # x1..xd, each its own column
     for weights, activation in net._pairs:
-        polys = _linear_keys(weights, polys, int(stride[0]))
-        if isinstance(activation, MonomialPower):
-            polys = [_power(p, activation.k, lambda a, b: _mul_keys(*a, *b)) for p in polys]
-        elif isinstance(activation, PolyActivation):
-            polys = [_horner_keys(activation.poly.coeffs, *p) for p in polys]
-        if not all(np.isfinite(c).all() for _, c in polys):
+        keys, coeffs = _linear_keys(weights, keys, coeffs, column, place)
+        if not np.isfinite(coeffs).all():
             return None
-    return [_decode(k, c, radix[1:], stride[1:]) for k, c in polys]
+        base = np.arange(len(weights)) * place  # each node's constant term's key
+        if isinstance(activation, MonomialPower):
+            keys, coeffs = _power((keys, coeffs), activation.k, lambda a, b: _mul_keys(*a, *b, base))
+        elif isinstance(activation, PolyActivation):
+            keys, coeffs = _horner_keys(activation.poly.coeffs, keys, coeffs, base)
+        if not np.isfinite(coeffs).all():
+            return None
+        column, keys = np.divmod(keys, place)
+    at = column.searchsorted(np.arange(1, net.output_dim))
+    return [_decode(k, c, radix[1:], stride[1:]) for k, c in zip(np.split(keys, at), np.split(coeffs, at))]
 
 
-def _linear_keys(weights: np.ndarray, polys: list, place: int) -> list:
-    """The pre-activations W @ [1, h] of keyed polynomials h, as the ring's
-    object matvec makes them: per output node i, b_i * 1.0 first, then
-    + w_ij * p_j for j ascending, where a product of exactly 0.0 is dropped
-    before it is added.  The outputs of up to MUL_BLOCK_PAIRS addends run at
-    once, told apart by the node index times place in their keys."""
-    keys = np.concatenate([np.zeros(1, dtype=np.int64), *(k for k, _ in polys)])
-    coeffs = np.concatenate([np.ones(1), *(c for _, c in polys)])
-    column = np.repeat(np.arange(len(polys) + 1), [1, *(len(c) for _, c in polys)])  # of each term in [1, h]
+def _linear_keys(weights: np.ndarray, keys: np.ndarray, coeffs: np.ndarray, column: np.ndarray, place: int):
+    """The pre-activations W @ [1, h], as the ring's object matvec makes them,
+    of a layer h given as int64 keys within their node, float64 coefficients
+    and each term's node j, whose weight is in column j + 1 of W: per output
+    node i, b_i * 1.0 first, then + w_ij * p_j for j ascending, where a
+    product of exactly 0.0 is dropped before it is added.  One node-major
+    pair, node i keyed from i * place; up to MUL_BLOCK_PAIRS addends at once."""
+    keys, coeffs, column = (np.concatenate(([v], a)) for v, a in ((0, keys), (1.0, coeffs), (0, column + 1)))
     rows = max(1, MUL_BLOCK_PAIRS // len(keys))
     out = []
     for lo in range(0, len(weights), rows):
         block = weights[lo : lo + rows]
         addends = (block[:, column] * coeffs).ravel()
         nonzero = addends != 0.0
-        k, c = _sum_keys((np.arange(len(block))[:, None] * place + keys).ravel()[nonzero], addends[nonzero])
-        node = k // place
-        at = np.searchsorted(node, np.arange(1, len(block)))
-        out += zip(np.split(k - node * place, at), np.split(c, at))
-    return out
+        nodes = np.arange(lo, lo + len(block))[:, None]
+        out.append(_sum_keys((nodes * place + keys).ravel()[nonzero], addends[nonzero]))
+    return np.concatenate([k for k, _ in out]), np.concatenate([c for _, c in out])
 
 
 def expansion_degree(net: NetworkSpec) -> int:

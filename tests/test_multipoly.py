@@ -287,6 +287,62 @@ def test_a_keyed_product_with_the_zero_polynomial_is_empty():
     assert multipoly._power((empty_keys, empty_coeffs), 5, lambda a, b: multipoly._mul_keys(*a, *b))[1].size == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_layer_wide_kernels_are_the_per_node_chains(monkeypatch, block):
+    # a layer of 5 nodes in 2 variables, node n keyed from n * place: the
+    # products, powers and compositions of the whole layer in one call each
+    # equal the one-node calls chained node by node, in keys, order and hex
+    monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
+    radix = [5, 16, 16]  # exponents of at most 2 per node and variable, times at most 7
+    stride = multipoly._places(radix)
+    place, base = int(stride[0]), np.arange(5) * int(stride[0])
+
+    def split(polys):
+        return [(np.array([*p.terms], dtype=np.int64).reshape(-1, 2) @ stride[1:], np.array([*p.terms.values()]))
+                for p in polys]
+
+    def layer(parts):
+        return (np.concatenate([k + n * place for n, (k, _) in enumerate(parts)]),
+                np.concatenate([c for _, c in parts]))
+
+    def hexed(keys, coeffs):
+        return list(zip(keys.tolist(), (c.hex() for c in coeffs.tolist())))
+
+    def product(a, b):
+        return multipoly._mul_keys(*a, *b)
+
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    rng = np.random.default_rng(block)
+    for _ in range(12):
+        p0 = random_poly(rng, 2, max_degree=2, max_terms=6)
+        # node 1 repeats node 0's keys, node 2 is empty; node 3's constant cancels
+        # under phi (2.0 * 1.0 - 2.0 in the second step) and node 4's does not
+        ps = [p0, p0 * 0.5, MultiPoly(2), 1.0 + x + y, 0.5 + x]
+        qs = [random_poly(rng, 2, max_degree=2, max_terms=6), p0, MultiPoly(2), MultiPoly(2),
+              random_poly(rng, 2, max_degree=2, max_terms=6)]  # node 3 missing from one factor only
+        if rng.random() < 0.5:
+            ps[4] = ps[4] + MultiPoly(2, {(1, 1): float(rng.choice([math.inf, -math.inf, math.nan]))})
+        P, Q = split(ps), split(qs)
+        # a product
+        got = multipoly._mul_keys(*layer(P), *layer(Q), base)
+        want = layer([multipoly._mul_keys(*P[n], *Q[n]) for n in range(5)])
+        assert hexed(*got) == hexed(*want)
+        # a power
+        k = int(rng.integers(1, 5))
+        got = multipoly._power(layer(P), k, lambda a, b: multipoly._mul_keys(*a, *b, base))
+        want = layer([multipoly._power(P[n], k, product) for n in range(5)])
+        assert hexed(*got) == hexed(*want)
+        # a composition
+        for phi in ((-2.0, 2.0), (0.25, 3.0, -0.75, 0.5, 1.5, -2.0, 2.0), tuple(rng.uniform(-2.0, 2.0, 5)),
+                    (0.0, -0.0, 1.5, 0.0, -0.5)):
+            got = multipoly._horner_keys(phi, *layer(P), base)
+            want = layer([multipoly._horner_keys(phi, *P[n]) for n in range(5)])
+            assert hexed(*got) == hexed(*want)
+        got = multipoly._horner_keys((-2.0, 2.0), *layer(P), base)[0]
+        assert 3 * place not in got.tolist() and 4 * place in got.tolist()
+
+
 def test_float_subclass_coefficients_keep_their_operators():
     # a float subclass other than numpy's enters the ring as it is, so that its
     # own operators run (a recording coefficient relies on this); any other

@@ -34,7 +34,7 @@ from polynet import (
     network_to_json,
     poly_eval,
 )
-from polynet import network
+from polynet import multipoly, network
 from polynet.experiments import load_reference_network, load_table1
 from polynet.network import check_expansion_size
 
@@ -449,12 +449,11 @@ def expanded(net, ring_passes):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("crossover, block", [(None, None), (1, None), (1, 7)])
-def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, crossover, block):
-    if crossover is not None:  # every net on keys, the smallest included
-        monkeypatch.setattr(network, "KEYED_EXPANSION_TERMS", crossover)
-    if block is not None:  # a linear form's outputs in blocks of a row or a few
+@pytest.mark.parametrize("block", [None, 7])
+def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, block):
+    if block is not None:  # a linear form's outputs in blocks of a row or a few, products in blocks of 7 pairs
         monkeypatch.setattr(network, "MUL_BLOCK_PAIRS", block)
+        monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
     rng = np.random.default_rng(27)
     sides = {True: 0, False: 0}
     for _ in range(150):
@@ -474,21 +473,19 @@ def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, crossover, 
         got, want, keyed = expanded(NetworkSpec(net.input_dim, tuple(layers)), ring_passes)
         assert got == want
         sides[keyed] += 1
-    assert sides[True] >= 15 and (sides[False] >= 15 or crossover is not None)
+    assert sides == {True: 150, False: 0}  # every net is finite and its keys fit int64
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_keyed_sum_moves_a_key_that_cancels_early_last(monkeypatch, ring_passes):
+def test_keyed_sum_moves_a_key_that_cancels_early_last(ring_passes):
     # 0.5 + (x1 + x2) - x1 + x1: x1's sum is 0.0 after its second addend, so
     # the ring deletes it and the third inserts it again, after x2
     hidden = LayerSpec(np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
     out = np.array([[0.5, 1.0, -1.0, 1.0]])
-    monkeypatch.setattr(network, "KEYED_EXPANSION_TERMS", 1)
     got, want, keyed = expanded(NetworkSpec(2, (hidden, LayerSpec(out))), ring_passes)
     assert keyed and got == want
     assert [e for e, _ in got[0]] == [(0, 0), (0, 1), (1, 0)]
-    monkeypatch.undo()
-    # under a ninth power (55 terms, past the crossover), the power's order follows its base's
+    # under a ninth power (55 terms), the power's order follows its base's
     got, want, keyed = expanded(NetworkSpec(2, (hidden, LayerSpec(out, MonomialPower(9)))), ring_passes)
     assert keyed and got == want and len(got[0]) == 55
 
@@ -501,6 +498,10 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
     net = NetworkSpec(70, (LayerSpec(rng.uniform(-1.0, 1.0, (2, 71))),))
     got, want, keyed = expanded(net, ring_passes)
     assert got == want and not keyed and len(got[0]) == 71
+    # 62 inputs and 2 outputs fit: the node digit's radix is the widest layer's, 2, not the 62 inputs'
+    net = NetworkSpec(62, (LayerSpec(rng.uniform(-1.0, 1.0, (2, 63))),))
+    got, want, keyed = expanded(net, ring_passes)
+    assert got == want and keyed and len(got[0]) == 63
     # 1e200 weights under a fourth power overflow on keys; the ring's pass names the output
     w = rng.uniform(-1.0, 1.0, (2, 5))
     w[1] *= 1e200
@@ -515,6 +516,33 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
     w[0] = 0.0
     got, want, keyed = expanded(NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),)), ring_passes)
     assert keyed and got == want and got[0] == [] and len(got[1]) == 70
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("activation", [PolyActivation(UniPoly((0.5, -1.0, 0.25, 2.0))), MonomialPower(3)])
+def test_a_non_finite_pre_activation_falls_back_to_the_ring(monkeypatch, ring_passes, scale, activation):
+    # scale-sized coefficients times scale-sized weights leave inf
+    # pre-activations; on keys, phi's 0.0 * p start would grow nan terms past
+    # the radix, so the pass declines before the activation runs
+    calls, run = ring_passes
+    activations = []
+    for name in ("_power", "_horner_keys"):
+        kernel = getattr(network, name)
+        monkeypatch.setattr(network, name, lambda *args, f=kernel: activations.append(1) or f(*args))
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        hidden = LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 3)))
+        net = NetworkSpec(2, (hidden, LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 4)), activation),
+                              LayerSpec(rng.uniform(-1.0, 1.0, (2, 4)))))
+        with np.errstate(over="ignore", invalid="ignore"):  # as expand_network runs both passes
+            assert network._expand_on_keys(net) is None and not activations
+            ring = run(net._pairs, network._variables(2))
+        k = next(k for k, p in enumerate(ring) if not all(map(math.isfinite, p.terms.values())))
+        calls.clear()
+        with pytest.raises(NumericError, match=rf"^output {k} of the expansion has a non-finite coefficient$"):
+            expand_network(net)
+        assert calls and not activations
 
 
 def test_classify_rules():
