@@ -298,11 +298,11 @@ def _decode(keys: np.ndarray, coeffs: np.ndarray, radix: list[int], stride: np.n
     return MultiPoly._trusted(len(radix), dict(zip(zip(*exps.T.tolist()), coeffs.tolist())))
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(order, run, head) for non-empty keys: the stable argsort, so equal
-    keys keep their order, the sorted keys, and a bool mask of each run's
-    first sorted key."""
-    order = keys.argsort(kind="stable")
+def _runs(keys: np.ndarray, kind: str | None = "stable") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, run, head) for non-empty keys: the argsort of the given kind,
+    where a stable one keeps equal keys in their order, the sorted keys, and
+    a bool mask of each run's first sorted key."""
+    order = keys.argsort(kind=kind)
     run = keys[order]
     head = np.empty(keys.size, dtype=bool)
     head[0] = True
@@ -343,8 +343,8 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
             # the keys met before lead, so each keeps its slot and the block's new keys follow
             old = met.size
             keys = np.concatenate((met, k1[i] + k2[j]))
-            order, run, head = _runs(keys)  # each key's run starts at its first appearance
-            at = order[head]
+            order, run, head = _runs(keys, None)  # numpy's fastest sort: equal keys in any order
+            at = np.minimum.reduceat(order, np.flatnonzero(head))  # each run's first appearance
             by_at = at.argsort()
             slot = np.empty_like(at)  # per run, in first-appearance order
             slot[by_at] = np.arange(at.size)

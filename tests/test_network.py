@@ -520,7 +520,8 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e160, 1e300])
-@pytest.mark.parametrize("activation", [PolyActivation(UniPoly((0.5, -1.0, 0.25, 2.0))), MonomialPower(3)])
+@pytest.mark.parametrize("activation", [PolyActivation(UniPoly((0.5, -1.0, 0.25, 2.0))), MonomialPower(3)],
+                         ids=["poly", "power"])
 def test_a_non_finite_pre_activation_falls_back_to_the_ring(monkeypatch, ring_passes, scale, activation):
     # scale-sized coefficients times scale-sized weights leave inf
     # pre-activations; on keys, phi's 0.0 * p start would grow nan terms past
