@@ -343,7 +343,7 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
             # the keys met before lead, so each keeps its slot and the block's new keys follow
             old = met.size
             keys = np.concatenate((met, k1[i] + k2[j]))
-            order, run, head = _runs(keys, None)  # numpy's fastest sort: equal keys in any order
+            order, run, head = _runs(keys, None)  # numpy's default sort: equal keys in any order
             at = np.minimum.reduceat(order, np.flatnonzero(head))  # each run's first appearance
             by_at = at.argsort()
             slot = np.empty_like(at)  # per run, in first-appearance order
