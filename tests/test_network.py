@@ -449,11 +449,12 @@ def expanded(net, ring_passes):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("block", [None, 7])
-def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, block):
-    if block is not None:  # a linear form's outputs in blocks of a row or a few, products in blocks of 7 pairs
-        monkeypatch.setattr(network, "MUL_BLOCK_PAIRS", block)
-        monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
+@pytest.mark.parametrize("form_block, mul_block", [(None, None), (1, None), (1, 7)])
+def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, form_block, mul_block):
+    if form_block is not None:  # a linear form's outputs one row at a time
+        monkeypatch.setattr(network, "MUL_BLOCK_PAIRS", form_block)
+    if mul_block is not None:  # products in blocks of 7 pairs, which split rows
+        monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", mul_block)
     rng = np.random.default_rng(27)
     sides = {True: 0, False: 0}
     for _ in range(150):
