@@ -8,16 +8,13 @@ kept, however small.  Term order everywhere is graded lexicographic
 down serialization and the ordering of downstream equation systems.
 
 A product adds c1 * c2 into out[e1 + e2] over the pairs of terms in dict
-order, which fixes both its coefficients' bits and its own dict order.
-Products of at least MUL_ARRAY_PAIRS pairs of plain floats run with numpy
-in blocks of MUL_BLOCK_PAIRS pairs, adding in that same order, on int64
-mixed-radix keys whose place values (_places) and decoding (_decode) are
-defined here alone.  They give the ring's terms in its order with its bits,
-but for a nan's sign where two nans are added: np.add.at and CPython's
-float addition may each keep either operand's sign there.  The kernels on
-keys (_mul_keys, _sum_keys, _power, _horner_keys) also run
-network.expand_network's pass on keys a whole layer per call, the one place
-where a univariate polynomial composes on keys; apply_univariate is phi(p).
+order, which fixes both its coefficients' bits and its own dict order.  This
+ring is the reference: network.expand_network's pass on keys reproduces it,
+a whole layer per kernel call, on int64 mixed-radix keys whose place values
+(_places) and decoding (_decode) are defined here alone.  The kernels on keys
+(_mul_keys, _sum_keys, _power, _horner_keys) serve that pass only, the one
+place where a univariate polynomial composes on keys; apply_univariate is
+phi(p).
 """
 
 from __future__ import annotations
@@ -33,17 +30,11 @@ from .errors import ConfigurationError, DimensionError, ParseError, UsageError
 
 Exponents = tuple[int, ...]
 
-# poly_mul takes the array path from this many pairs of terms on.  Dense
-# factors, min of 30 calls in one process on a shared 2-vCPU machine, dict
-# loop / array path: 6x6 32 / 108 us, 10x10 81 / 118 us, 35x5 172 / 157 us,
-# 20x10 185 / 133 us, 21x21 339 / 96 us, 56x56 3.1 / 0.65 ms, 210x210
-# 36 / 6.1 ms.  The paths cross between 100 and 175 pairs.
-MUL_ARRAY_PAIRS = 150
-# Pairs per block of the array path: 512 KiB per int64 or float64 array.  A
-# one-unit MonomialPower(120) net on 2 inputs (7381 terms) expands by the
-# dict loop alone in 6.4-7.0 s at 58.6 MB peak RSS; with blocks of 2^16
-# pairs in 0.33-0.39 s at 62.0-62.4 MB, of 2^17 in 0.40 s at 65-67 MB, and
-# in one block in 0.70 s at 173 MB.
+# Pairs per block of a keyed product (_mul_keys): 512 KiB per int64 or
+# float64 array.  A one-unit MonomialPower(120) net on 2 inputs (7381 terms)
+# expanded by the dict loop alone in 6.4-7.0 s at 58.6 MB peak RSS; with
+# keyed products in blocks of 2^16 pairs in 0.33-0.39 s at 62.0-62.4 MB, of
+# 2^17 in 0.40 s at 65-67 MB, and in one block in 0.70 s at 173 MB.
 MUL_BLOCK_PAIRS = 1 << 16
 # Most factors, D * (T + 1) for T terms of total degree D, that poly_eval's
 # compiled form may hold: its gather takes 8 * (D + 1) * (T + 1) bytes, and a
@@ -93,6 +84,15 @@ def _integer(v, what: str = "exponent") -> int:
     raise UsageError(f"{what} {v!r} is not an integer")
 
 
+def _nvars(n) -> int:
+    """A variable count as an int of at least 1; a bool or a float is refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DimensionError(f"nvars must be an integer, got {n!r}")
+    if n < 1:
+        raise DimensionError("nvars must be at least 1")
+    return int(n)
+
+
 def _as_coefficient(c):
     """A number as a float; a float subclass other than numpy's as it is, so
     that its own operators apply."""
@@ -109,10 +109,7 @@ class MultiPoly:
     __array_ufunc__ = None  # ndarray * MultiPoly and ndarray + MultiPoly defer to MultiPoly
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, float] | None = None):
-        if isinstance(nvars, bool) or not isinstance(nvars, (int, np.integer)):
-            raise DimensionError(f"nvars must be an integer, got {nvars!r}")
-        if nvars < 1:
-            raise DimensionError("nvars must be at least 1")
+        nvars = _nvars(nvars)
         clean: dict[Exponents, float] = {}
         for exps, coeff in (terms or {}).items():
             if not isinstance(exps, tuple):
@@ -128,7 +125,7 @@ class MultiPoly:
                 raise UsageError(f"coefficient {coeff!r} of {key} is not a number") from None
             if c != 0.0:
                 clean[key] = c
-        self.nvars = int(nvars)
+        self.nvars = nvars
         self.terms = clean
         self._compiled = None
 
@@ -152,10 +149,10 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        index = _integer(index, "variable index")
+        nvars, index = _nvars(nvars), _integer(index, "variable index")
         if not 0 <= index < nvars:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
-        return cls._trusted(int(nvars), {tuple(1 if j == index else 0 for j in range(nvars)): 1.0})
+        return cls._trusted(nvars, {tuple(1 if j == index else 0 for j in range(nvars)): 1.0})
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
@@ -231,15 +228,8 @@ def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Distributive product: out[e1 + e2] += c1 * c2 over the pairs of terms
     in (i, j) dict order, starting from 0.0, which also fixes the result's
-    term order (first appearance).  Large products of plain floats take the
-    array path, which gives the same terms in the same order with the same
-    bits, a nan's sign aside."""
+    term order (first appearance)."""
     _check_same_vars(p, q)
-    if len(p.terms) * len(q.terms) >= MUL_ARRAY_PAIRS:
-        encoded = _encode(p, q)
-        if encoded is not None:
-            k1, c1, k2, c2, decode = encoded
-            return decode(*_mul_keys(k1, c1, k2, c2))
     out: dict[Exponents, float] = {}
     get = out.get
     pairs = list(q.terms.items())
@@ -248,38 +238,6 @@ def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             e = tuple(map(add, e1, e2))
             out[e] = get(e, 0.0) + c1 * c2
     return MultiPoly._trusted(p.nvars, out)
-
-
-def _encode(p: MultiPoly, q: MultiPoly) -> tuple | None:
-    """p and q as int64 mixed-radix keys and float64 coefficients in dict
-    order, with a decoder from keys and coefficients back to a MultiPoly, as
-    (k1, c1, k2, c2, decode); each variable's radix is its largest exponent
-    in p plus its largest in q plus 1, so the key of a product of terms is
-    the sum of theirs.  None when a coefficient is not exactly a float (a
-    subclass keeps its own operators), or an exponent, a key or a place
-    value would not fit int64.  When q is p, as in a squaring, p is
-    converted once and both factors share its arrays."""
-
-    def arrays(r: MultiPoly) -> tuple[np.ndarray, np.ndarray] | None:
-        c = list(r.terms.values())
-        if not all(type(v) is float for v in c):
-            return None
-        try:
-            return np.array(list(r.terms), dtype=np.int64), np.array(c)
-        except OverflowError:
-            return None
-
-    first = arrays(p)
-    second = first if q is p else arrays(q)
-    if first is None or second is None:
-        return None
-    (E1, c1), (E2, c2) = first, second
-    radix = [x + y + 1 for x, y in zip(E1.max(axis=0).tolist(), E2.max(axis=0).tolist())]
-    stride = _places(radix)
-    if stride is None:
-        return None
-    k1 = E1 @ stride
-    return k1, c1, k1 if q is p else E2 @ stride, c2, lambda keys, coeffs: _decode(keys, coeffs, radix, stride)
 
 
 def _places(radix: list[int]) -> np.ndarray | None:
@@ -314,9 +272,9 @@ def _mul_keys(k1: np.ndarray, c1: np.ndarray, k2: np.ndarray, c2: np.ndarray,
               base=(0,)) -> tuple[np.ndarray, np.ndarray]:
     """Node by node, the products of two layers of polynomials given as int64
     keys and float64 coefficients, node-major: node n's terms in term order,
-    keyed from base[n], its constant term's key, below base[n + 1]; one
-    polynomial is one node.  The products come node-major, each in the dict
-    loop's term order with its bits, exact zeros dropped.  Keys must add
+    keyed from base[n], its constant term's key, below base[n + 1]; the
+    default base holds one node.  The products come node-major, each in the
+    dict loop's term order with its bits, exact zeros dropped.  Keys must add
     without carry: the radix of each variable exceeds the largest exponent sum.
 
     Terms pair only within a node, node by node in (i, j) order, in blocks of

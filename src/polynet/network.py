@@ -8,9 +8,10 @@ forward evaluation up to rounding.
 
 That pass keeps each layer's polynomials as one array of int64 monomial
 keys, the node index in their top digit, and one of float64 coefficients,
-from the inputs to the outputs, and decodes each output once.  Keys past
-int64 and any non-finite coefficient take the ring's pass (_run_layers on
-MultiPolys).  Both give the ring's terms, term order and bits.
+from the inputs to the outputs, and decodes each output once, with the
+ring's terms, term order and bits (the ring's pass is _run_layers on
+MultiPolys).  Only keys past int64 take the ring's pass; an expansion that
+overflows names the first non-finite output, as the ring's would.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     on MultiPoly inputs, (r, c) objects holding recorded coefficients write
     the pass onto a tape (see synthesis._Recorded).  On MultiPoly inputs and
     float weights this is the ring's pass, whose terms, order and bits
-    expand_network's pass on keys reproduces, and which it falls back to."""
+    expand_network's pass on keys reproduces, and which it runs where keys
+    would not fit int64."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:
@@ -206,9 +208,10 @@ def _variables(d: int) -> np.ndarray:
 def expand_network(net: NetworkSpec) -> list[MultiPoly]:
     """Symbolic evaluation: the forward pass on the input variables, one polynomial per output node.
 
-    The pass runs on int64 keys (_expand_on_keys), or where they decline on
-    the ring's _run_layers, with the same terms, term order and bits.  Raises
-    NumericError when a coefficient overflows to inf or nan."""
+    The pass runs on int64 keys (_expand_on_keys), or where a key would not
+    fit int64 on the ring's _run_layers, with the same terms, term order and
+    bits.  Raises NumericError naming the first output with a coefficient
+    that overflows to inf or nan, the output the ring's pass would name."""
     check_expansion_size(net)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         polys = _expand_on_keys(net)
@@ -226,8 +229,13 @@ def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
     term order, decoded once per output.  A variable's digit has radix t + 1
     for t the highest degree a node reaches, so no product carries; the node
     index's digit above them has the widest layer's radix.  None, before any
-    work, where a key would not fit int64, and after a step that leaves an
-    inf or nan: the ring's pass decides."""
+    work, where a key would not fit int64: the ring's pass runs instead.
+
+    A node whose pre-activation has an inf or nan term goes on as one nan
+    constant.  It stays non-finite under every activation and makes every
+    node after it non-finite, as in the ring, so the first non-finite output
+    is the ring's; and phi's 0.0 * p start cannot grow nan terms past the
+    radix."""
     d = net.input_dim
     top = max(accumulate((1, *(layer.activation.degree for layer in net.layers)), mul))
     radix = [max(layer.out_nodes for layer in net.layers)] + [top + 1] * d
@@ -237,15 +245,18 @@ def _expand_on_keys(net: NetworkSpec) -> list[MultiPoly] | None:
     place, keys, coeffs, column = int(stride[0]), stride[1:], np.ones(d), np.arange(d)  # x1..xd, each its own column
     for weights, activation in net._pairs:
         keys, coeffs = _linear_keys(weights, keys, coeffs, column, place)
-        if not np.isfinite(coeffs).all():
-            return None
+        finite = np.isfinite(coeffs)
+        if not finite.all():
+            node = keys // place
+            bad = np.unique(node[~finite])
+            kept = ~np.isin(node, bad)
+            at = node[kept].searchsorted(bad)
+            keys, coeffs = np.insert(keys[kept], at, bad * place), np.insert(coeffs[kept], at, math.nan)
         base = np.arange(len(weights)) * place  # each node's constant term's key
         if isinstance(activation, MonomialPower):
             keys, coeffs = _power((keys, coeffs), activation.k, lambda a, b: _mul_keys(*a, *b, base))
         elif isinstance(activation, PolyActivation):
             keys, coeffs = _horner_keys(activation.poly.coeffs, keys, coeffs, base)
-        if not np.isfinite(coeffs).all():
-            return None
         column, keys = np.divmod(keys, place)
     at = column.searchsorted(np.arange(1, net.output_dim))
     return [_decode(k, c, radix[1:], stride[1:]) for k, c in zip(np.split(keys, at), np.split(coeffs, at))]

@@ -95,6 +95,13 @@ def test_constructor_validation():
             MultiPoly.variable(3, bad)
     for index in (1, np.int64(1), np.int32(1), 1.0):
         assert MultiPoly.variable(3, index) == MultiPoly(3, {(0, 1, 0): 1.0})
+    # variable refuses the sizes that the constructor refuses: True used to give
+    # a polynomial in 1 variable, and 2.0 a bare TypeError
+    for bad in (True, False, np.bool_(True), 2.0, 2.5, "2", None):
+        with pytest.raises(DimensionError, match=f"nvars must be an integer, got {re.escape(repr(bad))}"):
+            MultiPoly.variable(bad, 0)
+    with pytest.raises(DimensionError, match="at least 1"):
+        MultiPoly.variable(0, 0)
     # a power is an exponent too: an integral float passes, any other number is refused
     p = MultiPoly(2, {(1, 0): 1.0, (0, 1): -2.0, (0, 0): 0.5})
     assert list((p**2.0).terms.items()) == list((p**2).terms.items())
@@ -178,6 +185,22 @@ def product_terms(p, q):
     return [(e, struct.pack("<d", c)) for e, c in r.terms.items()]
 
 
+def keyed_terms(p, q):
+    """The product as a one-node _mul_keys forms it, as product_terms gives
+    poly_mul's.  Each variable's radix is its largest exponent in p plus its
+    largest in q plus 1, so the key of a product of terms is the sum of theirs."""
+    exps = [np.array([*r.terms], dtype=np.int64).reshape(-1, r.nvars) for r in (p, q)]
+    radix = [a + b + 1 for a, b in zip(*(e.max(axis=0, initial=0).tolist() for e in exps))]
+    stride = multipoly._places(radix)
+    assert stride is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys, coeffs = multipoly._mul_keys(exps[0] @ stride, np.array([*p.terms.values()], dtype=float),
+                                           exps[1] @ stride, np.array([*q.terms.values()], dtype=float))
+    r = multipoly._decode(keys, coeffs, radix, stride)
+    return [(e, struct.pack("<d", c)) for e, c in r.terms.items()]
+
+
 def special_poly(rng, nvars, terms, values):
     """Random exponents up to 3 with coefficients drawn from values."""
     out = {}
@@ -188,27 +211,21 @@ def special_poly(rng, nvars, terms, values):
 
 def test_products_are_the_dict_loop_on_both_sides_of_the_array_threshold():
     rng = np.random.default_rng(22)
-    below = above = 0
     for _ in range(60):
         nvars = int(rng.integers(1, 5))
         p = random_poly(rng, nvars, max_degree=int(rng.integers(1, 6)), max_terms=40)
         q = random_poly(rng, nvars, max_degree=int(rng.integers(1, 6)), max_terms=40)
-        assert product_terms(p, q) == dict_loop_terms(p, q)
-        pairs = len(p.terms) * len(q.terms)
-        below += pairs < multipoly.MUL_ARRAY_PAIRS
-        above += pairs >= multipoly.MUL_ARRAY_PAIRS
-    assert below >= 10 and above >= 10
+        assert product_terms(p, q) == dict_loop_terms(p, q) == keyed_terms(p, q)
 
 
 @pytest.mark.parametrize("block", [1, 7, 150, 1 << 16])
 def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, block):
-    # every product takes the array path, in blocks of `block` pairs
-    monkeypatch.setattr(multipoly, "MUL_ARRAY_PAIRS", 1)
+    # a one-node keyed product, in blocks of `block` pairs
     monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     # exact cancellation: the x*y terms sum to 0.0 and are dropped
-    assert product_terms(x + y, x - y) == dict_loop_terms(x + y, x - y)
-    assert list(poly_mul(x + y, x - y).terms) == [(2, 0), (0, 2)]
+    assert keyed_terms(x + y, x - y) == dict_loop_terms(x + y, x - y)
+    assert [e for e, _ in keyed_terms(x + y, x - y)] == [(2, 0), (0, 2)]
     # products that underflow to -0.0 (0.0 + -0.0 is 0.0), overflow to inf,
     # and inf - inf = nan, all silent
     tiny, huge = 1e-200, 1e200
@@ -218,54 +235,35 @@ def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, 
         nvars = int(rng.integers(1, 4))
         p = special_poly(rng, nvars, int(rng.integers(1, 4**nvars // 2 + 2)), values)
         q = special_poly(rng, nvars, int(rng.integers(1, 4**nvars // 2 + 2)), values)
-        assert product_terms(p, q) == dict_loop_terms(p, q)
-    under = poly_mul(MultiPoly(1, {(0,): tiny, (1,): 1.0}), MultiPoly(1, {(0,): -tiny, (1,): 2.0}))
-    assert list(under.terms.items()) == [((1,), tiny), ((2,), 2.0)]  # the -0.0 constant is dropped
-    over = poly_mul(MultiPoly(1, {(0,): huge, (1,): huge}), MultiPoly(1, {(0,): huge, (1,): -huge}))
-    assert over.terms[(0,)] == math.inf and over.terms[(2,)] == -math.inf and math.isnan(over.terms[(1,)])
+        assert keyed_terms(p, q) == dict_loop_terms(p, q)
+    under = MultiPoly(1, {(0,): tiny, (1,): 1.0}), MultiPoly(1, {(0,): -tiny, (1,): 2.0})
+    assert keyed_terms(*under) == [((1,), struct.pack("<d", tiny)), ((2,), struct.pack("<d", 2.0))]  # no -0.0 constant
+    over = dict(keyed_terms(MultiPoly(1, {(0,): huge, (1,): huge}), MultiPoly(1, {(0,): huge, (1,): -huge})))
+    assert [struct.unpack("<d", over[(k,)])[0] for k in (0, 2)] == [math.inf, -math.inf]
+    assert math.isnan(struct.unpack("<d", over[(1,)])[0])
 
 
-def test_array_products_fall_back_when_keys_would_not_fit_int64(monkeypatch):
-    encoded = []  # what the key encoder gave each product
-    encode = multipoly._encode
-    monkeypatch.setattr(multipoly, "_encode", lambda *args: encoded.append(encode(*args)) or encoded[-1])
-
-    def keyed(p, q):
-        encoded.clear()
-        poly_mul(p, q)
-        return encoded[-1] is not None
-
+def test_array_products_fall_back_when_keys_would_not_fit_int64():
     # as in a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
     rng = np.random.default_rng(5)
     nvars = 64
     p = MultiPoly(nvars, {tuple(int(v) for v in rng.integers(0, 2, nvars)): float(rng.uniform(-1, 1)) for _ in range(20)})
-    assert len(p.terms) ** 2 >= multipoly.MUL_ARRAY_PAIRS
-    assert not keyed(p, p)
+    assert multipoly._places([3] * nvars) is None and multipoly._places([3] * 39) is not None
     assert product_terms(p, p) == dict_loop_terms(p, p)
     # exponents past int64 themselves
     big = MultiPoly(1, {(2**70 + k,): float(k + 1) for k in range(20)})
-    assert not keyed(big, big)
+    assert multipoly._places([2 * (2**70 + 19) + 1]) is None
     assert product_terms(big, big) == dict_loop_terms(big, big)
-    # a radix of 2^63 still runs the array path, one more falls back
+    # a radix of 2^63 still fits, one more does not
     p = MultiPoly(1, {(2**62 - k,): float(k + 1) for k in range(15)})
-    for top, runs in ((2**62 - 1, True), (2**62, False)):
+    for top, fits in ((2**62 - 1, True), (2**62, False)):
         q = MultiPoly(1, {(top - k,): 0.5 - k for k in range(15)})
-        assert keyed(p, q) is runs
+        assert (multipoly._places([2**62 + top + 1]) is not None) is fits
         assert product_terms(p, q) == dict_loop_terms(p, q)
-
-
-def test_a_polynomial_times_itself_is_encoded_once():
-    # a squaring (poly_pow) passes one object twice; its keys and coefficients
-    # are converted once and shared, with the bytes of an encoding of two
-    # equal copies
-    rng = np.random.default_rng(6)
-    p = MultiPoly(3, {e: float(rng.uniform(-1, 1)) for e in grlex_monomials(3, 3)})
-    k1, c1, k2, c2, decode = multipoly._encode(p, p)
-    assert k2 is k1 and c2 is c1
-    copy = MultiPoly(3, dict(p.terms))
-    for got, want in zip((k1, c1, k2, c2), multipoly._encode(p, copy)[:4]):
-        assert got.tobytes() == want.tobytes()
-    assert decode(k1, c1).terms == p.terms
+        if fits:
+            assert keyed_terms(p, q) == dict_loop_terms(p, q)
+    # nor does a place value of 2^63, though every key below the radices' product would
+    assert multipoly._places([1, 2**63]) is None and multipoly._places([1, 2**62]) is not None
 
 
 def test_a_product_over_several_blocks_is_the_dict_loop():
@@ -273,7 +271,7 @@ def test_a_product_over_several_blocks_is_the_dict_loop():
     rng = np.random.default_rng(8)
     p, q = (MultiPoly(3, {e: float(rng.uniform(-1, 1)) for e in grlex_monomials(3, 12)}) for _ in range(2))
     assert len(p.terms) * len(q.terms) > 3 * multipoly.MUL_BLOCK_PAIRS
-    assert product_terms(p, q) == dict_loop_terms(p, q)
+    assert keyed_terms(p, q) == dict_loop_terms(p, q)
 
 
 def test_a_keyed_product_with_the_zero_polynomial_is_empty():
@@ -386,10 +384,9 @@ def test_float_subclass_coefficients_keep_their_operators():
         for result in (p * number, number * p, p + number, number + p):
             assert all(type(c) is float for c in result.terms.values())
         assert (p * number).terms == (p * float(number)).terms
-    # a product above the array threshold runs the subclass's own operators too
+    # a product of many pairs runs the subclass's own operators too
     big = MultiPoly(2, {e: float(k + 1) for k, e in enumerate(grlex_monomials(2, 5))})
     logged = big * s
-    assert len(logged.terms) * len(big.terms) >= multipoly.MUL_ARRAY_PAIRS
     calls.clear()
     result = logged * big
     assert calls.count("mul") == len(logged.terms) * len(big.terms)

@@ -455,6 +455,17 @@ def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, form_block,
         monkeypatch.setattr(network, "MUL_BLOCK_PAIRS", form_block)
     if mul_block is not None:  # products in blocks of 7 pairs, which split rows
         monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", mul_block)
+    calls, run = ring_passes
+    mul_keys = []  # the keyed products that the reference pass makes: none, as it is the dict ring alone
+    kernel = multipoly._mul_keys
+
+    def reference(*args):
+        monkeypatch.setattr(multipoly, "_mul_keys", lambda *a: mul_keys.append(1) or kernel(*a))
+        try:
+            return run(*args)
+        finally:
+            monkeypatch.setattr(multipoly, "_mul_keys", kernel)
+
     rng = np.random.default_rng(27)
     sides = {True: 0, False: 0}
     for _ in range(150):
@@ -471,10 +482,11 @@ def test_keyed_expansion_is_the_rings_pass(monkeypatch, ring_passes, form_block,
             if paired:
                 w[1] = w[0]
             layers.append(LayerSpec(w, layer.activation))
-        got, want, keyed = expanded(NetworkSpec(net.input_dim, tuple(layers)), ring_passes)
+        got, want, keyed = expanded(NetworkSpec(net.input_dim, tuple(layers)), (calls, reference))
         assert got == want
         sides[keyed] += 1
     assert sides == {True: 150, False: 0}  # every net is finite and its keys fit int64
+    assert not mul_keys
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -493,7 +505,7 @@ def test_keyed_sum_moves_a_key_that_cancels_early_last(ring_passes):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_expansion_falls_back_to_the_ring(ring_passes):
-    calls, _ = ring_passes
+    calls, run = ring_passes
     rng = np.random.default_rng(28)
     # 70 inputs of degree 1: a radix of 2 per variable gives keys up to 2^70
     net = NetworkSpec(70, (LayerSpec(rng.uniform(-1.0, 1.0, (2, 71))),))
@@ -503,15 +515,17 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
     net = NetworkSpec(62, (LayerSpec(rng.uniform(-1.0, 1.0, (2, 63))),))
     got, want, keyed = expanded(net, ring_passes)
     assert got == want and keyed and len(got[0]) == 63
-    # 1e200 weights under a fourth power overflow on keys; the ring's pass names the output
+    # 1e200 weights under a fourth power overflow on keys, and expand_network
+    # names the output that the ring's pass names without running it
     w = rng.uniform(-1.0, 1.0, (2, 5))
     w[1] *= 1e200
     net = NetworkSpec(4, (LayerSpec(w, MonomialPower(4)),))
-    assert network._expand_on_keys(net) is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert [finite(p) for p in run(net._pairs, network._variables(4))] == [True, False]
     calls.clear()
     with pytest.raises(NumericError, match=r"^output 1 of the expansion has a non-finite coefficient$"):
         expand_network(net)
-    assert calls
+    assert not calls
     # an all-zero weight row is the zero polynomial, squared on keys
     w[1] /= 1e200
     w[0] = 0.0
@@ -519,32 +533,58 @@ def test_expansion_falls_back_to_the_ring(ring_passes):
     assert keyed and got == want and got[0] == [] and len(got[1]) == 70
 
 
+def finite(p):
+    return all(map(math.isfinite, p.terms.values()))
+
+
+def overflowing_nets(rng, scale, activation):
+    """Nets whose expansion overflows at weights of the given scale: ten
+    random ones, where scale-sized weights times scale-sized coefficients
+    leave inf pre-activations in the middle layer, then four built by hand."""
+    for _ in range(10):
+        hidden = LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 3)))
+        yield NetworkSpec(2, (hidden, LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 4)), activation),
+                              LayerSpec(rng.uniform(-1.0, 1.0, (2, 4)))))
+    big = LayerSpec(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, scale]]))  # x1 and scale * x2
+    # a hidden layer whose pre-activations are finite and whose activation overflows
+    yield NetworkSpec(2, (LayerSpec(np.array([[0.5, scale, 1.0], [0.0, 1.0, -1.0]]), activation),
+                          LayerSpec(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5]]))))
+    # last layer: node 0 stays finite, node 1 overflows only in its activation,
+    # and node 2's pre-activation 1 + x1 + scale^2 * x2 is inf
+    yield NetworkSpec(2, (big, LayerSpec(np.array([[0.5, 1.0, 0.0], [0.0, scale, 0.0], [1.0, 1.0, scale]]), activation)))
+    # a degree-0 PolyActivation on an inf pre-activation: 0.0 * p leaves its nan terms
+    yield NetworkSpec(2, (big, LayerSpec(np.array([[1.0, 1.0, scale], [0.5, 1.0, 1.0]]), PolyActivation(UniPoly((2.0,))))))
+    # the last node of the net's highest-degree layer has an inf pre-activation
+    yield NetworkSpec(2, (big, LayerSpec(np.array([[0.5, 1.0, 1.0 / scale], [0.0, 1.0, 0.0], [1.0, 2.0, scale]]), activation),
+                          LayerSpec(np.array([[0.0, 1.0, 1.0, 1.0]]))))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 @pytest.mark.parametrize("activation", [PolyActivation(UniPoly((0.5, -1.0, 0.25, 2.0))), MonomialPower(3)],
                          ids=["poly", "power"])
-def test_a_non_finite_pre_activation_falls_back_to_the_ring(monkeypatch, ring_passes, scale, activation):
-    # scale-sized coefficients times scale-sized weights leave inf
-    # pre-activations; on keys, phi's 0.0 * p start would grow nan terms past
-    # the radix, so the pass declines before the activation runs
+def test_an_overflow_names_the_rings_output_on_keys(ring_passes, scale, activation):
+    # the keyed pass carries a node whose pre-activation is not finite as one
+    # nan constant, and expand_network names the first non-finite output, as
+    # the ring's pass would, without running the ring
     calls, run = ring_passes
-    activations = []
-    for name in ("_power", "_horner_keys"):
-        kernel = getattr(network, name)
-        monkeypatch.setattr(network, name, lambda *args, f=kernel: activations.append(1) or f(*args))
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        hidden = LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 3)))
-        net = NetworkSpec(2, (hidden, LayerSpec(scale * rng.uniform(-1.0, 1.0, (3, 4)), activation),
-                              LayerSpec(rng.uniform(-1.0, 1.0, (2, 4)))))
-        with np.errstate(over="ignore", invalid="ignore"):  # as expand_network runs both passes
-            assert network._expand_on_keys(net) is None and not activations
-            ring = run(net._pairs, network._variables(2))
-        k = next(k for k, p in enumerate(ring) if not all(map(math.isfinite, p.terms.values())))
+    x, lone_nan = network._variables(2), {(0, 0): "nan"}
+    named = []
+    for net in overflowing_nets(np.random.default_rng(31), scale, activation):
+        last = net._pairs[-1][0], Identity()
+        with np.errstate(over="ignore", invalid="ignore"):  # as expand_network runs the pass
+            ring, pre = run(net._pairs, x), run((*net._pairs[:-1], last), x)
+            keyed = network._expand_on_keys(net)
+        k = next(k for k, p in enumerate(ring) if not finite(p))
+        assert next(k for k, p in enumerate(keyed) if not finite(p)) == k
+        for p, q in zip(keyed, pre):  # a non-finite pre-activation ends as one nan constant
+            assert finite(q) or {e: c.hex() for e, c in p.terms.items()} == lone_nan
         calls.clear()
         with pytest.raises(NumericError, match=rf"^output {k} of the expansion has a non-finite coefficient$"):
             expand_network(net)
-        assert calls and not activations
+        assert not calls
+        named.append(k)
+    assert named[10:] == [0, 1, 0, 0]
 
 
 def test_classify_rules():
