@@ -551,12 +551,15 @@ def overflowing_nets(rng, scale, activation):
                           LayerSpec(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5]]))))
     # last layer: node 0 stays finite, node 1 overflows only in its activation,
     # and node 2's pre-activation 1 + x1 + scale^2 * x2 is inf
-    yield NetworkSpec(2, (big, LayerSpec(np.array([[0.5, 1.0, 0.0], [0.0, scale, 0.0], [1.0, 1.0, scale]]), activation)))
+    last = np.array([[0.5, 1.0, 0.0], [0.0, scale, 0.0], [1.0, 1.0, scale]])
+    yield NetworkSpec(2, (big, LayerSpec(last, activation)))
     # a degree-0 PolyActivation on an inf pre-activation: 0.0 * p leaves its nan terms
-    yield NetworkSpec(2, (big, LayerSpec(np.array([[1.0, 1.0, scale], [0.5, 1.0, 1.0]]), PolyActivation(UniPoly((2.0,))))))
-    # the last node of the net's highest-degree layer has an inf pre-activation
-    yield NetworkSpec(2, (big, LayerSpec(np.array([[0.5, 1.0, 1.0 / scale], [0.0, 1.0, 0.0], [1.0, 2.0, scale]]), activation),
-                          LayerSpec(np.array([[0.0, 1.0, 1.0, 1.0]]))))
+    constant = PolyActivation(UniPoly((2.0,)))
+    yield NetworkSpec(2, (big, LayerSpec(np.array([[1.0, 1.0, scale], [0.5, 1.0, 1.0]]), constant)))
+    # the last node of the net's highest-degree layer has an inf pre-activation:
+    # under phi, the nan terms of its 0.0 * p start would carry past the node digit
+    top = np.array([[0.5, 1.0, 1.0 / scale], [0.0, 1.0, 0.0], [1.0, 2.0, scale]])
+    yield NetworkSpec(2, (big, LayerSpec(top, activation), LayerSpec(np.array([[0.0, 1.0, 1.0, 1.0]]))))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
