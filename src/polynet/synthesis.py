@@ -12,23 +12,28 @@ Systems are solved by a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with forward-difference Jacobians.  Underdetermined systems are
 fine; the damped normal matrix stays positive definite.
 
-Data residuals run the forward pass on stacks of weight sets.  Coefficient
-residuals replay a tape: build_coefficient_system runs expand_network's
-ring pass once, at fixed weights that are _Recorded floats, and each * and
-+ the ring performs on them writes one float operation onto the tape
-(_CoefficientTape).  A residual call replays those operations with
-numpy on a stack of weight sets (every Jacobian), or, for one set on a tape
-of at most FLOAT_REPLAY_SLOTS slots, in plain Python floats, which are the
-same IEEE operations.  A set whose exact zeros differ from the recording's
-runs the dict ring alone, so every residual has the bits of its own
-expansion.
+Data residuals run the forward pass on stacks of weight sets.  A data
+Jacobian runs each weight's cone alone, everything that weight can change:
+its stepped row in its own layer, then the layers after it, from the base
+pass's layer inputs (see _cone_outputs); every entry keeps the bits of the
+stacked pass.
+
+Coefficient residuals replay a tape: build_coefficient_system runs
+expand_network's ring pass once, at fixed weights that are _Recorded
+floats, and each * and + the ring performs on them writes one float
+operation onto the tape (_CoefficientTape).  A residual call replays those
+operations with numpy on a stack of weight sets (every Jacobian), or, for
+one set on a tape of at most FLOAT_REPLAY_SLOTS slots, in plain Python
+floats, which are the same IEEE operations.  A set whose exact zeros differ
+from the recording's runs the dict ring alone, so every residual has the
+bits of its own expansion.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Sequence
 
@@ -110,11 +115,17 @@ def with_weights(arch: NetworkSpec, w) -> NetworkSpec:
 @dataclass(frozen=True)
 class ResidualSystem:
     """Vector residual function of the flat weight vector, evaluated on
-    stacks of weight vectors: batch_fn maps (m, unknowns) to (m, arity)."""
+    stacks of weight vectors: batch_fn maps (m, unknowns) to (m, arity).
+
+    perturbed_fn, when set, maps (w, w + steps) to the residuals (unknowns,
+    arity) of the sets that each step one weight, row j at w with w_j
+    replaced by w_j + steps_j, with the bits batch_fn gives those sets;
+    residual_jacobian stacks the sets through batch_fn when it is None."""
 
     unknowns: int
     arity: int  # residual count
     batch_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    perturbed_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def residuals(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -344,7 +355,10 @@ def _getter(indices: np.ndarray) -> Callable[[list], Sequence]:
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
-    """One residual per example row: network output minus observed value."""
+    """One residual per example row: network output minus observed value.
+
+    Its perturbed_fn runs each weight's cone (_cone_outputs): the base pass
+    once, then per layer only the stepped rows and the layers after them."""
     if arch.output_dim != 1:
         raise UsageError(f"data matching needs a single-output architecture, got {arch.output_dim} outputs")
     if ds.X.shape[1] != arch.input_dim:
@@ -358,7 +372,56 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
     def run(Ws: np.ndarray) -> np.ndarray:
         return _run_layers(_layer_weights(arch, Ws[:, None]), X[: len(Ws)])[..., 0]
 
-    return _stacked_system(arch, ds.y, run, chunk)
+    # per layer: the mask that builds its matrices M, and each stack of its sets
+    plans = [_cone_plan(*layer.weights.shape, chunk) for layer in arch.layers]
+
+    def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+        _check_finite(w, stepped)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y
+
+    return replace(_stacked_system(arch, ds.y, run, chunk), perturbed_fn=perturbed_fn)
+
+
+def _cone_plan(r: int, c: int, chunk: int) -> tuple[np.ndarray, list]:
+    """Of a layer W (r, c): the mask (c + 1, 1, c) that builds M (see
+    _cone_outputs) from the stepped and the base weights, and (stack row, i, t)
+    of its sets (i, t), set i * c + t in weight order, in stacks of at most
+    chunk sets."""
+    stacks = [np.divmod(np.arange(lo, min(lo + chunk, r * c)), c) for lo in range(0, r * c, chunk)]
+    return np.eye(c + 1, c, dtype=bool)[:, None], [(np.arange(len(i)), i, t) for i, t in stacks]
+
+
+def _cone_outputs(arch: NetworkSpec, plans: list, X: np.ndarray, w: np.ndarray,
+                  stepped: np.ndarray) -> Iterator[np.ndarray]:
+    """Outputs (k, n) at rows X (n, d) of the weight sets that step one
+    weight each, set j at w with w_j replaced by stepped_j, in weight order
+    and in the stacks of plans (_cone_plan's, per layer).
+
+    An output of np.matvec has the bits of W @ x, which depend on the row's
+    own values and on its place among W's rows.  So for a layer W (r, c),
+    M[t] is W with every row's entry t stepped: its row i is set (i, t)'s row,
+    at its own place, and one stacked matvec of the M[t], and of W last for
+    the base pass, over the layer's base input [1, h] gives all r * c stepped
+    pre-activations.  Set (i, t) takes the base activations with node i
+    replaced, and runs the later layers on the base weights; the layers
+    before its own are never run again."""
+    pairs, stepped_pairs = list(_layer_weights(arch, w)), _layer_weights(arch, stepped)
+    ones = np.empty((len(X), 1))
+    ones.fill(1.0)
+    h = X
+    for layer, ((W, activation), (V, _), (mask, stacks)) in enumerate(zip(pairs, stepped_pairs, plans)):
+        H = np.concatenate((ones, h), axis=-1)  # the layer's base input (n, c)
+        A = activation(np.matvec(np.where(mask, V, W)[:, None], H))  # (c + 1, n, r): set (i, t)'s node i at [t, :, i]
+        if layer == len(pairs) - 1:  # the output node: set (0, t) is A[t]
+            yield A[:-1, :, 0]
+            break
+        h = A[-1]
+        for k, i, t in stacks:
+            stack = np.empty((len(k),) + h.shape)
+            stack[:] = h
+            stack[k, :, i] = A[t, :, i]
+            yield _run_layers(pairs[layer + 1 :], stack)[..., 0]
 
 
 def _chunk(arch: NetworkSpec, per_set: int) -> int:
@@ -372,8 +435,7 @@ def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run, chunk: int) -> 
     the solver's finiteness checks report it."""
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
-        if not np.isfinite(Ws).all():
-            raise StructuralError("weights must be finite")
+        _check_finite(Ws)
         with np.errstate(over="ignore", invalid="ignore"):
             if len(Ws) <= chunk:
                 return run(Ws) - targets
@@ -382,20 +444,33 @@ def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run, chunk: int) -> 
     return ResidualSystem(network_weights(arch).size, targets.size, batch_fn)
 
 
-def residual_jacobian(system: ResidualSystem, w, r0: np.ndarray) -> np.ndarray:
+def _check_finite(*weights: np.ndarray) -> None:
+    if not all(np.isfinite(W).all() for W in weights):
+        raise StructuralError("weights must be finite")
+
+
+def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     """Forward-difference Jacobian at w, where r0 = system.residuals(w); the
     same scheme solve_system iterates with.
 
     Column j uses step FD_STEP * (1 + |w_j|).  The p perturbed vectors go
-    through one batch_fn call; every entry has the bits of a per-column
+    through one system.perturbed_fn call, or, without one, one batch_fn
+    call on their stack; every entry has the bits of a per-column
     system.residuals evaluation.
     """
     w = np.asarray(w, dtype=float)
     _check_weights(w, system.unknowns)
+    r0 = np.asarray(r0, dtype=float)
+    if r0.shape != (system.arity,):
+        raise DimensionError(f"residual vector has shape {r0.shape}, expected ({system.arity},)")
     steps = FD_STEP * (1.0 + np.abs(w))
-    Ws = np.broadcast_to(w, (w.size, w.size)).copy()
-    np.fill_diagonal(Ws, w + steps)
-    J = np.subtract(system.batch_fn(Ws).T, r0[:, None], order="C")  # J.T @ J rounds differently in F order
+    if system.perturbed_fn is not None:
+        R = system.perturbed_fn(w, w + steps)
+    else:
+        Ws = np.broadcast_to(w, (w.size, w.size)).copy()
+        np.fill_diagonal(Ws, w + steps)
+        R = system.batch_fn(Ws)
+    J = np.subtract(R.T, r0[:, None], order="C")  # J.T @ J rounds differently in F order
     J /= steps
     return J
 
