@@ -209,7 +209,7 @@ def special_poly(rng, nvars, terms, values):
     return MultiPoly(nvars, out)
 
 
-def test_products_are_the_dict_loop_on_both_sides_of_the_array_threshold():
+def test_keyed_products_are_the_dict_loop():
     rng = np.random.default_rng(22)
     for _ in range(60):
         nvars = int(rng.integers(1, 5))
@@ -219,7 +219,7 @@ def test_products_are_the_dict_loop_on_both_sides_of_the_array_threshold():
 
 
 @pytest.mark.parametrize("block", [1, 7, 150, 1 << 16])
-def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, block):
+def test_keyed_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, block):
     # a one-node keyed product, in blocks of `block` pairs
     monkeypatch.setattr(multipoly, "MUL_BLOCK_PAIRS", block)
     x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
@@ -243,7 +243,7 @@ def test_array_products_keep_the_dict_loops_bits_at_special_values(monkeypatch, 
     assert math.isnan(struct.unpack("<d", over[(1,)])[0])
 
 
-def test_array_products_fall_back_when_keys_would_not_fit_int64():
+def test_keys_that_would_not_fit_int64_are_refused():
     # as in a power-2 layer on 64 inputs: radix 3 per variable, 3^64 > 2^63 keys
     rng = np.random.default_rng(5)
     nvars = 64

@@ -380,10 +380,10 @@ def test_coefficient_solve_golden_bits():
     assert report == SolveReport(True, 45, 6.972200594645983e-14, 0)
 
 
-def random_arch(rng, d, depth, outputs, max_degree):
+def random_arch(rng, d, depth, outputs, max_degree, max_width=3):
     layers, fan_in = [], d
     for i in range(depth):
-        width = outputs if i == depth - 1 else int(rng.integers(1, 4))
+        width = outputs if i == depth - 1 else int(rng.integers(1, max_width + 1))
         kind = int(rng.integers(0, 3))
         if kind == 0:
             act = Identity()
@@ -427,6 +427,68 @@ def test_batched_jacobian_matches_per_column_data_residuals():
         assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
         # and the residual as forward computes it on a rebuilt network
         assert_same_bits(J, per_column_jacobian(lambda v: forward(with_weights(arch, v), ds.X)[:, 0] - ds.y, w, r0))
+
+
+def stacked_only(system):
+    """The system without its perturbed_fn, so that residual_jacobian runs the
+    perturbed sets as one stack through batch_fn."""
+    return ResidualSystem(system.unknowns, system.arity, system.batch_fn)
+
+
+def test_cone_jacobian_is_the_stacked_pass_bit_for_bit():
+    # The data system's Jacobian runs each weight's cone: the stepped rows of
+    # its layer at their own places, then the later layers.  Layers up to
+    # (12, 13), one-row datasets, exact-zero weights, and 1e100 weights whose
+    # powers overflow to inf and whose sums of opposite infs give nan.
+    rng = np.random.default_rng(33)
+    widths, overflowed = set(), []
+    for _ in range(150):
+        d, rows = int(rng.integers(1, 12)), 1 if rng.random() < 0.2 else int(rng.integers(2, 40))
+        arch = random_arch(rng, d, int(rng.integers(1, 5)), 1, 3, max_width=12)
+        widths.update(layer.out_nodes for layer in arch.layers)
+        ds = Dataset(rng.uniform(-1.0, 1.0, (rows, d)), rng.uniform(-1.0, 1.0, rows))
+        system = build_data_system(arch, ds)
+        assert system.perturbed_fn is not None
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        w[rng.random(w.size) < 0.2] = 0.0
+        if rng.random() < 0.25:
+            w *= 1e100
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0 = system.residuals(w)
+            J = residual_jacobian(system, w, r0)
+            assert J.flags.c_contiguous
+            assert_same_bits(J, residual_jacobian(stacked_only(system), w, r0))
+            assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+        overflowed.append((np.isinf(J).any(), np.isnan(J).any()))
+    assert widths == set(range(1, 13))
+    assert np.all(np.any(overflowed, axis=0))
+
+
+def test_cone_jacobian_refuses_non_finite_weights():
+    arch = square_arch(4, 1)
+    system = build_data_system(arch, Dataset(np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([1.0, 2.0])))
+    # the largest float steps past it to inf, and -inf + its inf step is nan
+    for bad in (np.nan, np.inf, -np.inf, np.finfo(float).max):
+        w = np.ones(17)
+        w[5] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(StructuralError, match="weights must be finite"):
+                residual_jacobian(system, w, np.zeros(system.arity))
+
+
+def test_jacobian_checks_the_residual_vector():
+    # r0 is read as a float vector of one entry per residual; one entry would
+    # broadcast to every row, and a list has no [:, None]
+    rng = np.random.default_rng(34)
+    arch = square_arch(4, 1)
+    ds = Dataset(rng.uniform(-1.0, 1.0, (6, 2)), rng.uniform(-1.0, 1.0, 6))
+    for system in (build_data_system(arch, ds), build_coefficient_system(arch, [regression_target()])):
+        w = rng.uniform(-1.0, 1.0, system.unknowns)
+        r0 = system.residuals(w)
+        assert_same_bits(residual_jacobian(system, w, r0.tolist()), residual_jacobian(system, w, r0))
+        for bad in (r0[:1], r0[:-1], np.append(r0, 0.0), r0[:, None], r0[:-1].tolist()):
+            with pytest.raises(DimensionError, match="residual vector has shape"):
+                residual_jacobian(system, w, bad)
 
 
 def coefficient_residuals(arch, targets, w):
@@ -687,19 +749,32 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, ze
     J = residual_jacobian(whole, w, whole.residuals(w))
     monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", budget if kind == "data" else budget * per_set // 120)
     chunked = build()
+    r0 = chunked.residuals(w)
     if kind == "data":
-        stacks, fallbacks = [], []
+        stacks, fallbacks, depths = [], [], []
         run_layers = synthesis._run_layers
 
         def spy(layers, h):
-            stacks.append(h)  # stacked input rows, one (n, d) block per weight set
+            # the cone's stacks: one (n, r) block of a layer's outputs per weight set,
+            # run through the layers after that layer
+            stacks.append(h)
+            depths.append(len(layers))
             return run_layers(layers, h)
 
         monkeypatch.setattr(synthesis, "_run_layers", spy)
     else:
         stacks, fallbacks = spy_on_the_tape(monkeypatch)
-    assert_same_bits(residual_jacobian(chunked, w, chunked.residuals(w)), J)
+    assert_same_bits(residual_jacobian(chunked, w, r0), J)
     assert max(len(s) for s in stacks) == sets
+    if kind == "data":
+        # the net's layers are (a, 3), (b, a + 1), (1, b + 1): each hidden layer's sets
+        # run once, through the layers after it alone (2 after the first, 1 after the
+        # second), and the output layer's sets run no later layer
+        assert set(depths) == {2, 1}
+        a, b = (stacks[depths.index(later)].shape[-1] for later in (2, 1))
+        runs = [sum(len(s) for s, later in zip(stacks, depths) if later == n) for n in (2, 1)]
+        assert runs == [3 * a, b * (a + 1)]
+        assert 3 * a + b * (a + 1) + b + 1 == whole.unknowns
     # the set holding the zero, in one chunk, is the only one run on the dict ring
     holding = [v for s in stacks if kind == "coefficient" for v in s if (v == 0.0).any()]
     assert len(fallbacks) == len(holding) == zero

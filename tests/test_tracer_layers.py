@@ -4,7 +4,8 @@ reach those names, or a fold of a function into its caller would leave its
 layer reading 0 calls.  The ring's pass that the coefficient tape records
 (_run_layers on the input variables) reaches them; expand_network's pass
 on int64 keys calls none of them, by design, and shows as network.expand
-alone."""
+alone.  A data system's Jacobian runs its own cone and no residual call, so
+it counts as one synthesis.jacobian call."""
 
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ import numpy as np
 
 import polynet
 import polynet.cli  # noqa: F401  (the tracer wraps polynet.cli.main)
-from polynet import network
-from polynet import LayerSpec, MonomialPower, MultiPoly, NetworkSpec, PolyActivation, UniPoly
+from polynet import network, synthesis
+from polynet import Dataset, LayerSpec, MonomialPower, MultiPoly, NetworkSpec, PolyActivation, UniPoly
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import Tracer  # noqa: E402
@@ -82,3 +83,32 @@ def test_poly_activations_reach_the_composition_layer():
     for counts in keyed_counts:
         assert counts["network.expand.calls"] == 1
         assert not any(name.startswith("multipoly.") for name in counts)
+
+
+def test_a_data_jacobian_is_one_traced_jacobian_call():
+    # fit-data's traced counts stay comparable: residual_jacobian on a data system
+    # is one synthesis.jacobian call, and the cone makes no synthesis.residual call
+    rng = np.random.default_rng(0)
+    net = NetworkSpec(2, (LayerSpec(np.zeros((4, 3)), MonomialPower(2)), LayerSpec(np.zeros((1, 5)))))
+    system = synthesis.build_data_system(net, Dataset(rng.uniform(-1.0, 1.0, (9, 2)), rng.uniform(-1.0, 1.0, 9)))
+    w = rng.uniform(-1.0, 1.0, system.unknowns)
+    r0 = system.residuals(w)
+    tracer = Tracer()
+    tracer.install()
+    try:
+
+        def layers(run):
+            tracer.reset()
+            tracer.begin()
+            run()
+            tracer.end()
+            return tracer.snapshot()
+
+        # looked up on the module and the class, where the tracer put its wrappers
+        residual = layers(lambda: system.residuals(w))
+        jacobian = layers(lambda: synthesis.residual_jacobian(system, w, r0))
+    finally:
+        tracer.uninstall()
+    assert residual["synthesis.residual.calls"] == 1
+    assert jacobian["synthesis.jacobian.calls"] == 1
+    assert jacobian.get("synthesis.residual.calls", 0) == 0
