@@ -117,9 +117,11 @@ class ResidualSystem:
     """Vector residual function of the flat weight vector, evaluated on
     stacks of weight vectors: batch_fn maps (m, unknowns) to (m, arity).
 
-    perturbed_fn, when set, maps (w, w + steps) to the residuals (unknowns,
-    arity) of the sets that each step one weight, row j at w with w_j
-    replaced by w_j + steps_j, with the bits batch_fn gives those sets;
+    perturbed_fn, when set, maps (w, w + steps) to the residuals (arity,
+    unknowns) of the sets that each step one weight, column j at w with w_j
+    replaced by w_j + steps_j, with the bits batch_fn gives those sets.
+    Both builders set it: the data system runs each weight's cone, and the
+    coefficient system fills the sets in place on its tape's buffer.
     residual_jacobian stacks the sets through batch_fn when it is None."""
 
     unknowns: int
@@ -178,7 +180,18 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     monomials = grlex_monomials(arch.input_dim, attainable)
     wanted = np.array([t.terms.get(e, 0.0) for t in targets for e in monomials])
     tape = _CoefficientTape(arch, monomials)
-    system = _stacked_system(arch, wanted, tape, _chunk(arch, tape.slots))
+    chunk = _chunk(arch, tape.slots)
+
+    def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
+        _check_finite(stepped)  # w is finite where w + steps is
+        R = np.empty((wanted.size, w.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, w.size, chunk):
+                np.subtract(tape.perturbed(w, stepped, lo, min(lo + chunk, w.size)), wanted[:, None],
+                            out=R[:, lo : lo + chunk])
+        return R
+
+    system = replace(_stacked_system(arch, wanted, tape, chunk), perturbed_fn=perturbed_fn)
     if tape.slots > FLOAT_REPLAY_SLOTS:
         return system
     stacked, minus = system.batch_fn, wanted.tolist()
@@ -192,7 +205,7 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
             raise StructuralError("weights must be finite")
         return np.fromiter(map(sub, tape.coefficients(w), minus), float, len(minus))[None]
 
-    return ResidualSystem(system.unknowns, system.arity, batch_fn)
+    return replace(system, batch_fn=batch_fn)
 
 
 class _Recorded(float):
@@ -273,14 +286,15 @@ class _CoefficientTape:
             self.groups.append((self.OPS[code], lo, hi, operands))
             self.program.append((self.FLOAT_OPS[code], *map(_getter, operands)))
         values = np.frombuffer(self.value)[order]
-        self.slots = order.size
+        self.slots, self.unknowns = order.size, len(weights)
         self.consts = values[len(weights) : bounds[0]]
         self.zero = values == 0.0  # (slots,) bool: the slot was 0.0 at the record point
         self.outputs = slot[outputs]  # (arity,) slot of each residual's coefficient
         del self.op, self.a, self.b, self.depth, self.value, self._consts  # the replay needs none of them
-        # the one-set replay's constants, zero slots and outputs
-        self._float_consts, self._zeros = self.consts.tolist(), int(self.zero.sum())
-        self._at_zeros, self._at_outputs = _getter(np.flatnonzero(self.zero)), _getter(self.outputs)
+        # the zero slots of both replays' stray checks, and the one-set replay's constants and outputs
+        self._zeros, self._zero_slots = int(self.zero.sum()), np.flatnonzero(self.zero)
+        self._float_consts = self.consts.tolist()
+        self._at_zeros, self._at_outputs = _getter(self._zero_slots), _getter(self.outputs)
 
     def append(self, op: int, a: int, b: int, value: float) -> _Recorded:
         index = len(self.op)
@@ -306,15 +320,24 @@ class _CoefficientTape:
             self._consts[key] = self.append(0, 0, 0, float(c)).index
         return self._consts[key]
 
-    def replay(self, Ws: np.ndarray) -> np.ndarray:
-        """Every slot (slots, k) at weight sets Ws (k, unknowns)."""
-        buf = np.empty((self.slots, len(Ws)))
-        p = Ws.shape[1]
-        buf[:p] = Ws.T
+    def replay(self, buf: np.ndarray) -> np.ndarray:
+        """Every slot of buf (slots, k), k weight sets whose weights fill its
+        first unknowns rows, set j in column j: the constants, then the groups."""
+        p = self.unknowns
         buf[p : p + len(self.consts)] = self.consts[:, None]
-        for ufunc, lo, hi, operands in self.groups:
-            ufunc(*(buf.take(a, 0) for a in operands), out=buf[lo:hi])
+        for ufunc, lo, hi, (a, b) in self.groups:
+            ufunc(buf.take(a, 0), buf.take(b, 0), out=buf[lo:hi])
         return buf
+
+    def _coefficients(self, buf: np.ndarray) -> np.ndarray:
+        """Coefficients (arity, k) of the replayed buf (slots, k); a set whose
+        zeros stray from the recording's runs the dict ring instead."""
+        C = buf.take(self.outputs, 0)
+        # as in coefficients: none strays when the recording's zero slots hold every zero
+        if np.count_nonzero(buf == 0.0) != self._zeros * buf.shape[1] or buf.take(self._zero_slots, 0).any():
+            for j in ((buf == 0.0) != self.zero[:, None]).any(axis=0).nonzero()[0]:
+                C[:, j] = self.ring(buf[: self.unknowns, j].copy())
+        return C
 
     def ring(self, w: np.ndarray) -> list:
         """Coefficients (arity,) at one weight set w (unknowns,) by the dict ring:
@@ -336,13 +359,18 @@ class _CoefficientTape:
 
     def __call__(self, Ws: np.ndarray) -> np.ndarray:
         """Coefficients (k, arity) at weight sets Ws (k, unknowns)."""
-        buf = self.replay(Ws)
-        C = buf.take(self.outputs, 0).T
-        # one row per set: the transpose's contiguous rows reduce fast
-        strays = (np.ascontiguousarray((buf == 0.0).T) != self.zero).any(axis=1)
-        for j in np.flatnonzero(strays):
-            C[j] = self.ring(Ws[j])
-        return C
+        buf = np.empty((self.slots, len(Ws)))
+        buf[: self.unknowns] = Ws.T
+        return self._coefficients(self.replay(buf)).T
+
+    def perturbed(self, w: np.ndarray, stepped: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Coefficients (arity, hi - lo) of the weight sets lo..hi-1 that step
+        one weight each, set j at w with w_j replaced by stepped_j, in column
+        j - lo: filled in place, with no stack of sets."""
+        buf = np.empty((self.slots, hi - lo))
+        buf[: self.unknowns] = w[:, None]
+        buf[lo:hi].reshape(-1)[:: hi - lo + 1] = stepped[lo:hi]  # the block's diagonal
+        return self._coefficients(self.replay(buf))
 
 
 def _getter(indices: np.ndarray) -> Callable[[list], Sequence]:
@@ -378,7 +406,7 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         _check_finite(w, stepped)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y
+            return (np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y).T
 
     return replace(_stacked_system(arch, ds.y, run, chunk), perturbed_fn=perturbed_fn)
 
@@ -449,6 +477,7 @@ def _check_finite(*weights: np.ndarray) -> None:
         raise StructuralError("weights must be finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in the systems: the solver's finiteness checks report overflow
 def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     """Forward-difference Jacobian at w, where r0 = system.residuals(w); the
     same scheme solve_system iterates with.
@@ -456,7 +485,8 @@ def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     Column j uses step FD_STEP * (1 + |w_j|).  The p perturbed vectors go
     through one system.perturbed_fn call, or, without one, one batch_fn
     call on their stack; every entry has the bits of a per-column
-    system.residuals evaluation.
+    system.residuals evaluation.  A weight that is not finite, or whose
+    step is not, raises StructuralError from the system.
     """
     w = np.asarray(w, dtype=float)
     _check_weights(w, system.unknowns)
@@ -464,13 +494,14 @@ def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     if r0.shape != (system.arity,):
         raise DimensionError(f"residual vector has shape {r0.shape}, expected ({system.arity},)")
     steps = FD_STEP * (1.0 + np.abs(w))
+    stepped = w + steps
     if system.perturbed_fn is not None:
-        R = system.perturbed_fn(w, w + steps)
+        R = system.perturbed_fn(w, stepped)
     else:
         Ws = np.broadcast_to(w, (w.size, w.size)).copy()
-        np.fill_diagonal(Ws, w + steps)
-        R = system.batch_fn(Ws)
-    J = np.subtract(R.T, r0[:, None], order="C")  # J.T @ J rounds differently in F order
+        np.fill_diagonal(Ws, stepped)
+        R = system.batch_fn(Ws).T
+    J = np.subtract(R, r0[:, None], order="C")  # J.T @ J rounds differently in F order
     J /= steps
     return J
 

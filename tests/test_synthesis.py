@@ -518,15 +518,24 @@ def test_batched_jacobian_matches_per_column_coefficient_residuals():
 
 def spy_on_the_tape(monkeypatch):
     """Lists that fill with the weight sets of each tape replay, one (k, unknowns)
-    stack per call of either route (numpy on a stack, Python floats on one
-    set), and of each set run alone on the dict ring instead."""
+    stack per call of any route (numpy on a stack, numpy on a Jacobian's sets
+    filled in place, Python floats on one set), and of each set run alone on
+    the dict ring instead."""
     replays, fallbacks = [], []
     tape_class = synthesis._CoefficientTape
-    replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
+    call, perturbed, coefficients, ring = (tape_class.__call__, tape_class.perturbed, tape_class.coefficients,
+                                           tape_class.ring)
 
-    def spy_replay(tape, Ws):
+    def spy_call(tape, Ws):
         replays.append(Ws.copy())
-        return replay(tape, Ws)
+        return call(tape, Ws)
+
+    def spy_perturbed(tape, w, stepped, lo, hi):
+        # sets lo..hi-1: w with one weight stepped each
+        sets = np.tile(w, (hi - lo, 1))
+        sets[np.arange(hi - lo), np.arange(lo, hi)] = stepped[lo:hi]
+        replays.append(sets)
+        return perturbed(tape, w, stepped, lo, hi)
 
     def spy_coefficients(tape, w):
         replays.append(np.array([w]))
@@ -536,7 +545,8 @@ def spy_on_the_tape(monkeypatch):
         fallbacks.append(w.copy())
         return ring(tape, w)
 
-    monkeypatch.setattr(tape_class, "replay", spy_replay)
+    monkeypatch.setattr(tape_class, "__call__", spy_call)
+    monkeypatch.setattr(tape_class, "perturbed", spy_perturbed)
     monkeypatch.setattr(tape_class, "coefficients", spy_coefficients)
     monkeypatch.setattr(tape_class, "ring", spy_ring)
     return replays, fallbacks
@@ -685,7 +695,8 @@ def test_one_set_takes_the_float_replay_on_small_tapes_only(monkeypatch):
     routes, fallbacks = [], []
     tape_class = synthesis._CoefficientTape
     replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
-    monkeypatch.setattr(tape_class, "replay", lambda tape, Ws: routes.append(("numpy", len(Ws))) or replay(tape, Ws))
+    monkeypatch.setattr(tape_class, "replay",
+                        lambda tape, buf: routes.append(("numpy", buf.shape[1])) or replay(tape, buf))
     monkeypatch.setattr(tape_class, "coefficients",
                         lambda tape, w: routes.append(("floats", 1)) or coefficients(tape, w))
     monkeypatch.setattr(tape_class, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
