@@ -12,6 +12,9 @@ Systems are solved by a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with forward-difference Jacobians.  Underdetermined systems are
 fine; the damped normal matrix stays positive definite.
 
+Both builders set the system's perturbed_fn, which residual_jacobian calls
+on the p sets that each step one weight.
+
 Data residuals run the forward pass on stacks of weight sets.  A data
 Jacobian runs each weight's cone alone, everything that weight can change:
 its stepped row in its own layer, then the layers after it, from the base
@@ -22,11 +25,13 @@ Coefficient residuals replay a tape: build_coefficient_system runs
 expand_network's ring pass once, at fixed weights that are _Recorded
 floats, and each * and + the ring performs on them writes one float
 operation onto the tape (_CoefficientTape).  A residual call replays those
-operations with numpy on a stack of weight sets (every Jacobian), or, for
-one set on a tape of at most FLOAT_REPLAY_SLOTS slots, in plain Python
-floats, which are the same IEEE operations.  A set whose exact zeros differ
-from the recording's runs the dict ring alone, so every residual has the
-bits of its own expansion.
+operations with numpy on a stack of weight sets, or, for one set on a tape
+of at most FLOAT_REPLAY_SLOTS slots, in plain Python floats, which are the
+same IEEE operations.  A coefficient Jacobian fills its p sets in place on
+the numpy replay's (slots, k) buffer, set j in column j, and replays the
+same groups over it.  A set whose exact zeros differ from the recording's
+runs the dict ring alone, so every residual has the bits of its own
+expansion.
 """
 
 from __future__ import annotations
@@ -163,7 +168,10 @@ def class_target_poly(ds: Dataset, label: float) -> MultiPoly:
 def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) -> ResidualSystem:
     """One residual per monomial of total degree <= expansion_degree(arch),
     output-major, then graded-lex: expanded coefficient minus target
-    coefficient."""
+    coefficient.
+
+    Its perturbed_fn fills the stepped sets in place on the tape's buffer
+    (_CoefficientTape.perturbed), at most CHUNK_ELEMENTS floats at a time."""
     check_expansion_size(arch)
     targets = list(targets)
     if len(targets) != arch.output_dim:
@@ -254,13 +262,17 @@ class _CoefficientTape:
     leaves: the weights, then each constant the pass meets, once per bit
     pattern.  The entries are laid out as slots by (depth, op): the
     weights, the constants (consts), then one block per group (ufunc, lo,
-    hi, operands) that writes slots lo..hi-1 from slots of lower depth.  The
-    ring drops the terms whose coefficient is exactly 0, which changes its
-    later dict order and sums; so a weight set whose zero pattern over the
-    slots is not the recording's (zero) runs the float dict ring instead
-    (ring), and every set keeps the bits of its own expansion.  The same
-    groups, as a program of (operator, getter a, getter b) over a list of
-    slots, replay one set in Python floats (coefficients)."""
+    hi, operands) that writes slots lo..hi-1 from slots of lower depth.
+    replay runs the groups over a (slots, k) buffer whose weight rows hold k
+    sets, set j in column j.  Two methods fill those rows: __call__ from a
+    stack of sets, and perturbed, for a Jacobian, from w and its stepped
+    weights, in place.  The ring drops the terms whose coefficient is
+    exactly 0, which changes its later dict order and sums; so a weight set
+    whose zero pattern over the slots is not the recording's (zero) runs
+    the float dict ring instead (ring), and every set keeps the bits of its
+    own expansion.  The same groups, as a program of (operator, getter a,
+    getter b) over a list of slots, replay one set in Python floats
+    (coefficients)."""
 
     OPS = (None, np.add, np.multiply)
     FLOAT_OPS = (None, add, mul)

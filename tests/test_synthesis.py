@@ -467,6 +467,7 @@ def test_cone_jacobian_is_the_stacked_pass_bit_for_bit():
 def test_cone_jacobian_refuses_non_finite_weights():
     arch = square_arch(4, 1)
     system = build_data_system(arch, Dataset(np.array([[0.0, 1.0], [1.0, 0.5]]), np.array([1.0, 2.0])))
+    coefficient = build_coefficient_system(arch, [regression_target()])
     # the largest float steps past it to inf, and -inf + its inf step is nan
     for bad in (np.nan, np.inf, -np.inf, np.finfo(float).max):
         w = np.ones(17)
@@ -474,6 +475,13 @@ def test_cone_jacobian_refuses_non_finite_weights():
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(StructuralError, match="weights must be finite"):
                 residual_jacobian(system, w, np.zeros(system.arity))
+        # and under numpy's default error handling, with its warnings raised as errors:
+        # forming the stepped weights warns of nothing, and the system refuses them
+        for refusing in (system, coefficient):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(StructuralError, match="weights must be finite"):
+                    residual_jacobian(refusing, w, np.zeros(refusing.arity))
 
 
 def test_jacobian_checks_the_residual_vector():
@@ -790,6 +798,80 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, ze
     holding = [v for s in stacks if kind == "coefficient" for v in s if (v == 0.0).any()]
     assert len(fallbacks) == len(holding) == zero
     assert all(np.array_equal(a, b) for a, b in zip(fallbacks, holding))
+
+
+def tape_jacobian_archs(rng):
+    """Power nets (d inputs, 4 hidden MonomialPower(k) units, one output) whose
+    tapes hold 108, 490, 1015 and 42,371 slots; random nets of up to three
+    layers and two outputs; and the constant-output architectures, whose
+    recordings hold 0.0 slots."""
+    nets = [NetworkSpec(d, (LayerSpec(np.zeros((4, d + 1)), MonomialPower(k)), LayerSpec(np.zeros((1, 5)))))
+            for d, k in ((2, 2), (3, 3), (3, 4), (4, 8))]
+    nets += [random_arch(rng, 2, 3, 2, 2) for _ in range(6)]
+    return nets + constant_output_archs()
+
+
+def test_tape_jacobian_is_the_stacked_replay_bit_for_bit(monkeypatch):
+    # A coefficient Jacobian fills its perturbed sets in place on the tape's
+    # buffer, in chunks of 1, 2 and 5 sets; it must give the bytes of one
+    # stacked batch_fn call, of per-column residual calls and, on tapes of at
+    # most 1015 slots, of per-column dict ring expansions.  The cases: random
+    # weights; exact 0.0 and -0.0 weights, so that the base set and so every set
+    # strays (on tapes of at most 1015 slots, where the dict ring is cheap); a
+    # weight whose step lands on 0, so that its set alone strays; and 1e120
+    # weights, whose coefficients overflow to inf, and whose differences of
+    # infs give nan, with no warning.
+    rng = np.random.default_rng(35)
+    fallbacks, overflowed = [], []
+    ring = synthesis._CoefficientTape.ring
+    monkeypatch.setattr(synthesis._CoefficientTape, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
+    for arch in tape_jacobian_archs(rng):
+        p = network_weights(arch).size
+        monomials = grlex_monomials(arch.input_dim, expansion_degree(arch))
+        slots = synthesis._CoefficientTape(arch, monomials).slots
+        base = rng.uniform(-1.0, 1.0, p)
+        zeros = base.copy()
+        zeros[rng.random(p) < 0.3] = 0.0
+        zeros[rng.random(p) < 0.3] = -0.0
+        zeros[0] = -0.0
+        # a teacher with the same zero weights: the coefficients they remove are
+        # exactly 0 in the targets too, so that a -0.0 the replay gives for a set
+        # that strays, where the dict ring gives 0.0, reaches the Jacobian
+        targets = expand_network(with_weights(arch, rng.uniform(0.5, 2.0, p) * zeros))
+        alone = base.copy()
+        alone[5] = step_lands_on_zero()
+        huge = 1e120 * base
+        cases = [base, alone, huge] + ([zeros] if slots <= 1015 else [])
+        by_ring = {}  # case index: the per-column dict ring Jacobian
+        for sets in (1, 2, 5):
+            monkeypatch.setattr(synthesis, "CHUNK_ELEMENTS", sets * slots)
+            assert synthesis._chunk(arch, slots) == sets
+            system = build_coefficient_system(arch, targets)
+            for i, w in enumerate(cases):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    r0 = system.residuals(w)
+                    fallbacks.clear()
+                    J = residual_jacobian(system, w, r0)
+                    jacobian_fallbacks = list(fallbacks)
+                    assert J.flags.c_contiguous
+                    assert_same_bits(J, residual_jacobian(stacked_only(system), w, r0))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert_same_bits(J, per_column_jacobian(system.residuals, w, r0))
+                    if slots <= 1015 and i not in by_ring:
+                        by_ring[i] = per_column_jacobian(lambda v: dict_ring_residuals(arch, targets, v), w, r0)
+                if i in by_ring:
+                    assert_same_bits(J, by_ring[i])
+                if w is alone:
+                    stepped = w.copy()
+                    stepped[5] = 0.0
+                    assert len(jacobian_fallbacks) == 1
+                    assert_same_bits(jacobian_fallbacks[0], stepped)
+                if w is zeros:
+                    assert len(jacobian_fallbacks) == p
+                if w is huge:
+                    overflowed.append((np.isinf(r0).any(), np.isnan(J).any()))
+    assert np.all(np.any(overflowed, axis=0))
 
 
 def test_non_finite_weights_raise_in_both_system_kinds():

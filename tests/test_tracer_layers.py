@@ -112,3 +112,32 @@ def test_a_data_jacobian_is_one_traced_jacobian_call():
     assert residual["synthesis.residual.calls"] == 1
     assert jacobian["synthesis.jacobian.calls"] == 1
     assert jacobian.get("synthesis.residual.calls", 0) == 0
+
+
+def test_a_coefficient_jacobian_is_one_traced_jacobian_call():
+    # synth-coef's traced counts stay comparable: residual_jacobian on a coefficient
+    # system fills its sets on the tape's buffer and makes no synthesis.residual call
+    rng = np.random.default_rng(0)
+    net = NetworkSpec(2, (LayerSpec(np.zeros((4, 3)), MonomialPower(2)), LayerSpec(np.zeros((1, 5)))))
+    teacher = synthesis.with_weights(net, rng.uniform(-1.0, 1.0, 17))
+    system = synthesis.build_coefficient_system(net, network.expand_network(teacher))
+    w = rng.uniform(-1.0, 1.0, system.unknowns)
+    r0 = system.residuals(w)
+    tracer = Tracer()
+    tracer.install()
+    try:
+
+        def layers(run):
+            tracer.reset()
+            tracer.begin()
+            run()
+            tracer.end()
+            return tracer.snapshot()
+
+        residual = layers(lambda: system.residuals(w))
+        jacobian = layers(lambda: synthesis.residual_jacobian(system, w, r0))
+    finally:
+        tracer.uninstall()
+    assert residual["synthesis.residual.calls"] == 1
+    assert jacobian["synthesis.jacobian.calls"] == 1
+    assert jacobian.get("synthesis.residual.calls", 0) == 0
