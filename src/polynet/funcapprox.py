@@ -140,6 +140,13 @@ def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
+def _count(n, name: str) -> int:
+    """An integer parameter as an int; a bool, a float or any other type is refused."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     """Composite Simpson over an odd number of samples, with the arithmetic of
     scipy.integrate.simpson(y, x=x) (its variable-spacing form), bit for bit."""
@@ -159,6 +166,7 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
     a_n = (1/l) integral_{-l}^{l} f(x) cos(n pi x/l) dx,  n = 0..n_terms
     b_n = (1/l) integral_{-l}^{l} f(x) sin(n pi x/l) dx,  n = 1..n_terms
     """
+    n_terms = _count(n_terms, "n_terms")
     if l <= 0:
         raise ConfigurationError("half-period l must be positive")
     if n_terms < 1:
@@ -181,6 +189,7 @@ def trig_term_budget(n_harmonics: int) -> int:
     The substituted series see arguments up to u = n_harmonics * pi, and
     with K terms the first omitted term is bounded by u^(2K+1)/(2K+1)!.
     """
+    n_harmonics = _count(n_harmonics, "n_harmonics")
     if n_harmonics < 1:
         raise ConfigurationError("n_harmonics must be at least 1")
     u = _series_argument(n_harmonics)
@@ -211,6 +220,7 @@ def check_trig_substitution(n_harmonics: int, terms: int, half_period: float) ->
     half_period] keeps intermediate terms below COEFF_MAGNITUDE_LIMIT
     (beyond it all significance cancels away) and the powers of the scaled
     argument in the double range."""
+    n_harmonics, terms = _count(n_harmonics, "n_harmonics"), _count(terms, "terms")
     if not half_period > 0:
         raise ConfigurationError("half_period must be positive")
     u = _series_argument(n_harmonics)
@@ -272,6 +282,7 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     """
     lo, hi = float(interval[0]), float(interval[1])
     _check_interval(f, lo, hi)
+    degree = _count(degree, "degree")
     if degree < 0:
         raise ConfigurationError("degree must be non-negative")
     if GRID_POINTS <= degree:

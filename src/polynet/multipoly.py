@@ -487,7 +487,8 @@ def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
 
 
 def truncate_degree(p: MultiPoly, max_degree: int) -> MultiPoly:
-    """Drop every monomial of total degree above max_degree."""
+    """Drop every monomial of total degree above max_degree, an integer (2.0 passes)."""
+    max_degree = _integer(max_degree, "max_degree")
     if max_degree < 0:
         raise UsageError("max_degree must be non-negative")
     return MultiPoly(p.nvars, {e: c for e, c in p.terms.items() if sum(e) <= max_degree})

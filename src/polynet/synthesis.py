@@ -25,13 +25,12 @@ Coefficient residuals replay a tape: build_coefficient_system runs
 expand_network's ring pass once, at fixed weights that are _Recorded
 floats, and each * and + the ring performs on them writes one float
 operation onto the tape (_CoefficientTape).  A residual call replays those
-operations with numpy on a stack of weight sets, or, for one set on a tape
-of at most FLOAT_REPLAY_SLOTS slots, in plain Python floats, which are the
-same IEEE operations.  A coefficient Jacobian fills its p sets in place on
-the numpy replay's (slots, k) buffer, set j in column j, and replays the
-same groups over it.  A set whose exact zeros differ from the recording's
-runs the dict ring alone, so every residual has the bits of its own
-expansion.
+operations with numpy, in groups: a stack of weight sets on a (slots, k)
+buffer, set j in column j, and one set, at every tape size, on a (slots,)
+buffer.  A coefficient Jacobian fills its p sets in place on the stacked
+buffer and replays the same groups over it.  A set whose exact zeros
+differ from the recording's runs the dict ring alone, so every residual
+has the bits of its own expansion.
 """
 
 from __future__ import annotations
@@ -39,14 +38,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
-from .multipoly import MultiPoly, grlex_monomials, truncate_degree
+from .multipoly import MultiPoly, _integer, grlex_monomials, truncate_degree
 from .network import (Activation, Dataset, LayerSpec, NetworkSpec, _run_layers, _variables, check_expansion_size,
                       check_term_count, expand_network, expansion_degree)
 
@@ -74,13 +72,6 @@ CHUNK_ELEMENTS = 1 << 17
 # 1.5 s, 31 MB; 8, 4, 8: 2,013,540, 8.3 s, 151 MB.  The limit keeps the
 # first four and refuses the last two after 0.9-1.1 s.
 MAX_TAPE_SLOTS = 250_000
-# A residual call of one weight set replays a tape of at most this many slots
-# in Python floats; a larger tape, and a stack of sets, replay with numpy.
-# One set per batch_fn call, power nets, min of 5x2000 calls in each of four
-# processes on a shared 2-vCPU machine, float loop / numpy replay: 108 slots
-# 13 / 34 us, 240 25 / 42 us, 490 46 / 43 us, 1015 89 / 58 us, 2176 177 /
-# 59 us.  The paths cross between 240 and 490 slots.
-FLOAT_REPLAY_SLOTS = 400
 
 
 @dataclass(frozen=True)
@@ -199,21 +190,17 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
                             out=R[:, lo : lo + chunk])
         return R
 
-    system = replace(_stacked_system(arch, wanted, tape, chunk), perturbed_fn=perturbed_fn)
-    if tape.slots > FLOAT_REPLAY_SLOTS:
-        return system
-    stacked, minus = system.batch_fn, wanted.tolist()
+    system = _stacked_system(arch, wanted, tape, chunk)
 
     def batch_fn(Ws: np.ndarray) -> np.ndarray:
         if len(Ws) != 1:
-            return stacked(Ws)
-        # Python's float + * - overflow to inf and nan silently, as the stacked replay does
-        w = Ws[0].tolist()
-        if not all(map(math.isfinite, w)):
+            return system.batch_fn(Ws)
+        if not all(map(math.isfinite, Ws[0].tolist())):  # on one set, cheaper than np.isfinite's reduction
             raise StructuralError("weights must be finite")
-        return np.fromiter(map(sub, tape.coefficients(w), minus), float, len(minus))[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (tape.one_set(Ws[0]) - wanted)[None]
 
-    return replace(system, batch_fn=batch_fn)
+    return replace(system, batch_fn=batch_fn, perturbed_fn=perturbed_fn)
 
 
 class _Recorded(float):
@@ -266,16 +253,14 @@ class _CoefficientTape:
     replay runs the groups over a (slots, k) buffer whose weight rows hold k
     sets, set j in column j.  Two methods fill those rows: __call__ from a
     stack of sets, and perturbed, for a Jacobian, from w and its stepped
-    weights, in place.  The ring drops the terms whose coefficient is
-    exactly 0, which changes its later dict order and sums; so a weight set
-    whose zero pattern over the slots is not the recording's (zero) runs
-    the float dict ring instead (ring), and every set keeps the bits of its
-    own expansion.  The same groups, as a program of (operator, getter a,
-    getter b) over a list of slots, replay one set in Python floats
-    (coefficients)."""
+    weights, in place.  one_set runs the same groups over a (slots,) buffer
+    of one set, at every tape size.  The ring drops the terms whose
+    coefficient is exactly 0, which changes its later dict order and sums;
+    so a weight set whose zero pattern over the slots is not the
+    recording's (zero) runs the float dict ring instead (ring), and every
+    set keeps the bits of its own expansion."""
 
     OPS = (None, np.add, np.multiply)
-    FLOAT_OPS = (None, add, mul)
 
     def __init__(self, arch: NetworkSpec, monomials: list):
         self.arch, self.monomials = arch, monomials
@@ -291,22 +276,15 @@ class _CoefficientTape:
         slot = np.argsort(order)  # of each tape entry
         # group bounds, the first of them after the leaves (depth 0, op 0)
         bounds = [*(np.flatnonzero(np.diff(depth[order] * len(self.OPS) + op[order])) + 1), order.size]
-        self.groups, self.program = [], []
-        for lo, hi in zip(bounds, bounds[1:]):
-            code = op[order[lo]]
-            operands = [slot[x[order[lo:hi]]] for x in (a, b)]
-            self.groups.append((self.OPS[code], lo, hi, operands))
-            self.program.append((self.FLOAT_OPS[code], *map(_getter, operands)))
+        self.groups = [(self.OPS[op[order[lo]]], lo, hi, [slot[x[order[lo:hi]]] for x in (a, b)])
+                       for lo, hi in zip(bounds, bounds[1:])]
         values = np.frombuffer(self.value)[order]
         self.slots, self.unknowns = order.size, len(weights)
         self.consts = values[len(weights) : bounds[0]]
         self.zero = values == 0.0  # (slots,) bool: the slot was 0.0 at the record point
         self.outputs = slot[outputs]  # (arity,) slot of each residual's coefficient
         del self.op, self.a, self.b, self.depth, self.value, self._consts  # the replay needs none of them
-        # the zero slots of both replays' stray checks, and the one-set replay's constants and outputs
-        self._zeros, self._zero_slots = int(self.zero.sum()), np.flatnonzero(self.zero)
-        self._float_consts = self.consts.tolist()
-        self._at_zeros, self._at_outputs = _getter(self._zero_slots), _getter(self.outputs)
+        self._zeros, self._zero_slots = int(self.zero.sum()), np.flatnonzero(self.zero)  # for the stray checks
 
     def append(self, op: int, a: int, b: int, value: float) -> _Recorded:
         index = len(self.op)
@@ -345,7 +323,7 @@ class _CoefficientTape:
         """Coefficients (arity, k) of the replayed buf (slots, k); a set whose
         zeros stray from the recording's runs the dict ring instead."""
         C = buf.take(self.outputs, 0)
-        # as in coefficients: none strays when the recording's zero slots hold every zero
+        # as in one_set: none strays when the recording's zero slots hold every zero
         if np.count_nonzero(buf == 0.0) != self._zeros * buf.shape[1] or buf.take(self._zero_slots, 0).any():
             for j in ((buf == 0.0) != self.zero[:, None]).any(axis=0).nonzero()[0]:
                 C[:, j] = self.ring(buf[: self.unknowns, j].copy())
@@ -359,15 +337,20 @@ class _CoefficientTape:
             polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
         return [p.terms.get(e, 0.0) for p in polys for e in self.monomials]
 
-    def coefficients(self, w: list) -> Sequence[float]:
-        """Coefficients (arity,) at one weight set w, a list of unknowns floats,
-        replayed in Python floats, or by the dict ring when its zeros stray."""
-        v = w + self._float_consts
-        for op, a, b in self.program:
-            v += map(op, a(v), b(v))
-        if v.count(0.0) != self._zeros or any(self._at_zeros(v)):
-            return self.ring(np.array(w))
-        return self._at_outputs(v)
+    def one_set(self, w: np.ndarray) -> np.ndarray:
+        """Coefficients (arity,) at one weight set w (unknowns,), replayed on a
+        (slots,) buffer, whose indexed gathers cost less than take on a
+        (slots, 1) one; or by the dict ring when its zeros stray."""
+        p = self.unknowns
+        buf = np.empty(self.slots)
+        buf[:p] = w
+        buf[p : p + len(self.consts)] = self.consts
+        for ufunc, lo, hi, (a, b) in self.groups:
+            ufunc(buf[a], buf[b], out=buf[lo:hi])
+        # none strays when its zeros are as many as the recording's, and the recorded zero slots hold them
+        if np.count_nonzero(buf) != self.slots - self._zeros or self._zeros and buf[self._zero_slots].any():
+            return np.array(self.ring(w))
+        return buf[self.outputs]
 
     def __call__(self, Ws: np.ndarray) -> np.ndarray:
         """Coefficients (k, arity) at weight sets Ws (k, unknowns)."""
@@ -383,15 +366,6 @@ class _CoefficientTape:
         buf[: self.unknowns] = w[:, None]
         buf[lo:hi].reshape(-1)[:: hi - lo + 1] = stepped[lo:hi]  # the block's diagonal
         return self._coefficients(self.replay(buf))
-
-
-def _getter(indices: np.ndarray) -> Callable[[list], Sequence]:
-    """The items of a list at indices, as a sequence even for one index or
-    none, where itemgetter alone would give the item or fail."""
-    indices = indices.tolist()
-    if len(indices) == 1:
-        return itemgetter(slice(indices[0], indices[0] + 1))
-    return itemgetter(*indices) if indices else itemgetter(slice(0))
 
 
 def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
@@ -630,9 +604,11 @@ def compress_network(
     teacher: NetworkSpec, student_arch: NetworkSpec, degree: int, seed: int = 0, trace=None
 ) -> tuple[NetworkSpec, SolveReport]:
     """Fit a smaller architecture to the degree-truncated expansion of a
-    trained network, by coefficient matching.  A negative degree is refused
-    before the teacher is expanded; mismatched inputs or outputs are refused
-    by build_coefficient_system."""
+    trained network, by coefficient matching.  A degree that is not an
+    integer (2.0 passes) or is negative is refused before the teacher is
+    expanded; mismatched inputs or outputs are refused by
+    build_coefficient_system."""
+    degree = _integer(degree, "degree")
     if degree < 0:
         raise UsageError(f"degree must be non-negative, got {degree}")
     if expansion_degree(student_arch) < degree:

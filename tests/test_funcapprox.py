@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,25 @@ def test_trig_term_budget():
     assert trig_term_budget(1) <= trig_term_budget(8)
     with pytest.raises(ConfigurationError, match="at least 1"):
         trig_term_budget(0)
+
+
+def test_integer_parameters_refuse_other_types():
+    # trig_term_budget(2.5) once returned 18, and the others raised bare TypeErrors;
+    # a numpy integer passes as an int
+    f = sigmoid8()
+    fs = fourier_fit(f, 8.0, 4)
+    calls = [
+        ("n_terms", lambda n: fourier_fit(f, 8.0, n)),
+        ("n_harmonics", trig_term_budget),
+        ("terms", lambda n: fourier_to_poly(fs, n)),
+        ("n_harmonics", lambda n: check_trig_substitution(n, 3, 8.0)),
+        ("degree", lambda n: lsq_poly_fit(f, (-8.0, 8.0), n)),
+    ]
+    for name, call in calls:
+        for bad in (2.5, 2.0, "2", True, None):
+            with pytest.raises(ConfigurationError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+                call(bad)
+        assert call(np.int64(3)) == call(3)
 
 
 def scanned_term_budget(n_harmonics):

@@ -737,8 +737,13 @@ def test_truncate_degree():
     assert dict(t.terms) == {(0, 0): 1.0, (1, 0): 2.0}
     assert coeff_gap(truncate_degree(p, 10), p) == 0.0
     assert truncate_degree(p, 0).degree() == 0
+    assert dict(truncate_degree(p, 2.0).terms) == dict(t.terms)
     with pytest.raises(UsageError, match="non-negative"):
         truncate_degree(p, -1)
+    # 1.5 once kept degree 1, and "2" raised a bare TypeError
+    for bad in (1.5, "2"):
+        with pytest.raises(UsageError, match=re.escape(f"max_degree {bad!r} is not an integer")):
+            truncate_degree(p, bad)
 
 
 def test_coefficient_lookup():

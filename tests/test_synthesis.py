@@ -526,13 +526,11 @@ def test_batched_jacobian_matches_per_column_coefficient_residuals():
 
 def spy_on_the_tape(monkeypatch):
     """Lists that fill with the weight sets of each tape replay, one (k, unknowns)
-    stack per call of any route (numpy on a stack, numpy on a Jacobian's sets
-    filled in place, Python floats on one set), and of each set run alone on
-    the dict ring instead."""
+    stack per call of any route (a stack, a Jacobian's sets filled in place,
+    one set), and of each set run alone on the dict ring instead."""
     replays, fallbacks = [], []
     tape_class = synthesis._CoefficientTape
-    call, perturbed, coefficients, ring = (tape_class.__call__, tape_class.perturbed, tape_class.coefficients,
-                                           tape_class.ring)
+    call, perturbed, one_set, ring = tape_class.__call__, tape_class.perturbed, tape_class.one_set, tape_class.ring
 
     def spy_call(tape, Ws):
         replays.append(Ws.copy())
@@ -545,9 +543,9 @@ def spy_on_the_tape(monkeypatch):
         replays.append(sets)
         return perturbed(tape, w, stepped, lo, hi)
 
-    def spy_coefficients(tape, w):
-        replays.append(np.array([w]))
-        return coefficients(tape, w)
+    def spy_one_set(tape, w):
+        replays.append(w[None].copy())
+        return one_set(tape, w)
 
     def spy_ring(tape, w):
         fallbacks.append(w.copy())
@@ -555,7 +553,7 @@ def spy_on_the_tape(monkeypatch):
 
     monkeypatch.setattr(tape_class, "__call__", spy_call)
     monkeypatch.setattr(tape_class, "perturbed", spy_perturbed)
-    monkeypatch.setattr(tape_class, "coefficients", spy_coefficients)
+    monkeypatch.setattr(tape_class, "one_set", spy_one_set)
     monkeypatch.setattr(tape_class, "ring", spy_ring)
     return replays, fallbacks
 
@@ -648,9 +646,8 @@ def test_stacked_coefficients_overflow_as_floats_do():
 
 
 def one_set_archs():
-    """Power nets whose tapes hold 108, 240, 490 and 1015 slots, on both sides
-    of FLOAT_REPLAY_SLOTS, and the constant-output architectures, whose
-    recordings hold 0.0 slots."""
+    """Power nets whose tapes hold 108, 240, 490 and 1015 slots, and the
+    constant-output architectures, whose recordings hold 0.0 slots."""
     nets = [NetworkSpec(d, (LayerSpec(np.zeros((4, d + 1)), MonomialPower(k)), LayerSpec(np.zeros((1, 5)))))
             for d, k in ((2, 2), (2, 3), (3, 3), (3, 4))]
     return nets + constant_output_archs()
@@ -669,10 +666,13 @@ def one_set_cases(rng, arch):
     return system, tape, Ws
 
 
-def test_one_set_float_replay_is_the_numpy_replay_bit_for_bit():
-    # One weight set replays the tape in Python floats; it must give the bytes of
-    # the numpy replay of a stack, fall back to the dict ring on the same sets,
-    # and overflow to inf and nan as silently: at 1e120 squares overflow
+def test_one_set_replay_is_the_stacked_replay_bit_for_bit(monkeypatch):
+    # One weight set replays the tape on a (slots,) buffer; it must give the
+    # bytes of the stacked replay, run the sets holding an exact zero on the dict
+    # ring as the stacked replay does, and overflow to inf and nan as silently:
+    # at 1e120 squares overflow
+    fallbacks, ring = [], synthesis._CoefficientTape.ring
+    monkeypatch.setattr(synthesis._CoefficientTape, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
     rng = np.random.default_rng(15)
     slots, overflowed = [], []
     for arch in one_set_archs():
@@ -680,13 +680,20 @@ def test_one_set_float_replay_is_the_numpy_replay_bit_for_bit():
         Ws = np.concatenate((Ws, 1e120 * Ws))
         slots.append(tape.slots)
         with np.errstate(over="ignore", invalid="ignore"):
+            fallbacks.clear()
             C = tape(Ws)
+            stacked_fallbacks = list(fallbacks)
         R = system.batch_fn(Ws)
+        fallbacks.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for w, c, r in zip(Ws, C, R):
-                assert_same_bits(np.array(tape.coefficients(w.tolist())), c)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert_same_bits(tape.one_set(w), c)
                 assert_same_bits(system.residuals(w), r)
+        # both one-set calls of a set that strays run it on the dict ring, as the stack did
+        assert [f.tobytes() for f in fallbacks] == [f.tobytes() for f in stacked_fallbacks for _ in range(2)]
+        assert any((w == 0.0).any() for w in stacked_fallbacks)
         overflowed.append((np.isinf(R).any(), np.isnan(R).any()))
         for bad in (np.nan, np.inf, -np.inf):
             w = Ws[0].copy()
@@ -694,34 +701,33 @@ def test_one_set_float_replay_is_the_numpy_replay_bit_for_bit():
             with pytest.raises(StructuralError, match="weights must be finite"):
                 system.residuals(w)
     assert np.all(np.any(overflowed, axis=0))
-    assert min(slots) <= synthesis.FLOAT_REPLAY_SLOTS < max(slots)
+    assert slots[:4] == [108, 240, 490, 1015]
 
 
-def test_one_set_takes_the_float_replay_on_small_tapes_only(monkeypatch):
-    # a stack, and one set on a tape past FLOAT_REPLAY_SLOTS, replay with numpy;
-    # either route runs a set holding an exact zero weight on the dict ring
+def test_one_set_takes_the_one_set_route_at_every_size(monkeypatch):
+    # one set replays on its (slots,) buffer at every tape size, and a stack on
+    # the stacked buffer; either route runs a set holding an exact zero weight
+    # on the dict ring
     routes, fallbacks = [], []
     tape_class = synthesis._CoefficientTape
-    replay, coefficients, ring = tape_class.replay, tape_class.coefficients, tape_class.ring
+    replay, one_set, ring = tape_class.replay, tape_class.one_set, tape_class.ring
     monkeypatch.setattr(tape_class, "replay",
-                        lambda tape, buf: routes.append(("numpy", buf.shape[1])) or replay(tape, buf))
-    monkeypatch.setattr(tape_class, "coefficients",
-                        lambda tape, w: routes.append(("floats", 1)) or coefficients(tape, w))
+                        lambda tape, buf: routes.append(("stacked", buf.shape[1])) or replay(tape, buf))
+    monkeypatch.setattr(tape_class, "one_set", lambda tape, w: routes.append(("one set", 1)) or one_set(tape, w))
     monkeypatch.setattr(tape_class, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
     rng = np.random.default_rng(16)
     for arch in one_set_archs():
         system, tape, Ws = one_set_cases(rng, arch)
-        one = "floats" if tape.slots <= synthesis.FLOAT_REPLAY_SLOTS else "numpy"
         for w in Ws:
             routes.clear()
             fallbacks.clear()
             system.residuals(w)
-            assert routes == [(one, 1)]
+            assert routes == [("one set", 1)]
             assert len(fallbacks) == (w == 0.0).any()
             assert all(f.tobytes() == w.tobytes() for f in fallbacks)
         routes.clear()
         system.batch_fn(Ws)
-        assert routes == [("numpy", len(Ws))]
+        assert routes == [("stacked", len(Ws))]
 
 
 def chunk_test_system(kind):
@@ -872,6 +878,65 @@ def test_tape_jacobian_is_the_stacked_replay_bit_for_bit(monkeypatch):
                 if w is huge:
                     overflowed.append((np.isinf(r0).any(), np.isnan(J).any()))
     assert np.all(np.any(overflowed, axis=0))
+
+
+def test_one_set_residuals_are_the_dict_ring_bit_for_bit(monkeypatch):
+    # One weight set replays on its (slots,) buffer at every tape size; its
+    # residuals must have the bytes of a dict ring expansion of the rebuilt
+    # network, on tapes of 108 to 42,371 slots.  The sets: random weights;
+    # exact 0.0 and -0.0 weights; a weight whose forward-difference step lands
+    # on 0, and the set of that step; and 1e120 weights, whose coefficients
+    # overflow to inf and nan with no warning.  A set at moderate weights
+    # strays, and runs on the dict ring, exactly when it holds a zero weight.
+    fallbacks, ring = [], synthesis._CoefficientTape.ring
+    monkeypatch.setattr(synthesis._CoefficientTape, "ring", lambda tape, w: fallbacks.append(w.copy()) or ring(tape, w))
+    rng = np.random.default_rng(36)
+    overflowed = []
+    for arch in tape_jacobian_archs(rng):
+        p = network_weights(arch).size
+        targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, p)))
+        system = build_coefficient_system(arch, targets)
+        base = rng.uniform(-1.0, 1.0, p)
+        zeros = base.copy()
+        zeros[rng.random(p) < 0.3] = 0.0
+        zeros[rng.random(p) < 0.3] = -0.0
+        alone = base.copy()
+        alone[5] = step_lands_on_zero()
+        stepped = alone.copy()
+        stepped[5] += synthesis.FD_STEP * (1.0 + abs(alone[5]))
+        assert stepped[5] == 0.0
+        huge = 1e120 * base
+        for w in (base, zeros, alone, stepped, huge):
+            fallbacks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                r = system.residuals(w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_bits(r, dict_ring_residuals(arch, targets, w))
+            if w is not huge:
+                assert len(fallbacks) == (w == 0.0).any()
+        overflowed.append((np.isinf(r).any(), np.isnan(r).any()))
+    assert np.all(np.any(overflowed, axis=0))
+    # A set with as many exact zeros as the recording, but not all in its zero
+    # slots: node 0's bias 1e160 makes its square's constant inf, so that the
+    # 0.0 times each output's constant is nan in two recorded zero slots, and
+    # the two output biases are two new zeros.
+    arch = constant_output_archs()[0]
+    w = np.full(17, 0.5)
+    w[[0, 9, 13]] = 1e160, 0.0, 0.0
+    targets = expand_network(with_weights(arch, rng.uniform(-1.0, 1.0, 17)))
+    tape = synthesis._CoefficientTape(arch, grlex_monomials(2, 2))
+    buf = np.empty((tape.slots, 1))
+    buf[:17, 0] = w
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = tape.replay(buf)[:, 0] == 0.0
+    assert zero.sum() == tape.zero.sum() and (zero != tape.zero).any()
+    system = build_coefficient_system(arch, targets)
+    fallbacks.clear()
+    r = system.residuals(w)
+    assert len(fallbacks) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bits(r, dict_ring_residuals(arch, targets, w))
 
 
 def test_non_finite_weights_raise_in_both_system_kinds():
@@ -1092,6 +1157,17 @@ def test_compress_rejects_too_shallow_students():
         compress_network(teacher, square_arch(4, 2), 2)
     with pytest.raises(UsageError, match="non-negative"):
         compress_network(teacher, square_arch(4, 1), -1)
+
+
+def test_compress_refuses_a_non_integer_degree_before_expanding(monkeypatch):
+    # 1.5 once truncated the teacher at degree 1 and reported a converged solve,
+    # and "2" raised a bare TypeError, which escaped `except polynet.Error`
+    teacher = with_weights(square_arch(4, 1), np.ones(17))
+    assert compress_network(teacher, teacher, 2.0)[1] == compress_network(teacher, teacher, 2)[1]
+    monkeypatch.setattr(synthesis, "expand_network", lambda net: pytest.fail("the teacher was expanded"))
+    for bad in (1.5, "2"):
+        with pytest.raises(UsageError, match=re.escape(f"degree {bad!r} is not an integer")):
+            compress_network(teacher, square_arch(4, 1), bad)
 
 
 def test_two_class_points_layout():
