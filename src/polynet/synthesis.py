@@ -13,7 +13,10 @@ iteration with forward-difference Jacobians.  Underdetermined systems are
 fine; the damped normal matrix stays positive definite.
 
 Both builders set the system's perturbed_fn, which residual_jacobian calls
-on the p sets that each step one weight.
+on the p sets that each step one weight, under its np.errstate; batch_fn
+holds its own, so overflow is silent.  The systems refuse weights that are
+not finite (StructuralError); _lm checks the start, J'J and J'r
+(NumericError), and accepts a trial on cost_try < cost alone.
 
 Data residuals run the forward pass on stacks of weight sets.  A data
 Jacobian runs each weight's cone alone, everything that weight can change:
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -117,8 +120,9 @@ class ResidualSystem:
     unknowns) of the sets that each step one weight, column j at w with w_j
     replaced by w_j + steps_j, with the bits batch_fn gives those sets.
     Both builders set it: the data system runs each weight's cone, and the
-    coefficient system fills the sets in place on its tape's buffer.
-    residual_jacobian stacks the sets through batch_fn when it is None."""
+    coefficient system fills the sets in place on its tape's buffer.  It
+    runs under residual_jacobian's np.errstate, which stacks the sets
+    through batch_fn when it is None."""
 
     unknowns: int
     arity: int  # residual count
@@ -181,26 +185,23 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
     tape = _CoefficientTape(arch, monomials)
     chunk = _chunk(arch, tape.slots)
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is silent: the solver's checks report it
+    def batch_fn(Ws: np.ndarray) -> np.ndarray:
+        if len(Ws) != 1:
+            return _stacked(tape, Ws, wanted, chunk)
+        if not all(map(math.isfinite, Ws[0].tolist())):  # on one set, cheaper than np.isfinite's reduction
+            raise StructuralError("weights must be finite")
+        return (tape.one_set(Ws[0]) - wanted)[None]
+
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         _check_finite(stepped)  # w is finite where w + steps is
         R = np.empty((wanted.size, w.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, w.size, chunk):
-                np.subtract(tape.perturbed(w, stepped, lo, min(lo + chunk, w.size)), wanted[:, None],
-                            out=R[:, lo : lo + chunk])
+        for lo in range(0, w.size, chunk):
+            np.subtract(tape.perturbed(w, stepped, lo, min(lo + chunk, w.size)), wanted[:, None],
+                        out=R[:, lo : lo + chunk])
         return R
 
-    system = _stacked_system(arch, wanted, tape, chunk)
-
-    def batch_fn(Ws: np.ndarray) -> np.ndarray:
-        if len(Ws) != 1:
-            return system.batch_fn(Ws)
-        if not all(map(math.isfinite, Ws[0].tolist())):  # on one set, cheaper than np.isfinite's reduction
-            raise StructuralError("weights must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (tape.one_set(Ws[0]) - wanted)[None]
-
-    return replace(system, batch_fn=batch_fn, perturbed_fn=perturbed_fn)
+    return ResidualSystem(tape.unknowns, wanted.size, batch_fn, perturbed_fn)
 
 
 class _Recorded(float):
@@ -389,12 +390,15 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
     # per layer: the mask that builds its matrices M, and each stack of its sets
     plans = [_cone_plan(*layer.weights.shape, chunk) for layer in arch.layers]
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is silent: the solver's checks report it
+    def batch_fn(Ws: np.ndarray) -> np.ndarray:
+        return _stacked(run, Ws, ds.y, chunk)
+
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
         _check_finite(w, stepped)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y).T
+        return (np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y).T
 
-    return replace(_stacked_system(arch, ds.y, run, chunk), perturbed_fn=perturbed_fn)
+    return ResidualSystem(network_weights(arch).size, len(ds.y), batch_fn, perturbed_fn)
 
 
 def _cone_plan(r: int, c: int, chunk: int) -> tuple[np.ndarray, list]:
@@ -443,19 +447,13 @@ def _chunk(arch: NetworkSpec, per_set: int) -> int:
     return max(1, min(network_weights(arch).size, CHUNK_ELEMENTS // per_set))
 
 
-def _stacked_system(arch: NetworkSpec, targets: np.ndarray, run, chunk: int) -> ResidualSystem:
-    """Residuals run(Ws) - targets, where run maps up to chunk weight sets
-    (k, unknowns) to outputs (k, arity).  Overflow to inf or nan is silent:
-    the solver's finiteness checks report it."""
-
-    def batch_fn(Ws: np.ndarray) -> np.ndarray:
-        _check_finite(Ws)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if len(Ws) <= chunk:
-                return run(Ws) - targets
-            return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
-
-    return ResidualSystem(network_weights(arch).size, targets.size, batch_fn)
+def _stacked(run, Ws: np.ndarray, targets: np.ndarray, chunk: int) -> np.ndarray:
+    """Residuals run(Ws) - targets of sets Ws (m, unknowns), where run maps up
+    to chunk sets (k, unknowns) to outputs (k, arity): a batch_fn's stacks."""
+    _check_finite(Ws)
+    if len(Ws) <= chunk:
+        return run(Ws) - targets
+    return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
 
 
 def _check_finite(*weights: np.ndarray) -> None:
@@ -463,7 +461,7 @@ def _check_finite(*weights: np.ndarray) -> None:
         raise StructuralError("weights must be finite")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in the systems: the solver's finiteness checks report overflow
+@np.errstate(over="ignore", invalid="ignore")  # as batch_fn's; perturbed_fn runs in it
 def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     """Forward-difference Jacobian at w, where r0 = system.residuals(w); the
     same scheme solve_system iterates with.
@@ -472,8 +470,8 @@ def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     through one system.perturbed_fn call, or, without one, one batch_fn
     call on their stack; every entry has the bits of a per-column
     system.residuals evaluation.  A weight that is not finite, or whose
-    step is not, raises StructuralError from the system.
-    """
+    step is not, raises StructuralError from the system.  Overflow to inf
+    or nan is silent, in perturbed_fn too: it runs in this np.errstate."""
     w = np.asarray(w, dtype=float)
     _check_weights(w, system.unknowns)
     r0 = np.asarray(r0, dtype=float)
@@ -520,43 +518,45 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked, or rejects a trial step
 def _lm(system: ResidualSystem, w: np.ndarray, attempt: int, trace) -> tuple[np.ndarray, bool, int, float]:
+    """One attempt from w: (weights, converged, iterations, residual infinity
+    norm).  cost is finite, and a trial is accepted on cost_try < cost alone:
+    residuals that are not finite give a nan or inf cost_try, and lambda rises."""
     r = system.residuals(w)
     if not np.isfinite(r).all():
         raise NumericError("residuals are not finite at the initial point")
     lam = DAMPING
-    norm = float(np.max(np.abs(r)))
+    norm = float(np.abs(r).max())
     cost = 0.5 * float(_finite(r @ r, "residual sum of squares r'r"))
     costs = [np.inf] * STALL_WINDOW + [cost]  # per accepted step; no stall before STALL_WINDOW steps
     eye = np.eye(w.size)
+    damped = np.empty_like(eye)
     iterations = 0
     while iterations < MAX_ITERS and norm > TOL_RESIDUAL:
         J = residual_jacobian(system, w, r)
         A = _finite(J.T @ J, "normal matrix J'J")
-        g = _finite(J.T @ r, "gradient J'r")
-        step = None
+        minus_g = -_finite(J.T @ r, "gradient J'r")
         while lam <= LAMBDA_MAX:
+            np.add(A, np.multiply(eye, lam, out=damped), out=damped)  # A + lam * eye, operand for operand
             try:
                 # Cholesky: the damped normal matrix is SPD for lam > 0.
-                delta = cho_solve(cho_factor(A + lam * eye), -g)
+                delta = cho_solve(cho_factor(damped), minus_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_try = system.residuals(w + delta)
+            w_try = w + delta
+            r_try = system.residuals(w_try)
             cost_try = 0.5 * float(r_try @ r_try)
-            if np.isfinite(r_try).all() and cost_try < cost:
-                step = delta
-                w = w + delta
-                r = r_try
-                cost = cost_try
+            if cost_try < cost:
+                w, r, cost = w_try, r_try, cost_try
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 break
             lam *= 10.0
-        if step is None:
+        else:
             break  # no damping gives a downhill step
         iterations += 1
         costs.append(cost)
-        norm = float(np.max(np.abs(r)))
-        step_norm = float(np.linalg.norm(step))
+        norm = float(np.abs(r).max())
+        step_norm = math.sqrt(delta @ delta)  # np.linalg.norm's formula for a real vector
         if trace is not None:
             print(f"{attempt}, {iterations}, {norm:.9e}, {lam:.3e}, {step_norm:.9e}", file=trace)
         if step_norm < STEP_EPS or cost > (1.0 - STALL_DROP) * costs[-STALL_WINDOW - 1]:

@@ -421,6 +421,65 @@ def test_verify_commands_pass(exp_id, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[exp_id]
 
 
+def pool_problem_argv(label, tmp_path):
+    """argv of problem compress0 or fit3 of perfbench's solver pools, whose
+    inputs are drawn from the pools' seed as perfbench/jobs.py draws them."""
+
+    def square_net(rng, d, hidden, outputs, k=2):
+        return NetworkSpec(d, (LayerSpec(rng.uniform(-1.0, 1.0, (hidden, d + 1)), MonomialPower(k)),
+                               LayerSpec(rng.uniform(-1.0, 1.0, (outputs, hidden + 1)))))
+
+    def placeholder(net):
+        return NetworkSpec(net.input_dim, tuple(LayerSpec(np.zeros_like(l.weights), l.activation) for l in net.layers))
+
+    pool_seed = 2305_00663
+    teacher_path, arch_path = tmp_path / "teacher.json", tmp_path / "arch.json"
+    if label == "compress0":  # after the six synth problems' teachers
+        rng = np.random.default_rng(pool_seed)
+        for outputs in (1, 1, 1, 2, 2, 2):
+            square_net(rng, 2, 4, outputs)
+        save_network(square_net(rng, 2, 8, 1, k=4), teacher_path)
+        save_network(placeholder(square_net(rng, 2, 4, 1)), arch_path)
+        return ["compress", "--teacher", str(teacher_path), "--student-arch", str(arch_path), "--degree", "2"]
+    rng = np.random.default_rng(pool_seed + 1)
+    for d in (2, 3, 2, 3):  # fit0 to fit3
+        teacher = square_net(rng, d, 4, 1)
+        X = rng.uniform(-1.0, 1.0, (int(rng.integers(50, 201)), d))
+    data_path = tmp_path / "data.csv"
+    polynet.save_dataset(polynet.Dataset(X, np.array([polynet.forward(teacher, x)[0] for x in X])), data_path)
+    save_network(placeholder(teacher), arch_path)
+    return ["fit-data", "--arch", str(arch_path), "--data", str(data_path)]
+
+
+# label: (accepted steps per attempt, residual_norm and iterations on stdout,
+# SHA-256 of the --trace stream and of --out), recorded before the LM loop lost its nested wrappers
+POOL_TRACES = {
+    "compress0": ([195, 6], "2.547684285758578e-12", 6,
+                  "819fef77cd33b649c15dd1e368affb82053746f53487002a9f5848f5fa6f276e",
+                  "9f858698d8f11c9a7e55cac0d226dcb48184ed33d8c6677b80b44e605a7cda83"),
+    "fit3": ([61, 7], "1.3322676295501878e-15", 7,
+             "447f70a45d59543d883a4b448d694ed87716c4b25f378a0724c7dfbbd05228b2",
+             "912d87fb53a2337a61f523613e1b6d131aa388c01b913078eaecee2b2cd86eb0"),
+}
+
+
+@pytest.mark.parametrize("label", POOL_TRACES)
+def test_pool_solves_keep_their_trace_bits(label, tmp_path, capsys):
+    # each first attempt stops short of converging, and the first restart converges;
+    # every trace line holds the norm, damping and step length of one accepted step,
+    # so the stream's bytes pin the solver's whole path, lambda included
+    steps, norm, iterations, trace_digest, net_digest = POOL_TRACES[label]
+    net_path = tmp_path / "net.json"
+    rc = main(pool_problem_argv(label, tmp_path) + ["--seed", "0", "--trace", "--out", str(net_path)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert [sum(line.startswith(f"{a}, ") for line in captured.err.splitlines()) for a in range(2)] == steps
+    assert captured.out == ("converged=1\nconverged.expected=1\nconverged.tol=0\nconverged.status=PASS\n"
+                            f"residual_norm={norm}\niterations={iterations}\nrestarts=1\nresult=PASS\n")
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == trace_digest
+    assert hashlib.sha256(net_path.read_bytes()).hexdigest() == net_digest
+
+
 def test_verify_text_format(capsys):
     rc = main(["verify-exp3"])
     assert rc == 0

@@ -484,6 +484,25 @@ def test_cone_jacobian_refuses_non_finite_weights():
                     residual_jacobian(refusing, w, np.zeros(refusing.arity))
 
 
+def test_data_system_overflows_silently_for_direct_callers():
+    # residuals, batch_fn on a stack and residual_jacobian each hold their own
+    # np.errstate, and perturbed_fn runs in residual_jacobian's, so a caller
+    # outside the solver sees inf and nan but no warning.  At 1e100 weights the
+    # fourth powers overflow to inf, and the rows where both hidden units overflow
+    # sum opposite infs to nan.
+    arch = NetworkSpec(2, (LayerSpec(np.zeros((2, 3)), MonomialPower(4)), LayerSpec(np.zeros((1, 3)))))
+    system = build_data_system(arch, Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]), np.ones(4)))
+    w = 1e100 * np.array([0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, -1.0])  # h = 1e100 x, out = h1^4 - h2^4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r0 = system.residuals(w)
+        R = system.batch_fn(np.stack((w, 0.5 * w, -w)))
+        J = residual_jacobian(system, w, r0)
+    assert r0[[0, 1, 3]].tolist() == [np.inf, -np.inf, -1.0] and np.isnan(r0[2])
+    assert np.isinf(R).any() and np.isnan(R).any()
+    assert np.isnan(J).any() and np.isfinite(J[3]).all()
+
+
 def test_jacobian_checks_the_residual_vector():
     # r0 is read as a float vector of one entry per residual; one entry would
     # broadcast to every row, and a list has no [:, None]
@@ -1041,6 +1060,55 @@ def test_attempt_stops_when_its_cost_stalls():
     assert iterations < synthesis.MAX_ITERS
     assert min(steps) >= synthesis.STEP_EPS  # not stopped by the step-norm rule
     assert jacobians == iterations
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trials_with_non_finite_residuals_are_rejected(bad):
+    # tanh(3 w) has its root at 0 and gives bad residuals outside the ball |w| <= 1.5.
+    # From all ones the lightly damped steps land outside it: their cost is nan or
+    # inf, which cost_try < cost rejects, so lambda rises until a step stays inside.
+    trials = []
+
+    def batch_fn(Ws):
+        R = np.tanh(3.0 * Ws)
+        R[np.linalg.norm(Ws, axis=1) > 1.5] = bad
+        if len(Ws) == 1:
+            trials.append(R[0])
+        return R
+
+    trace = io.StringIO()
+    w, converged, iterations, _ = synthesis._lm(ResidualSystem(2, 2, batch_fn), np.ones(2), 0, trace)
+    lines = [line.split(", ") for line in trace.getvalue().splitlines()]
+    assert converged and iterations == 7 and np.linalg.norm(w) <= 1.5
+    assert sum(not np.isfinite(r).all() for r in trials) == 4
+    # every accepted step has the norm of a finite trial, and lambda rose past the bad ones
+    finite_norms = {f"{np.abs(r).max():.9e}" for r in trials if np.isfinite(r).all()}
+    assert all(line[2] in finite_norms for line in lines)
+    assert [line[3] for line in lines] == ["1.000e-02", "1.000e-02", "1.000e-01", "1.000e-02", "1.000e-03",
+                                          "1.000e-04", "1.000e-05"]
+
+
+def test_lambda_rises_until_the_damped_matrix_factors(monkeypatch):
+    # r = 1e10 (w0 + w1 - 3): J'J is a rank-one matrix of about 1e20, and with
+    # lambda below the spacing of floats there (16384) the damped matrix rounds
+    # to one that is not positive definite.  Each failed factorization multiplies
+    # lambda by 10, and the damped matrix must be written again with it.
+    failures, factor = [], synthesis.cho_factor
+
+    def cho_factor(M):
+        try:
+            return factor(M)
+        except np.linalg.LinAlgError:
+            failures.append(M[1, 1])
+            raise
+
+    monkeypatch.setattr(synthesis, "cho_factor", cho_factor)
+    system = ResidualSystem(2, 1, lambda Ws: 1e10 * (Ws.sum(axis=1, keepdims=True) - 3.0))
+    trace = io.StringIO()
+    _, converged, iterations, norm = synthesis._lm(system, np.ones(2), 0, trace)
+    assert (converged, iterations, norm) == (True, 2, 0.0)
+    assert len(failures) == 8  # at lambda 1e-3 to 1e3 for the first step, 1e3 for the second
+    assert [line.split(", ")[3] for line in trace.getvalue().splitlines()] == ["1.000e+03", "1.000e+03"]
 
 
 def synth3_system():
