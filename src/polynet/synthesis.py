@@ -449,7 +449,7 @@ def _chunk(arch: NetworkSpec, per_set: int) -> int:
 
 def _stacked(run, Ws: np.ndarray, targets: np.ndarray, chunk: int) -> np.ndarray:
     """Residuals run(Ws) - targets of sets Ws (m, unknowns), where run maps up
-    to chunk sets (k, unknowns) to outputs (k, arity): a batch_fn's stacks."""
+    to chunk sets (k, unknowns) to outputs (k, arity): each builder's stacked route."""
     _check_finite(Ws)
     if len(Ws) <= chunk:
         return run(Ws) - targets
