@@ -452,6 +452,7 @@ def _real_points(x) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan arise silently, as in float arithmetic
 def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
     """Evaluate at one point, shape (d,), giving a float, or at n points, shape
     (n, d), giving an (n,) array.
@@ -470,19 +471,18 @@ def poly_eval(p: MultiPoly, x) -> float | np.ndarray:
     if x.shape[-1] != p.nvars:
         raise DimensionError(f"point has length {x.shape[-1]}, expected {p.nvars}")
     template, gather = _compile(p)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        if x.ndim == 1:
-            table = template.copy()
-            table[: p.nvars] = x
-            # multiply.reduce runs down each column in row order; accumulate adds
-            # strictly left to right, where np.sum would add pairwise
-            return float(np.add.accumulate(np.multiply.reduce(table[gather], axis=0))[-1])
-        xe = np.ones((p.nvars + 1, len(x)))  # (d + 1, n): x_j per row, then 1.0
-        xe[:-1] = x.T
-        terms = np.repeat(template.take(gather[0])[:, None], len(x), axis=1)  # (T + 1, n)
-        for row in gather[1:]:
-            terms *= xe.take(row, axis=0)
-        np.add.accumulate(terms, axis=0, out=terms)
+    if x.ndim == 1:
+        table = template.copy()
+        table[: p.nvars] = x
+        # multiply.reduce runs down each column in row order; accumulate adds
+        # strictly left to right, where np.sum would add pairwise
+        return float(np.add.accumulate(np.multiply.reduce(table[gather], axis=0))[-1])
+    xe = np.ones((p.nvars + 1, len(x)))  # (d + 1, n): x_j per row, then 1.0
+    xe[:-1] = x.T
+    terms = np.repeat(template.take(gather[0])[:, None], len(x), axis=1)  # (T + 1, n)
+    for row in gather[1:]:
+        terms *= xe.take(row, axis=0)
+    np.add.accumulate(terms, axis=0, out=terms)
     return terms[-1].copy()
 
 

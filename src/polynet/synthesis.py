@@ -10,7 +10,8 @@ system for the weights:
 
 Systems are solved by a damped Gauss-Newton (Levenberg-Marquardt)
 iteration with forward-difference Jacobians.  Underdetermined systems are
-fine; the damped normal matrix stays positive definite.
+fine; the damped normal matrix stays positive definite.  The first solve
+in a process imports LAPACK from scipy.linalg; importing this module does not.
 
 Both builders set the system's perturbed_fn, which residual_jacobian calls
 on the p sets that each step one weight, under its np.errstate; batch_fn
@@ -41,10 +42,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigurationError, DimensionError, NumericError, StructuralError, UsageError
 from .multipoly import MultiPoly, _integer, grlex_monomials, truncate_degree
@@ -497,11 +498,19 @@ def _finite(value, name: str):
     return value
 
 
+@cache
+def _lapack():
+    """scipy.linalg.lapack, imported once, by the first solve: it is most of
+    what `import polynet` would load, and expanding never factors a matrix."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def cho_factor(M: np.ndarray) -> np.ndarray:
     """The upper Cholesky factor of a symmetric matrix, from LAPACK's dpotrf
     as scipy.linalg.cho_factor calls it, without scipy's checks: LinAlgError
-    when M is not positive definite."""
-    c, info = dpotrf(M, lower=0, clean=0)
+    when M is not positive definite.  The first solve imports scipy.linalg."""
+    c, info = _lapack().dpotrf(M, lower=0, clean=0)
     if info:
         raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
     return c
@@ -510,7 +519,7 @@ def cho_factor(M: np.ndarray) -> np.ndarray:
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with M x = b, where c = cho_factor(M), from LAPACK's dpotrs as
     scipy.linalg.cho_solve calls it."""
-    x, info = dpotrs(c, b, lower=0)
+    x, info = _lapack().dpotrs(c, b, lower=0)
     if info:
         raise np.linalg.LinAlgError(f"dpotrs failed with info {info}")
     return x

@@ -161,11 +161,12 @@ def test_simpson_has_the_bits_of_scipy(half_period):
     assert fs.b[2].hex() == b3.hex()
 
 
-def test_importing_polynet_leaves_out_scipy_integrate():
-    # importing scipy.integrate adds over 20 MB of RSS to every process
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg"])
+def test_importing_polynet_leaves_out(module):
+    # each adds over 20 MB of RSS to every process; scipy.linalg waits for the first solve
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, polynet, polynet.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, polynet, polynet.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -2,8 +2,13 @@
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -993,6 +998,58 @@ def test_linear_solve_has_the_bits_of_scipys_cholesky():
     for not_pd in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]], [[-1.0]]):
         with pytest.raises(np.linalg.LinAlgError):
             synthesis.cho_factor(np.array(not_pd))
+
+
+FIRST_SOLVE_LOADS_LAPACK = textwrap.dedent("""
+    import sys, tempfile
+    from pathlib import Path
+    import numpy as np
+    from polynet import (LayerSpec, MonomialPower, NetworkSpec, approx_error, builtin, expand_network, forward,
+                         lsq_poly_fit, poly_eval, save_network, synthesis)
+    from polynet.cli import main
+
+    net = NetworkSpec(2, (LayerSpec(np.array([[0.5, 1.0, -1.0], [0.0, 2.0, 1.0]]), MonomialPower(2)),
+                          LayerSpec(np.array([[1.0, -1.0, 0.5]]))))
+    p = expand_network(net)[0]
+    x = np.array([[0.3, -0.7], [1.1, 0.2]])
+    assert np.allclose(poly_eval(p, x), forward(net, x)[:, 0])
+    f = builtin("sigmoid", -8.0, 8.0)
+    approx_error(f, lsq_poly_fit(f, (-8.0, 8.0), 9), (-8.0, 8.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_network(net, Path(tmp) / "net.json")
+        assert main(["expand", "--net", str(Path(tmp) / "net.json"), "--out", str(Path(tmp) / "e.poly")]) == 0
+        assert main(["approx", "--fn", "tanh", "--interval", "-2", "2", "--degree", "7"]) == 0
+        assert main(["verify-exp3", "--machine"]) == 0
+    assert "scipy.linalg" not in sys.modules
+
+    rng = np.random.default_rng(5)
+    J = rng.standard_normal((9, 6))
+    A, b = J.T @ J + 1e-3 * np.eye(6), rng.standard_normal(6)
+    c = synthesis.cho_factor(A)
+    x = synthesis.cho_solve(c, b)
+    try:
+        synthesis.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        raise AssertionError("no LinAlgError")
+    except np.linalg.LinAlgError:
+        pass
+    assert "scipy.linalg" in sys.modules
+
+    import scipy.linalg
+    want = scipy.linalg.cho_factor(A)
+    assert c.tobytes() == want[0].tobytes()
+    assert x.tobytes() == scipy.linalg.cho_solve(want, b).tobytes()
+""")
+
+
+def test_first_solve_loads_lapack():
+    # expansion, evaluation, the surrogate fits and the solver-free verbs
+    # leave scipy.linalg unloaded; the first cho_factor loads it and keeps
+    # scipy's bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", FIRST_SOLVE_LOADS_LAPACK], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solver_reports_failure_honestly():
