@@ -1026,7 +1026,7 @@ FIRST_SOLVE_LOADS_LAPACK = textwrap.dedent("""
     J = rng.standard_normal((9, 6))
     A, b = J.T @ J + 1e-3 * np.eye(6), rng.standard_normal(6)
     c = synthesis.cho_factor(A)
-    x = synthesis.cho_solve(c, b)
+    solution = synthesis.cho_solve(c, b)
     try:
         synthesis.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
         raise AssertionError("no LinAlgError")
@@ -1037,7 +1037,7 @@ FIRST_SOLVE_LOADS_LAPACK = textwrap.dedent("""
     import scipy.linalg
     want = scipy.linalg.cho_factor(A)
     assert c.tobytes() == want[0].tobytes()
-    assert x.tobytes() == scipy.linalg.cho_solve(want, b).tobytes()
+    assert solution.tobytes() == scipy.linalg.cho_solve(want, b).tobytes()
 """)
 
 
