@@ -363,4 +363,6 @@ def unipoly_from_text(text: str) -> UniPoly:
         coeffs = tuple(float(t) for t in toks)
     except ValueError as exc:
         raise ParseError(f"bad coefficient in unipoly line: {exc}") from None
+    if not all(map(math.isfinite, coeffs)):
+        raise ParseError("non-finite coefficient in unipoly line")
     return UniPoly(coeffs)

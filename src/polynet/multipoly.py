@@ -78,8 +78,9 @@ def monomial_label(e: Exponents) -> str:
 
 
 def _integer(v, what: str = "exponent") -> int:
-    """An exponent or index as an int; integral floats such as 2.0 pass, anything else is refused."""
-    if isinstance(v, (int, np.integer)) or (isinstance(v, (float, np.floating)) and float(v).is_integer()):
+    """An exponent or index as an int; integral floats such as 2.0 pass, anything else, a bool too, is refused."""
+    integral = isinstance(v, (int, np.integer)) or isinstance(v, (float, np.floating)) and float(v).is_integer()
+    if integral and not isinstance(v, bool):
         return int(v)
     raise UsageError(f"{what} {v!r} is not an integer")
 
@@ -91,12 +92,6 @@ def _nvars(n) -> int:
     if n < 1:
         raise DimensionError("nvars must be at least 1")
     return int(n)
-
-
-def _as_coefficient(c):
-    """A number as a float; a float subclass other than numpy's as it is, so
-    that its own operators apply."""
-    return c if isinstance(c, float) and not isinstance(c, np.floating) else float(c)
 
 
 class MultiPoly:
@@ -173,7 +168,7 @@ class MultiPoly:
         return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def _number(self, c) -> "MultiPoly":
-        return MultiPoly._trusted(self.nvars, {(0,) * self.nvars: _as_coefficient(c)})
+        return MultiPoly._trusted(self.nvars, {(0,) * self.nvars: float(c)})
 
     def __add__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -190,7 +185,7 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             return poly_mul(self, other)
-        s = _as_coefficient(other)
+        s = float(other)
         return MultiPoly._trusted(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     __rmul__ = __mul__

@@ -174,12 +174,10 @@ class NetworkSpec:
 
 def _run_layers(layers, h: np.ndarray) -> np.ndarray:
     """The forward pass over (weights, activation) pairs.  Weights are (r, c),
-    or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once;
-    on MultiPoly inputs, (r, c) objects holding recorded coefficients write
-    the pass onto a tape (see synthesis._Recorded).  On MultiPoly inputs and
-    float weights this is the ring's pass, whose terms, order and bits
-    expand_network's pass on keys reproduces, and which it runs where keys
-    would not fit int64."""
+    or stacked (m, 1, r, c) to run m weight sets on inputs (m, n, d) at once.
+    On MultiPoly inputs and float weights this is the ring's pass, whose
+    terms, order and bits expand_network's pass on keys reproduces, and which
+    it runs where keys would not fit int64."""
     ones = np.empty(h.shape[:-1] + (1,))  # the bias input; cheaper than np.ones on one row
     ones.fill(1.0)
     for weights, activation in layers:

@@ -26,9 +26,10 @@ pass's layer inputs (see _cone_outputs); every entry keeps the bits of the
 stacked pass.
 
 Coefficient residuals replay a tape: build_coefficient_system runs
-expand_network's ring pass once, at fixed weights that are _Recorded
-floats, and each * and + the ring performs on them writes one float
-operation onto the tape (_CoefficientTape).  A residual call replays those
+expand_network's ring pass once, at fixed weights that enter it as constant
+polynomials, each holding one _Recorded float, and each * and + the ring
+performs on those floats writes one float operation onto the tape
+(_CoefficientTape).  A residual call replays those
 operations with numpy, in groups: a stack of weight sets on a (slots, k)
 buffer, set j in column j, and one set, at every tape size, on a (slots,)
 buffer.  A coefficient Jacobian fills its p sets in place on the stacked
@@ -209,8 +210,10 @@ class _Recorded(float):
     """A coefficient of the recording ring pass, which only multiplies and
     adds: a float holding its value at the record point, whose every * and +
     appends one entry to its tape and gives the result as a _Recorded float
-    of that entry.  0 + c and 1 * c give c itself: they have c's bits but
-    for 0.0 + -0.0, and a zero's sign reaches no term the ring keeps."""
+    of that entry.  It meets floats alone: a weight enters the ring as a
+    constant polynomial, so poly_mul and poly_add do all of its arithmetic.
+    0 + c and 1 * c give c itself: they have c's bits but for 0.0 + -0.0,
+    and a zero's sign reaches no term the ring keeps."""
 
     __slots__ = ("tape", "index")
 
@@ -229,8 +232,6 @@ class _Recorded(float):
 
 def _record(op: int, a, b):
     """a + b (op 1) or a * b (op 2) of two coefficients, one of them recorded."""
-    if not (isinstance(a, float) and isinstance(b, float)):
-        return NotImplemented  # a polynomial or an array: its own operator applies
     unit = 0.0 if op == 1 else 1.0
     if type(a) is not _Recorded and a == unit:
         return b
@@ -243,8 +244,8 @@ def _record(op: int, a, b):
 
 class _CoefficientTape:
     """The float operations of one ring pass (_run_layers on the input
-    variables), recorded once on _Recorded weights and replayed on stacks of
-    weight sets.
+    variables), recorded once on constant polynomials of _Recorded weights
+    and replayed on stacks of weight sets.
 
     While recording, entry i applies OPS[op[i]] to entries a[i] and b[i],
     has value[i] at the record point, and lies depth[i] ops above the
@@ -270,7 +271,8 @@ class _CoefficientTape:
         self._consts: dict[str, int] = {}  # by bits, so that 0.0 and -0.0 differ
         # the record point has a generator of its own, so the solver's draws do not move
         point = np.random.default_rng(0).uniform(-1.0, 1.0, network_weights(arch).size).tolist()
-        weights = [self.append(0, 0, 0, v) for v in point]
+        d = arch.input_dim
+        weights = [MultiPoly._trusted(d, {(0,) * d: self.append(0, 0, 0, v)}) for v in point]
         outputs = [self.entry(c) for c in self.ring(np.array(weights, dtype=object))]
         op, a, b, depth = (np.frombuffer(col, dtype=col.typecode) for col in (self.op, self.a, self.b, self.depth))
         # slots by (depth, op), ties in tape order: the weights, the constants, then one block per group
@@ -333,8 +335,8 @@ class _CoefficientTape:
 
     def ring(self, w: np.ndarray) -> list:
         """Coefficients (arity,) at one weight set w (unknowns,) by the dict ring:
-        floats, or _Recorded floats at the recording's weights.  Overflow is
-        silent: numpy's object matvec would warn of it."""
+        floats, or _Recorded floats when w holds the recording's constant
+        polynomials.  Overflow is silent: numpy's object matvec would warn of it."""
         with np.errstate(over="ignore", invalid="ignore"):
             polys = _run_layers(_layer_weights(self.arch, w), _variables(self.arch.input_dim))
         return [p.terms.get(e, 0.0) for p in polys for e in self.monomials]
@@ -396,7 +398,7 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         return _stacked(run, Ws, ds.y, chunk)
 
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
-        _check_finite(w, stepped)
+        _check_finite(stepped)  # w is finite where w + steps is
         return (np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y).T
 
     return ResidualSystem(network_weights(arch).size, len(ds.y), batch_fn, perturbed_fn)
@@ -457,8 +459,8 @@ def _stacked(run, Ws: np.ndarray, targets: np.ndarray, chunk: int) -> np.ndarray
     return np.concatenate([run(Ws[lo : lo + chunk]) for lo in range(0, len(Ws), chunk)]) - targets
 
 
-def _check_finite(*weights: np.ndarray) -> None:
-    if not all(np.isfinite(W).all() for W in weights):
+def _check_finite(W: np.ndarray) -> None:
+    if not np.isfinite(W).all():
         raise StructuralError("weights must be finite")
 
 
@@ -592,7 +594,7 @@ def solve_system(system: ResidualSystem, seed: int = 0, trace=None) -> tuple[np.
 
     Returns (weights, SolveReport).
     """
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")

@@ -78,6 +78,8 @@ def test_unipoly_text_round_trip():
         unipoly_from_text("unipoly: x\n")
     with pytest.raises(ParseError, match="no coefficients"):
         unipoly_from_text("unipoly:\n")
+    with pytest.raises(ParseError, match="non-finite coefficient"):
+        unipoly_from_text("unipoly: nan inf 1\n")
 
 
 def test_builtin_functions():

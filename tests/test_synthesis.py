@@ -1,5 +1,6 @@
 """Weight synthesis: target construction, residual systems, the damped solver."""
 
+import hashlib
 import io
 import math
 import os
@@ -904,6 +905,34 @@ def test_tape_jacobian_is_the_stacked_replay_bit_for_bit(monkeypatch):
     assert np.all(np.any(overflowed, axis=0))
 
 
+def tape_layout(tape):
+    """A canonical text of a tape's layout: its slots and unknowns, its
+    constants as float hex, its zero mask and output slots, and each group's
+    ufunc, bounds and operand slots, each entry's pair sorted."""
+    lines = [f"slots {tape.slots} unknowns {tape.unknowns}",
+             "consts " + " ".join(map(float.hex, tape.consts.tolist())),
+             "zero " + "".join("01"[z] for z in tape.zero.tolist()),
+             "outputs " + " ".join(map(str, tape.outputs.tolist()))]
+    for ufunc, lo, hi, (a, b) in tape.groups:
+        pairs = np.sort(np.stack((a, b)), axis=0).T.tolist()
+        lines.append(f"{ufunc.__name__} {lo} {hi} " + " ".join(f"{x},{y}" for x, y in pairs))
+    return "\n".join(lines) + "\n"
+
+
+def test_tape_layout_is_pinned():
+    # The bits oracles see a tape's values, not its layout: an extra slot, or an
+    # operation moved to another slot or group, can keep every bit.  So the
+    # layout of each tape_jacobian_archs tape (the power nets of 108 to 42,371
+    # slots, six random nets and the constant-output architectures) is hashed
+    # and pinned.  An operand pair is sorted, since IEEE + and * give the same
+    # bits in either order.
+    digest = hashlib.sha256()
+    for arch in tape_jacobian_archs(np.random.default_rng(38)):
+        tape = synthesis._CoefficientTape(arch, grlex_monomials(arch.input_dim, expansion_degree(arch)))
+        digest.update(tape_layout(tape).encode())
+    assert digest.hexdigest() == "42292255bfffdd287b19e04d021dfd7ef54beb07359945a328630b54a9ec5793"
+
+
 def test_one_set_residuals_are_the_dict_ring_bit_for_bit(monkeypatch):
     # One weight set replays on its (slots,) buffer at every tape size; its
     # residuals must have the bytes of a dict ring expansion of the rebuilt
@@ -1067,9 +1096,11 @@ def test_negative_seed_is_refused():
 
 
 def test_non_integer_seed_is_refused():
-    # numpy's own TypeError would escape `except polynet.Error`
-    with pytest.raises(ConfigurationError, match="seed must be an integer, got 1.5"):
-        solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]), seed=1.5)
+    # numpy's own TypeError would escape `except polynet.Error`, and True once
+    # ran as seed 1
+    for bad in (1.5, True):
+        with pytest.raises(ConfigurationError, match=f"seed must be an integer, got {bad!r}"):
+            solve_system(bias_only_system([(0.0, 0.0), (0.0, 1.0)]), seed=bad)
 
 
 def lm_from_ones(system):
@@ -1286,11 +1317,12 @@ def test_compress_rejects_too_shallow_students():
 
 def test_compress_refuses_a_non_integer_degree_before_expanding(monkeypatch):
     # 1.5 once truncated the teacher at degree 1 and reported a converged solve,
-    # and "2" raised a bare TypeError, which escaped `except polynet.Error`
+    # "2" raised a bare TypeError, which escaped `except polynet.Error`, and
+    # True ran as degree 1
     teacher = with_weights(square_arch(4, 1), np.ones(17))
     assert compress_network(teacher, teacher, 2.0)[1] == compress_network(teacher, teacher, 2)[1]
     monkeypatch.setattr(synthesis, "expand_network", lambda net: pytest.fail("the teacher was expanded"))
-    for bad in (1.5, "2"):
+    for bad in (1.5, "2", True):
         with pytest.raises(UsageError, match=re.escape(f"degree {bad!r} is not an integer")):
             compress_network(teacher, square_arch(4, 1), bad)
 
