@@ -124,12 +124,17 @@ def builtin(name: str, lo: float, hi: float) -> SampledFunction:
     return SampledFunction(fn, lo, hi)
 
 
-def _check_interval(f: SampledFunction, lo: float, hi: float) -> None:
-    """Refuse a sampling interval that is not finite and ordered, or that leaves f's domain."""
+def _check_interval(f: SampledFunction, interval) -> tuple[float, float]:
+    """The interval as floats (lo, hi); refuse anything but a finite, ordered pair within f's domain."""
+    try:
+        lo, hi = map(float, interval)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"interval must be a pair of numbers (lo, hi), got {interval!r}") from None
     if not -math.inf < lo < hi < math.inf:
         raise ConfigurationError("interval must be finite and satisfy lo < hi")
     if f.lo > lo or f.hi < hi:
         raise ConfigurationError(f"domain [{f.lo}, {f.hi}] does not contain [{lo}, {hi}]")
+    return lo, hi
 
 
 def _samples(f: SampledFunction, xs: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def fourier_fit(f: SampledFunction, l: float, n_terms: int) -> FourierSeries:
         raise ConfigurationError("half-period l must be positive")
     if n_terms < 1:
         raise ConfigurationError("n_terms must be at least 1")
-    _check_interval(f, -l, l)
+    _check_interval(f, (-l, l))
     xs = np.linspace(-l, l, SIMPSON_PANELS + 1)
     ys = _samples(f, xs)
     a0 = _simpson(ys, xs) / l
@@ -280,8 +285,7 @@ def lsq_poly_fit(f: SampledFunction, interval: tuple[float, float], degree: int)
     fit's own error is refused when a lower degree's monomial form
     approximates f better on the grid.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    _check_interval(f, lo, hi)
+    lo, hi = _check_interval(f, interval)
     degree = _count(degree, "degree")
     if degree < 0:
         raise ConfigurationError("degree must be non-negative")
@@ -339,8 +343,7 @@ class ApproxError:
 
 def approx_error(f: SampledFunction, p: UniPoly, interval: tuple[float, float]) -> ApproxError:
     """Max-absolute and root-mean-square deviation of p from f on GRID_POINTS uniform points."""
-    lo, hi = float(interval[0]), float(interval[1])
-    _check_interval(f, lo, hi)
+    lo, hi = _check_interval(f, interval)
     xs = np.linspace(lo, hi, GRID_POINTS)
     d = p(xs) - _samples(f, xs)
     return ApproxError(float(np.max(np.abs(d))), float(math.sqrt(np.mean(d * d))))

@@ -512,6 +512,8 @@ def poly_from_text(text: str) -> MultiPoly:
         nvars = int(head[1][len("nvars="):])
     except ValueError:
         raise ParseError(f"line {head_no}: bad variable count in {head_line!r}") from None
+    if nvars < 1:
+        raise ParseError(f"line {head_no}: nvars must be at least 1, got {nvars}")
     terms: dict[Exponents, float] = {}
     for ln_no, line in lines[1:]:
         fields = line.split()
@@ -529,4 +531,4 @@ def poly_from_text(text: str) -> MultiPoly:
         if e in terms:
             raise ParseError(f"line {ln_no}: duplicate monomial {e}")
         terms[e] = c
-    return MultiPoly(nvars, terms)
+    return MultiPoly._trusted(nvars, terms)

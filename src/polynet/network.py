@@ -68,8 +68,9 @@ class MonomialPower:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool) or self.k < 1:
             raise StructuralError(f"power activation needs a positive integer exponent, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
 
     @property
     def degree(self) -> int:

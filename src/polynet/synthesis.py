@@ -15,27 +15,27 @@ in a process imports LAPACK from scipy.linalg; importing this module does not.
 
 Both builders set the system's perturbed_fn, which residual_jacobian calls
 on the p sets that each step one weight, under its np.errstate; batch_fn
-holds its own, so overflow is silent.  The systems refuse weights that are
-not finite (StructuralError); _lm checks the start, J'J and J'r
-(NumericError), and accepts a trial on cost_try < cost alone.
+holds its own, so overflow is silent.  The systems and residual_jacobian
+refuse non-finite weights (StructuralError); _lm checks the start, J'J and
+J'r (NumericError), and accepts a trial on cost_try < cost alone.
 
-Data residuals run the forward pass on stacks of weight sets.  A data
-Jacobian runs each weight's cone alone, everything that weight can change:
-its stepped row in its own layer, then the layers after it, from the base
-pass's layer inputs (see _cone_outputs); every entry keeps the bits of the
-stacked pass.
+Data residuals run the forward pass (_run_layers) on stacks of weight
+sets.  A data Jacobian runs each weight's cone alone, everything that
+weight can change: its stepped row in its own layer, then the layers after
+it, from the base pass's layer inputs (see _cone_outputs), each on
+_run_layers too, so every entry keeps the bits of the stacked pass.
 
 Coefficient residuals replay a tape: build_coefficient_system runs
 expand_network's ring pass once, at fixed weights that enter it as constant
 polynomials, each holding one _Recorded float, and each * and + the ring
 performs on those floats writes one float operation onto the tape
-(_CoefficientTape).  A residual call replays those
-operations with numpy, in groups: a stack of weight sets on a (slots, k)
-buffer, set j in column j, and one set, at every tape size, on a (slots,)
-buffer.  A coefficient Jacobian fills its p sets in place on the stacked
-buffer and replays the same groups over it.  A set whose exact zeros
-differ from the recording's runs the dict ring alone, so every residual
-has the bits of its own expansion.
+(_CoefficientTape.record).  A residual call replays those operations with
+numpy, in groups: a stack of weight sets on a (slots, k) buffer, set j in
+column j, and one set, at every tape size, on a (slots,) buffer.  A
+coefficient Jacobian fills its p sets in place on the stacked buffer and
+replays the same groups over it.  A set whose exact zeros differ from the
+recording's runs the dict ring alone, so every residual has the bits of its
+own expansion.
 """
 
 from __future__ import annotations
@@ -123,8 +123,8 @@ class ResidualSystem:
     replaced by w_j + steps_j, with the bits batch_fn gives those sets.
     Both builders set it: the data system runs each weight's cone, and the
     coefficient system fills the sets in place on its tape's buffer.  It
-    runs under residual_jacobian's np.errstate, which stacks the sets
-    through batch_fn when it is None."""
+    runs under residual_jacobian's np.errstate, after its finiteness check
+    of the stepped weights; when it is None, the sets go through batch_fn."""
 
     unknowns: int
     arity: int  # residual count
@@ -196,7 +196,6 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
         return (tape.one_set(Ws[0]) - wanted)[None]
 
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
-        _check_finite(stepped)  # w is finite where w + steps is
         R = np.empty((wanted.size, w.size))
         for lo in range(0, w.size, chunk):
             np.subtract(tape.perturbed(w, stepped, lo, min(lo + chunk, w.size)), wanted[:, None],
@@ -209,8 +208,8 @@ def build_coefficient_system(arch: NetworkSpec, targets: Sequence[MultiPoly]) ->
 class _Recorded(float):
     """A coefficient of the recording ring pass, which only multiplies and
     adds: a float holding its value at the record point, whose every * and +
-    appends one entry to its tape and gives the result as a _Recorded float
-    of that entry.  It meets floats alone: a weight enters the ring as a
+    goes to its tape's record, which appends one entry and returns it as a
+    _Recorded float.  It meets floats alone: a weight enters the ring as a
     constant polynomial, so poly_mul and poly_add do all of its arithmetic.
     0 + c and 1 * c give c itself: they have c's bits but for 0.0 + -0.0,
     and a zero's sign reaches no term the ring keeps."""
@@ -218,34 +217,22 @@ class _Recorded(float):
     __slots__ = ("tape", "index")
 
     def __add__(self, other):
-        return _record(1, self, other)
+        return self.tape.record(1, self, other)
 
     def __radd__(self, other):
-        return _record(1, other, self)
+        return self.tape.record(1, other, self)
 
     def __mul__(self, other):
-        return _record(2, self, other)
+        return self.tape.record(2, self, other)
 
     def __rmul__(self, other):
-        return _record(2, other, self)
-
-
-def _record(op: int, a, b):
-    """a + b (op 1) or a * b (op 2) of two coefficients, one of them recorded."""
-    unit = 0.0 if op == 1 else 1.0
-    if type(a) is not _Recorded and a == unit:
-        return b
-    if type(b) is not _Recorded and b == unit:
-        return a
-    tape = a.tape if type(a) is _Recorded else b.tape
-    value = float(a) + float(b) if op == 1 else float(a) * float(b)
-    return tape.append(op, tape.entry(a), tape.entry(b), value)
+        return self.tape.record(2, other, self)
 
 
 class _CoefficientTape:
     """The float operations of one ring pass (_run_layers on the input
-    variables), recorded once on constant polynomials of _Recorded weights
-    and replayed on stacks of weight sets.
+    variables), recorded once on constant polynomials of _Recorded weights,
+    whose * and + call record, and replayed on stacks of weight sets.
 
     While recording, entry i applies OPS[op[i]] to entries a[i] and b[i],
     has value[i] at the record point, and lies depth[i] ops above the
@@ -304,6 +291,16 @@ class _CoefficientTape:
         self.depth.append(1 + max(self.depth[a], self.depth[b]) if op else 0)
         self.value.append(value)
         return c
+
+    def record(self, op: int, a, b) -> _Recorded:
+        """a + b (op 1) or a * b (op 2) of two coefficients, one of them recorded on this tape."""
+        unit = 0.0 if op == 1 else 1.0
+        if type(a) is not _Recorded and a == unit:
+            return b
+        if type(b) is not _Recorded and b == unit:
+            return a
+        value = float(a) + float(b) if op == 1 else float(a) * float(b)
+        return self.append(op, self.entry(a), self.entry(b), value)
 
     def entry(self, c) -> int:
         """The entry of a recorded coefficient, or the leaf of a constant."""
@@ -398,7 +395,6 @@ def build_data_system(arch: NetworkSpec, ds: Dataset) -> ResidualSystem:
         return _stacked(run, Ws, ds.y, chunk)
 
     def perturbed_fn(w: np.ndarray, stepped: np.ndarray) -> np.ndarray:
-        _check_finite(stepped)  # w is finite where w + steps is
         return (np.concatenate(list(_cone_outputs(arch, plans, X[0], w, stepped))) - ds.y).T
 
     return ResidualSystem(network_weights(arch).size, len(ds.y), batch_fn, perturbed_fn)
@@ -422,18 +418,16 @@ def _cone_outputs(arch: NetworkSpec, plans: list, X: np.ndarray, w: np.ndarray,
     An output of np.matvec has the bits of W @ x, which depend on the row's
     own values and on its place among W's rows.  So for a layer W (r, c),
     M[t] is W with every row's entry t stepped: its row i is set (i, t)'s row,
-    at its own place, and one stacked matvec of the M[t], and of W last for
-    the base pass, over the layer's base input [1, h] gives all r * c stepped
-    pre-activations.  Set (i, t) takes the base activations with node i
-    replaced, and runs the later layers on the base weights; the layers
-    before its own are never run again."""
+    at its own place, and one depth-1 _run_layers call of the M[t], and of W
+    last for the base pass, on the layer's base input h gives all r * c
+    stepped activations, with the stacked pass's bits.  Set (i, t) takes the
+    base activations with node i replaced, and runs the later layers on the
+    base weights; the layers before its own are never run again."""
     pairs, stepped_pairs = list(_layer_weights(arch, w)), _layer_weights(arch, stepped)
-    ones = np.empty((len(X), 1))
-    ones.fill(1.0)
     h = X
     for layer, ((W, activation), (V, _), (mask, stacks)) in enumerate(zip(pairs, stepped_pairs, plans)):
-        H = np.concatenate((ones, h), axis=-1)  # the layer's base input (n, c)
-        A = activation(np.matvec(np.where(mask, V, W)[:, None], H))  # (c + 1, n, r): set (i, t)'s node i at [t, :, i]
+        # (c + 1, n, r): set (i, t)'s node i at [t, :, i], the base pass at [-1]
+        A = _run_layers([(np.where(mask, V, W)[:, None], activation)], h)
         if layer == len(pairs) - 1:  # the output node: set (0, t) is A[t]
             yield A[:-1, :, 0]
             break
@@ -473,8 +467,8 @@ def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
     through one system.perturbed_fn call, or, without one, one batch_fn
     call on their stack; every entry has the bits of a per-column
     system.residuals evaluation.  A weight that is not finite, or whose
-    step is not, raises StructuralError from the system.  Overflow to inf
-    or nan is silent, in perturbed_fn too: it runs in this np.errstate."""
+    step is not, raises StructuralError here, for every system.  Overflow
+    to inf or nan is silent, in perturbed_fn too: it runs in this np.errstate."""
     w = np.asarray(w, dtype=float)
     _check_weights(w, system.unknowns)
     r0 = np.asarray(r0, dtype=float)
@@ -482,6 +476,7 @@ def residual_jacobian(system: ResidualSystem, w, r0) -> np.ndarray:
         raise DimensionError(f"residual vector has shape {r0.shape}, expected ({system.arity},)")
     steps = FD_STEP * (1.0 + np.abs(w))
     stepped = w + steps
+    _check_finite(stepped)  # w is finite where w + steps is
     if system.perturbed_fn is not None:
         R = system.perturbed_fn(w, stepped)
     else:

@@ -622,7 +622,7 @@ BIG = "9" * 400  # a JSON integer past the float range
         ("fit-data", "f1,y\n", "dataset has no example rows"),
         ("synth", "", "empty polynomial text"),
         ("synth", "poly nvars=two\n", "line 1: bad variable count in 'poly nvars=two'"),
-        ("synth", "poly nvars=0\n", "nvars must be at least 1"),
+        ("synth", "poly nvars=0\n", "line 1: nvars must be at least 1"),
     ],
 )
 def test_bad_inputs_exit_2(verb, text, message, tmp_path, capsys):

@@ -358,6 +358,10 @@ def test_lsq_fit_is_exact_on_a_polynomial():
     assert abs(p.coeffs[1]) <= 1e-12
     assert abs(p.coeffs[2] - 1.0) <= 1e-12
     assert approx_error(f, p, (-1.0, 1.0)).max_abs <= 1e-12
+    # the interval is a pair: a triple is refused, not fitted on its first two values
+    for bad in ((-1.0, 0.0, 1.0), (-1.0,), 1.0, (None, 1.0)):
+        with pytest.raises(ConfigurationError, match="interval must be a pair"):
+            lsq_poly_fit(f, bad, 2)
 
 
 def test_lsq_sigmoid_degree9_frozen_error():
@@ -420,6 +424,9 @@ def test_approx_error_validation():
     f = sigmoid8()
     with pytest.raises(ConfigurationError, match="lo < hi"):
         approx_error(f, UniPoly((0.5,)), (2.0, -2.0))
+    for bad in ((-2.0, 0.0, 2.0), (-2.0,), 2.0, (-2.0, None)):
+        with pytest.raises(ConfigurationError, match="interval must be a pair"):
+            approx_error(f, UniPoly((0.5,)), bad)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf), (math.nan, 1.0)])

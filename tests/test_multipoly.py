@@ -793,3 +793,8 @@ def test_text_parse_errors():
         poly_from_text("poly nvars=2\n1 0 0\n\nnan 1 0\n")
     with pytest.raises(ParseError, match="line 2: expected 'poly nvars=<d>'"):
         poly_from_text("\nnope nvars=2\n1 0 0\n")
+    # a variable count below 1 is refused at the header, before any term
+    with pytest.raises(ParseError, match="^line 1: nvars must be at least 1, got 0$"):
+        poly_from_text("poly nvars=0\n")
+    with pytest.raises(ParseError, match="^line 1: nvars must be at least 1, got -2$"):
+        poly_from_text("poly nvars=-2\n1 0\n")

@@ -73,7 +73,11 @@ def random_network(rng, max_degree_budget=24):
 
 def test_monomial_power_validation():
     assert MonomialPower(2).k == 2
-    for bad in (0, -2, 1.5, True):
+    # a numpy integer is kept as a plain int, so the JSON is unchanged
+    k = MonomialPower(np.int64(3)).k
+    assert k == 3 and type(k) is int
+    assert MonomialPower(np.int64(3)).to_json() == MonomialPower(3).to_json()
+    for bad in (0, -2, 1.5, True, np.float64(2.0), np.bool_(True), np.int64(0)):
         with pytest.raises(StructuralError, match="positive integer"):
             MonomialPower(bad)
 

@@ -490,6 +490,25 @@ def test_cone_jacobian_refuses_non_finite_weights():
                     residual_jacobian(refusing, w, np.zeros(refusing.arity))
 
 
+def test_jacobian_refuses_non_finite_steps_of_any_system():
+    # a hand-built system without perturbed_fn, whose batch_fn checks nothing:
+    # residual_jacobian refuses the stepped weights before batch_fn sees them
+    calls = []
+
+    def batch_fn(Ws):
+        calls.append(Ws)
+        return Ws.sum(axis=1, keepdims=True)
+
+    system = ResidualSystem(3, 1, batch_fn)
+    # a nan weight, and the largest float, whose step overflows to inf
+    for bad in (np.nan, np.finfo(float).max):
+        w = np.ones(3)
+        w[1] = bad
+        with pytest.raises(StructuralError, match="weights must be finite"):
+            residual_jacobian(system, w, np.zeros(1))
+    assert calls == []
+
+
 def test_data_system_overflows_silently_for_direct_callers():
     # residuals, batch_fn on a stack and residual_jacobian each hold their own
     # np.errstate, and perturbed_fn runs in residual_jacobian's, so a caller
@@ -801,15 +820,20 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, ze
     chunked = build()
     r0 = chunked.residuals(w)
     if kind == "data":
-        stacks, fallbacks, depths = [], [], []
+        stacks, fallbacks, depths, passes = [], [], [], []
         run_layers = synthesis._run_layers
 
         def spy(layers, h):
-            # the cone's stacks: one (n, r) block of a layer's outputs per weight set,
-            # run through the layers after that layer
-            stacks.append(h)
-            depths.append(len(layers))
-            return run_layers(layers, h)
+            out = run_layers(layers, h)
+            if h.ndim == 3:
+                # the cone's stacks: one (n, r) block of a layer's outputs per weight set,
+                # run through the layers after that layer
+                stacks.append(h)
+                depths.append(len(layers))
+            else:
+                # a layer's stepped pass, on that layer's base input h
+                passes.append((len(layers), h, out))
+            return out
 
         monkeypatch.setattr(synthesis, "_run_layers", spy)
     else:
@@ -825,6 +849,12 @@ def test_data_jacobian_is_the_same_in_chunks(monkeypatch, kind, budget, sets, ze
         runs = [sum(len(s) for s, later in zip(stacks, depths) if later == n) for n in (2, 1)]
         assert runs == [3 * a, b * (a + 1)]
         assert 3 * a + b * (a + 1) + b + 1 == whole.unknowns
+        # each layer's stepped pass is one depth-1 call on its 2-D base input: the 7
+        # rows of 2 features, then the base pass's activations of the layer before,
+        # the last of that pass's outputs
+        assert [(later, h.shape) for later, h, _ in passes] == [(1, (7, 2)), (1, (7, a)), (1, (7, b))]
+        for (_, _, before), (_, h, _) in zip(passes, passes[1:]):
+            assert_same_bits(h, before[-1])
     # the set holding the zero, in one chunk, is the only one run on the dict ring
     holding = [v for s in stacks if kind == "coefficient" for v in s if (v == 0.0).any()]
     assert len(fallbacks) == len(holding) == zero
